@@ -4,12 +4,15 @@
 // The paper's premise is that a GPU runs thousands of search blocks
 // concurrently; our Device approximates that by sharding its block set
 // over a worker pool. This bench measures what that buys on the current
-// host: threads_per_device = 0 is the legacy single device thread, and
-// each additional worker should scale the flip rate until the hardware
-// runs out of cores (on a 1-core host the curve is flat — the point of
-// printing hardware_concurrency in the header).
+// host: the 1-worker row (one worker visiting every block round-robin) is
+// the baseline, and each additional worker should scale the flip rate
+// until the hardware runs out of cores (the point of printing
+// hardware_concurrency in the header) or the workers run out of blocks.
+// Every row is the median of kRepeats fresh solver runs (seeds seed …
+// seed + kRepeats − 1), with the min–max spread of the flip rate beside it.
 //
 //   ./bench/bench_device_threads [--bits 1024] [--seconds 2] [--blocks 8]
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <thread>
@@ -19,10 +22,23 @@
 #include "problems/random.hpp"
 #include "util/cli.hpp"
 
+namespace {
+
+constexpr int kRepeats = 5;
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   absq::CliParser cli("Device threading — flip rate vs threads_per_device");
   cli.add_flag("bits", std::int64_t{1024}, "instance size");
-  cli.add_flag("seconds", 2.0, "measurement window per point");
+  cli.add_flag("seconds", 2.0, "measurement window per run");
   cli.add_flag("blocks", std::int64_t{8}, "search blocks per device");
   cli.add_flag("seed", std::int64_t{17}, "seed");
   if (!cli.parse(argc, argv)) return 0;
@@ -32,44 +48,56 @@ int main(int argc, char** argv) {
   const absq::WeightMatrix w = absq::random_qubo(n, seed);
 
   std::printf("Device threading ablation — %u-bit instance, %" PRId64
-              " blocks, %.1fs per point, hardware_concurrency = %u\n",
-              n, cli.get_int("blocks"), cli.get_double("seconds"),
+              " blocks, %.1fs per run, median of %d, "
+              "hardware_concurrency = %u\n",
+              n, cli.get_int("blocks"), cli.get_double("seconds"), kRepeats,
               std::thread::hardware_concurrency());
-  std::printf("%8s | %12s %14s | %8s | %s\n", "threads", "flips/s",
-              "solutions/s", "speedup", "misses / drops");
-  for (int i = 0; i < 72; ++i) std::putchar('-');
+  std::printf("%8s | %12s %25s %14s | %8s | %s\n", "threads", "flips/s",
+              "min .. max", "solutions/s", "speedup", "misses / drops");
+  for (int i = 0; i < 100; ++i) std::putchar('-');
   std::putchar('\n');
 
   double baseline_flip_rate = 0.0;
-  const std::vector<std::uint32_t> sweep = {0, 1, 2, 4, 8};
+  const std::vector<std::uint32_t> sweep = {1, 2, 4, 8};
   for (const std::uint32_t threads : sweep) {
-    absq::AbsConfig config;
-    config.device.block_limit =
-        static_cast<std::uint32_t>(cli.get_int("blocks"));
-    config.device.threads_per_device = threads;
-    config.seed = seed;
-    absq::AbsSolver solver(w, config);
-    absq::StopCriteria stop;
-    stop.time_limit_seconds = cli.get_double("seconds");
-    const absq::AbsResult result = solver.run(stop);
-
-    const double flip_rate =
-        result.seconds > 0.0
-            ? static_cast<double>(result.total_flips) / result.seconds
-            : 0.0;
-    if (threads == 0) baseline_flip_rate = flip_rate;
-    const auto& dev = result.devices[0];
-    std::printf("%8u | %12.4e %14.4e | %7.2fx | %" PRIu64 " / %" PRIu64 "\n",
-                threads, flip_rate, result.search_rate,
+    std::vector<double> flip_rates;
+    std::vector<double> search_rates;
+    std::vector<double> misses;
+    std::vector<double> drops;
+    for (int r = 0; r < kRepeats; ++r) {
+      absq::AbsConfig config;
+      config.device.block_limit =
+          static_cast<std::uint32_t>(cli.get_int("blocks"));
+      config.device.threads_per_device = threads;
+      config.seed = seed + static_cast<std::uint64_t>(r);
+      absq::AbsSolver solver(w, config);
+      absq::StopCriteria stop;
+      stop.time_limit_seconds = cli.get_double("seconds");
+      const absq::AbsResult result = solver.run(stop);
+      flip_rates.push_back(
+          result.seconds > 0.0
+              ? static_cast<double>(result.total_flips) / result.seconds
+              : 0.0);
+      search_rates.push_back(result.search_rate);
+      misses.push_back(static_cast<double>(result.devices[0].target_misses));
+      drops.push_back(
+          static_cast<double>(result.devices[0].solutions_dropped));
+    }
+    const double flip_rate = median(flip_rates);
+    if (threads == 1) baseline_flip_rate = flip_rate;
+    const auto [lo, hi] =
+        std::minmax_element(flip_rates.begin(), flip_rates.end());
+    std::printf("%8u | %12.4e %12.4e .. %10.4e %14.4e | %7.2fx | %.0f / "
+                "%.0f\n",
+                threads, flip_rate, *lo, *hi, median(search_rates),
                 baseline_flip_rate > 0.0 ? flip_rate / baseline_flip_rate
                                          : 0.0,
-                dev.target_misses, dev.solutions_dropped);
+                median(misses), median(drops));
     std::fflush(stdout);
   }
   std::printf(
       "\nShape check: with W hardware cores the speedup column should\n"
-      "approach min(W, blocks)/1 for threads >= W; on a single-core host\n"
-      "all rows are ~1.0x and the run only demonstrates that sharded\n"
-      "scheduling costs nothing over the legacy loop.\n");
+      "approach min(W, blocks) for threads >= W; rows beyond the core\n"
+      "count only show what oversubscription costs.\n");
   return 0;
 }

@@ -22,9 +22,10 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 SANITIZE_TARGETS=(test_metrics test_trace test_mailbox test_device
-                  test_solver test_portfolio test_thread_pool
-                  test_failpoint test_fault_tolerance test_protocol
-                  test_journal test_job_manager test_job_server)
+                  test_solver test_sync_runner test_portfolio
+                  test_thread_pool test_failpoint test_fault_tolerance
+                  test_protocol test_journal test_job_manager
+                  test_job_server)
 # The chaos harness (SIGKILL + --recover) also runs under both sanitizers,
 # against sanitized builds of the tools it drives.
 CHAOS_TOOLS=(absq_gen absq_serve absq_client)

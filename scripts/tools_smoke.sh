@@ -102,4 +102,33 @@ code=$?
 set -e
 [[ "$code" == "2" ]] || fail "unreachable target exited $code, expected 2"
 
+# Out-of-range counts are usage errors (exit 2) that name the flag, caught
+# before absq_solve loads or solves anything and before absq_serve binds a
+# port — a negative count must not wrap into a huge allocation.
+expect_usage_error() {  # <tool> <flag> <value> [args...]
+  local tool="$1" flag="$2" value="$3"
+  shift 3
+  set +e
+  "$BIN/tools/$tool" "$@" "$flag" "$value" > "$WORK/usage.out" \
+    2> "$WORK/usage.err"
+  local code=$?
+  set -e
+  [[ "$code" == "2" ]] \
+    || fail "$tool $flag $value exited $code, expected 2"
+  grep -q "^error: $flag " "$WORK/usage.err" \
+    || fail "$tool $flag $value did not name the flag"
+  if grep -q "listening\|best energy" "$WORK/usage.out"; then
+    fail "$tool $flag $value started before rejecting the value"
+  fi
+}
+for flag in --devices --blocks --pool --max-restarts --local-steps; do
+  expect_usage_error absq_solve "$flag" -1 "$WORK/r.qubo" --seconds 0.1
+done
+expect_usage_error absq_solve --threads 0 "$WORK/r.qubo" --seconds 0.1
+expect_usage_error absq_solve --threads -2 "$WORK/r.qubo" --seconds 0.1
+for flag in --devices --blocks --threads --pool --max-restarts; do
+  expect_usage_error absq_serve "$flag" -1 --port 0
+done
+expect_usage_error absq_serve --threads 0 --port 0
+
 echo "tools_smoke: OK"

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -33,6 +34,8 @@ std::uint32_t Device::effective_block_count(const sim::Occupancy& occupancy,
 
 std::uint32_t Device::resolve_workers(const DeviceConfig& config) {
   if (config.threads_per_device.has_value()) {
+    ABSQ_CHECK(*config.threads_per_device >= 1,
+               "threads_per_device must be at least 1 (unset = auto)");
     return *config.threads_per_device;
   }
   // Standalone device: all of the host. Multi-device owners (AbsSolver)
@@ -53,11 +56,11 @@ Device::Device(const WeightMatrix& w, const DeviceConfig& config)
       targets_(config.target_capacity != 0
                    ? config.target_capacity
                    : effective_block_count(occupancy_, config),
-               std::max(1u, workers_)),
+               workers_),
       solutions_(config.solution_capacity != 0
                      ? config.solution_capacity
                      : effective_block_count(occupancy_, config),
-                 std::max(1u, workers_)) {
+                 workers_) {
   const std::uint32_t block_count = effective_block_count(occupancy_, config);
 
   const std::vector<BitIndex> ladder = config.window_schedule.empty()
@@ -129,26 +132,12 @@ Device::~Device() { stop(); }
 void Device::start() {
   if (running_) return;
   stop_requested_.store(false, std::memory_order_relaxed);
-  if (workers_ == 0) {
-    thread_ = std::thread([this] {
-      try {
-        run_legacy_loop(&stop_requested_);
-      } catch (...) {
-        // Mirror the ThreadPool contract: capture, don't terminate.
-        std::lock_guard lock(failure_mutex_);
-        if (legacy_failure_ == nullptr) {
-          legacy_failure_ = std::current_exception();
-        }
-        legacy_failed_.store(true, std::memory_order_release);
-      }
-    });
-  } else {
-    // A fresh pool per start(): ThreadPool drains and joins on destruction,
-    // which is exactly the stop() contract.
-    pool_ = std::make_unique<ThreadPool>(workers_);
-    for (std::uint32_t worker = 0; worker < workers_; ++worker) {
-      pool_->submit([this, worker] { run_shard(worker, &stop_requested_); });
-    }
+  // A fresh pool per start(): ThreadPool drains and joins on destruction,
+  // which is exactly the stop() contract.
+  worker_pool_ = std::make_unique<ThreadPool>(workers_);
+  for (std::uint32_t worker = 0; worker < workers_; ++worker) {
+    worker_pool_->submit(
+        [this, worker] { run_shard(worker, &stop_requested_); });
   }
   running_ = true;
 }
@@ -163,29 +152,23 @@ void Device::stop() {
   if (fail::Registry::instance().any_armed()) {
     fail::Registry::instance().cancel_stalls();
   }
-  if (thread_.joinable()) thread_.join();
-  if (pool_ != nullptr) {
-    // Preserve a captured worker failure past the pool's destruction so
-    // failure() keeps reporting it after the device is stopped.
-    if (std::exception_ptr failure = pool_->failure(); failure != nullptr) {
-      std::lock_guard lock(failure_mutex_);
-      if (legacy_failure_ == nullptr) legacy_failure_ = failure;
-      legacy_failed_.store(true, std::memory_order_release);
-    }
-    pool_.reset();
+  // Preserve a captured worker failure past the pool's destruction so
+  // failure() keeps reporting it after the device is stopped.
+  if (stopped_failure_ == nullptr) {
+    stopped_failure_ = worker_pool_->failure();
   }
+  worker_pool_.reset();  // drains and joins the workers
   running_ = false;
 }
 
 std::exception_ptr Device::failure() const {
-  if (pool_ != nullptr) {
-    if (std::exception_ptr failure = pool_->failure(); failure != nullptr) {
+  if (worker_pool_ != nullptr) {
+    if (std::exception_ptr failure = worker_pool_->failure();
+        failure != nullptr) {
       return failure;
     }
   }
-  if (!legacy_failed_.load(std::memory_order_acquire)) return nullptr;
-  std::lock_guard lock(failure_mutex_);
-  return legacy_failure_;
+  return stopped_failure_;
 }
 
 void Device::iterate_block(std::size_t index, std::size_t worker) {
@@ -223,7 +206,7 @@ void Device::iterate_block(std::size_t index, std::size_t worker) {
 }
 
 void Device::step_all_blocks_once() {
-  ABSQ_CHECK(!running_, "synchronous stepping while the device thread runs");
+  ABSQ_CHECK(!running_, "synchronous stepping while the device workers run");
   for (std::size_t i = 0; i < blocks_.size(); ++i) iterate_block(i, i);
 }
 
@@ -235,16 +218,6 @@ std::uint64_t Device::total_algorithm_switches() const {
   std::uint64_t total = 0;
   for (const auto& block : blocks_) total += block->algorithm_switches();
   return total;
-}
-
-void Device::run_legacy_loop(const std::atomic<bool>* stop_flag) {
-  // Round-robin block schedule; each visit is one full Step 2–5 iteration.
-  while (!stop_flag->load(std::memory_order_relaxed)) {
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      if (stop_flag->load(std::memory_order_relaxed)) return;
-      iterate_block(i, /*worker=*/0);
-    }
-  }
 }
 
 void Device::run_shard(std::size_t worker, const std::atomic<bool>* stop_flag) {

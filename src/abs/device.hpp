@@ -14,25 +14,22 @@
 // from the GPU's truly concurrent blocks — only wall-clock throughput
 // differs, which is exactly the substitution DESIGN.md documents.
 //
-// `DeviceConfig::threads_per_device` picks the worker count. Explicit 0
-// preserves the legacy schedule — a single device thread visiting every
-// block round-robin — which the deterministic SyncAbsRunner relies on.
-// Leaving it unset ("auto") resolves to the hardware concurrency divided
-// by the device count (floor 1); the resolution happens in AbsSolver /
-// SyncAbsRunner, or in the Device constructor for a standalone device.
+// `DeviceConfig::threads_per_device` picks the worker count (at least 1;
+// one worker visits every block round-robin). Leaving it unset ("auto")
+// resolves to the hardware concurrency divided by the device count
+// (floor 1); the resolution happens in AbsSolver, or in the Device
+// constructor for a standalone device.
 //
 // The device also supports a synchronous mode (step_all_blocks_once) used by
-// the deterministic tests and the throughput benches, which measure the
-// search kernel without scheduler noise.
+// the lockstep SyncAbsRunner, the deterministic tests and the throughput
+// benches, which measure the search kernel without scheduler noise.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "abs/search_block.hpp"
@@ -56,11 +53,10 @@ struct DeviceConfig {
   std::uint32_t block_limit = 0;
   /// Step 4b flip count. 0 = one sweep (n flips).
   std::uint64_t local_steps = 0;
-  /// Worker threads running the block shards. nullopt = auto (hardware
-  /// concurrency / device count, floor 1 — resolved by the owning solver,
-  /// or against a device count of 1 for a standalone Device). Explicit 0 =
-  /// the legacy single device thread visiting all blocks round-robin (the
-  /// deterministic-schedule mode SyncAbsRunner forces).
+  /// Worker threads running the block shards, at least 1 (an explicit 0
+  /// is rejected). nullopt = auto (hardware concurrency / device count,
+  /// floor 1 — resolved by the owning solver, or against a device count
+  /// of 1 for a standalone Device). SyncAbsRunner forces 1.
   std::optional<std::uint32_t> threads_per_device;
   /// Window lengths (l) assigned to blocks round-robin. Empty = a geometric
   /// ladder 2, 4, 8, ..., n/2 (the parallel-tempering default).
@@ -102,8 +98,7 @@ class Device {
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  /// Launches the worker threads (or the single legacy device thread).
-  /// Idempotent.
+  /// Launches the worker threads. Idempotent.
   void start();
 
   /// Signals the workers to finish their current block visit, then joins
@@ -117,9 +112,10 @@ class Device {
     stop_requested_.store(true, std::memory_order_relaxed);
   }
 
-  /// First exception that escaped a worker (or the legacy device thread),
-  /// or nullptr while the device is healthy. A non-null failure means at
+  /// First exception that escaped a worker, or nullptr while the device is
+  /// healthy; still reported after stop(). A non-null failure means at
   /// least one worker is dead; the solver watchdog quarantines the device.
+  /// Host-thread only (not synchronized against start()/stop()).
   [[nodiscard]] std::exception_ptr failure() const;
 
   [[nodiscard]] bool running() const { return running_; }
@@ -141,7 +137,7 @@ class Device {
   }
   [[nodiscard]] const DeviceConfig& config() const { return config_; }
 
-  /// Worker threads start() will run (0 = legacy single-thread schedule).
+  /// Worker threads start() will run (at least 1).
   [[nodiscard]] std::uint32_t worker_count() const { return workers_; }
 
   /// Flips committed by all blocks (each flip = n evaluated solutions).
@@ -183,7 +179,6 @@ class Device {
   /// One Step 2–5 iteration of block `index`, attributed to `worker`'s
   /// mailbox shards.
   void iterate_block(std::size_t index, std::size_t worker);
-  void run_legacy_loop(const std::atomic<bool>* stop_flag);
   void run_shard(std::size_t worker, const std::atomic<bool>* stop_flag);
 
   const WeightMatrix* w_;
@@ -195,16 +190,11 @@ class Device {
   sim::TargetBuffer targets_;
   sim::SolutionBuffer solutions_;
 
-  std::thread thread_;                 ///< legacy mode (workers_ == 0)
-  std::unique_ptr<ThreadPool> pool_;   ///< sharded mode (workers_ >= 1)
+  std::unique_ptr<ThreadPool> worker_pool_;  ///< while running
   std::atomic<bool> stop_requested_{false};
   bool running_ = false;
-
-  // Legacy-thread failure capture (the pool captures its own in sharded
-  // mode). The atomic flag keeps the healthy-path poll lock-free.
-  mutable std::mutex failure_mutex_;
-  std::atomic<bool> legacy_failed_{false};
-  std::exception_ptr legacy_failure_;
+  /// The pool's captured worker failure, kept past stop() destroying it.
+  std::exception_ptr stopped_failure_;
 
   std::atomic<std::uint64_t> flips_{0};
   std::atomic<std::uint64_t> iterations_{0};

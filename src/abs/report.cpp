@@ -81,7 +81,7 @@ void write_run_report(std::ostream& out, const RunReportMeta& meta,
         << ",\"failure\":" << quoted(device.failure) << "}\n";
   }
 
-  // Diverse-ABS runs: one line per island pool (absent on classic runs).
+  // One line per island pool (a classic run has exactly one).
   for (const auto& island : result.islands) {
     out << "{\"type\":\"island\",\"island\":" << island.island_id
         << ",\"best_energy\":" << energy_json(island.best_energy)

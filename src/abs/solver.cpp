@@ -24,6 +24,37 @@ std::string describe(const std::exception_ptr& failure) {
   }
 }
 
+portfolio::IslandSet::Config island_config(const AbsConfig& config) {
+  portfolio::IslandSet::Config islands;
+  islands.islands = config.portfolio.islands;
+  islands.pool_capacity = config.pool_capacity;
+  islands.ga = config.ga;
+  islands.diversify_ga = config.portfolio.diversify_ga;
+  islands.migration_interval =
+      config.portfolio.islands > 1
+          ? config.portfolio.effective_migration_interval()
+          : 0;
+  islands.migration_k = config.portfolio.migration_k;
+  islands.seed = config.seed;
+  islands.telemetry = config.telemetry;
+  return islands;
+}
+
+portfolio::AdaptiveController::Config controller_config(
+    const AbsConfig& config) {
+  portfolio::AdaptiveController::Config controller;
+  controller.islands = config.portfolio.islands;
+  controller.algorithms = config.portfolio.algorithm_list();
+  controller.enabled = config.portfolio.controller;
+  controller.credit_decay = config.portfolio.credit_decay;
+  controller.softmax_temperature = config.portfolio.softmax_temperature;
+  controller.exploration_floor = config.portfolio.exploration_floor;
+  controller.realloc_interval = config.portfolio.realloc_interval;
+  controller.seed = config.seed;
+  controller.telemetry = config.telemetry;
+  return controller;
+}
+
 }  // namespace
 
 const char* to_string(DeviceHealth health) {
@@ -38,44 +69,15 @@ const char* to_string(DeviceHealth health) {
 AbsSolver::AbsSolver(const WeightMatrix& w, AbsConfig config)
     : w_(&w),
       config_(std::move(config)),
-      pool_(config_.pool_capacity),
-      rng_(config_.seed) {
+      islands_(island_config(config_)),
+      controller_(controller_config(config_)) {
   ABSQ_CHECK(config_.num_devices >= 1, "need at least one device");
 
-  // Diverse ABS: build the island pools and the (island, algorithm)
-  // controller before the devices, so the initial block striping can be
-  // baked into every device's algorithm schedule.
-  diverse_ = config_.portfolio.diverse();
-  if (diverse_) {
-    portfolio::IslandSet::Config island_config;
-    island_config.islands = config_.portfolio.islands;
-    island_config.pool_capacity = config_.pool_capacity;
-    island_config.ga = config_.ga;
-    island_config.diversify_ga = config_.portfolio.diversify_ga;
-    island_config.migration_interval =
-        config_.portfolio.islands > 1
-            ? config_.portfolio.effective_migration_interval()
-            : 0;
-    island_config.migration_k = config_.portfolio.migration_k;
-    island_config.seed = config_.seed;
-    island_config.telemetry = config_.telemetry;
-    islands_ = std::make_unique<portfolio::IslandSet>(island_config);
-
-    portfolio::AdaptiveController::Config controller_config;
-    controller_config.islands = config_.portfolio.islands;
-    controller_config.algorithms = config_.portfolio.algorithm_list();
-    controller_config.enabled = config_.portfolio.controller;
-    controller_config.credit_decay = config_.portfolio.credit_decay;
-    controller_config.softmax_temperature =
-        config_.portfolio.softmax_temperature;
-    controller_config.exploration_floor = config_.portfolio.exploration_floor;
-    controller_config.realloc_interval = config_.portfolio.realloc_interval;
-    controller_config.seed = config_.seed;
-    controller_config.telemetry = config_.telemetry;
-    controller_ =
-        std::make_unique<portfolio::AdaptiveController>(controller_config);
-  }
-
+  // The islands and the controller exist before the devices, so the
+  // initial block striping can be baked into every device's algorithm
+  // schedule: block b of device d starts on arm (d + b) % num_arms —
+  // exactly the assignment register_block records.
+  const std::uint32_t num_arms = controller_.num_arms();
   devices_.resize(config_.num_devices);
   for (std::uint32_t d = 0; d < config_.num_devices; ++d) {
     DeviceSlot& slot = devices_[d];
@@ -88,22 +90,15 @@ AbsSolver::AbsSolver(const WeightMatrix& w, AbsConfig config)
       slot.config.threads_per_device = std::max(
           1u, std::thread::hardware_concurrency() / config_.num_devices);
     }
-    if (diverse_) {
-      // Stripe the arms across blocks so block b of device d starts on arm
-      // (d + b) % num_arms — exactly the assignment register_block records.
-      const std::uint32_t num_arms = controller_->num_arms();
-      slot.config.algorithm_schedule.resize(num_arms);
-      for (std::uint32_t j = 0; j < num_arms; ++j) {
-        slot.config.algorithm_schedule[j] =
-            controller_->arm((d + j) % num_arms).algorithm;
-      }
-      slot.config.algorithm_options = config_.portfolio.options;
+    slot.config.algorithm_schedule.resize(num_arms);
+    for (std::uint32_t j = 0; j < num_arms; ++j) {
+      slot.config.algorithm_schedule[j] =
+          controller_.arm((d + j) % num_arms).algorithm;
     }
+    slot.config.algorithm_options = config_.portfolio.options;
     slot.device = make_device(d, /*incarnation=*/0);
-    if (diverse_) {
-      for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
-        (void)controller_->register_block(d, b);
-      }
+    for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
+      (void)controller_.register_block(d, b);
     }
   }
 
@@ -171,7 +166,11 @@ std::unique_ptr<Device> AbsSolver::make_device(std::size_t slot_index,
   return std::make_unique<Device>(*w_, device_config);
 }
 
-void AbsSolver::retire_device_counters(DeviceSlot& slot) {
+void AbsSolver::rebuild_device(std::size_t slot_index) {
+  DeviceSlot& slot = devices_[slot_index];
+  slot.device->stop();
+  // Fold the retiring incarnation's counters into the slot so summaries
+  // stay lifetime totals across incarnations.
   slot.retired_flips += slot.device->total_flips();
   slot.retired_iterations += slot.device->total_iterations();
   slot.retired_reports += slot.device->solutions().counter();
@@ -179,50 +178,63 @@ void AbsSolver::retire_device_counters(DeviceSlot& slot) {
   slot.retired_targets_dropped += slot.device->targets().dropped();
   slot.retired_solutions_dropped += slot.device->solutions().dropped();
   slot.retired_algorithm_switches += slot.device->total_algorithm_switches();
-}
-
-Energy AbsSolver::current_best_energy() const {
-  return diverse_ ? islands_->best_energy() : pool_.best_energy();
-}
-
-std::size_t AbsSolver::current_evaluated() const {
-  return diverse_ ? islands_->evaluated_count() : pool_.evaluated_count();
-}
-
-const SolutionPool::Entry& AbsSolver::current_best() const {
-  return diverse_ ? islands_->best() : pool_.best();
-}
-
-bool AbsSolver::insert_report(std::uint32_t device, std::uint32_t block,
-                              const BitVector& bits, Energy energy) {
-  if (!diverse_) return pool_.insert(bits, energy);
-  const std::uint32_t arm = controller_->arm_of(device, block);
-  const bool inserted =
-      islands_->insert(controller_->arm(arm).island, bits, energy);
-  if (inserted) controller_->credit_insert(arm);
-  return inserted;
-}
-
-const BitVector& AbsSolver::stock_target(std::uint32_t device,
-                                         std::uint32_t block) {
-  if (!diverse_) {
-    // With a warm start its entries (sorted best-first) go out first.
-    const std::size_t index =
-        config_.warm_start != nullptr && block < pool_.size()
-            ? block
-            : rng_.below(pool_.size());
-    return pool_.entry(index).bits;
+  slot.device = make_device(slot_index, ++slot.incarnations);
+  reapply_algorithms(slot_index);
+  slot.health = DeviceHealth::kHealthy;
+  slot.failure.clear();
+  if (!m_device_health_.empty()) {
+    m_device_health_[slot_index]->set(
+        static_cast<double>(DeviceHealth::kHealthy));
   }
-  const std::uint32_t arm = controller_->arm_of(device, block);
-  return islands_->random_member(controller_->arm(arm).island);
+}
+
+std::uint32_t AbsSolver::island_of(std::size_t d, std::uint32_t block) const {
+  return controller_
+      .arm(controller_.arm_of(static_cast<std::uint32_t>(d), block))
+      .island;
+}
+
+void AbsSolver::receive(std::size_t d, const sim::ReportedSolution& report,
+                        double now) {
+  ++run_.reports_received;
+  const std::uint32_t arm =
+      controller_.arm_of(static_cast<std::uint32_t>(d), report.block_id);
+  if (!islands_.insert(controller_.arm(arm).island, report.bits,
+                       report.energy)) {
+    return;
+  }
+  ++run_.reports_inserted;
+  controller_.credit_insert(arm);
+  const bool improved = run_.best_trace.empty() ||
+                        report.energy < run_.best_trace.back().second;
+  if (!improved) return;
+  run_.best_trace.emplace_back(now, report.energy);
+  obs::add(m_improvements_);
+  // The incumbent moved: weight this arm's credit heavily.
+  controller_.credit_improvement(arm);
+  if (obs::EventTracer* tracer = config_.telemetry.tracer;
+      tracer != nullptr) {
+    tracer->instant("incumbent", "host", config_.telemetry.pid_base,
+                    /*tid=*/static_cast<std::uint32_t>(d), "energy",
+                    report.energy);
+  }
+}
+
+std::vector<sim::ReportedSolution> AbsSolver::drain(std::size_t d,
+                                                    double now) {
+  std::vector<sim::ReportedSolution> arrivals =
+      devices_[d].device->solutions().drain();
+  obs::add(m_reports_received_, arrivals.size());
+  for (const auto& report : arrivals) receive(d, report, now);
+  return arrivals;
 }
 
 SolutionPool AbsSolver::merged_pool() const {
   // Best-first across all islands; duplicates collapse on insert, so the
-  // checkpoint (and the final result pool view) is a classic single pool.
+  // checkpoint is a classic single pool whatever the island count.
   SolutionPool merged(config_.pool_capacity);
-  for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-    const SolutionPool& pool = islands_->pool(i);
+  for (std::uint32_t i = 0; i < islands_.count(); ++i) {
+    const SolutionPool& pool = islands_.pool(i);
     for (std::size_t rank = 0; rank < pool.size(); ++rank) {
       const SolutionPool::Entry& entry = pool.entry(rank);
       if (entry.energy == kUnevaluated) break;  // sorted: rest unevaluated
@@ -235,13 +247,11 @@ SolutionPool AbsSolver::merged_pool() const {
 void AbsSolver::reapply_algorithms(std::size_t slot_index) {
   // A rebuilt device incarnation starts on the *initial* striping baked
   // into its config; replay the controller's current assignments on top.
-  if (!diverse_) return;
   DeviceSlot& slot = devices_[slot_index];
   for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
     const std::uint32_t arm =
-        controller_->arm_of(static_cast<std::uint32_t>(slot_index), b);
-    slot.device->request_block_algorithm(b,
-                                         controller_->arm(arm).algorithm);
+        controller_.arm_of(static_cast<std::uint32_t>(slot_index), b);
+    slot.device->request_block_algorithm(b, controller_.arm(arm).algorithm);
   }
 }
 
@@ -255,19 +265,16 @@ std::uint64_t AbsSolver::flips_across_devices() const {
 
 void AbsSolver::sync_pool_metrics() {
   if (m_reports_inserted_ == nullptr) return;
-  std::uint64_t insertions = pool_.insertions();
-  std::uint64_t duplicates = pool_.duplicates_rejected();
-  std::uint64_t evictions = pool_.evictions();
-  if (diverse_) {
-    insertions = duplicates = evictions = 0;
-    for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-      const SolutionPool& pool = islands_->pool(i);
-      insertions += pool.insertions();
-      duplicates += pool.duplicates_rejected();
-      evictions += pool.evictions();
-    }
-    islands_->sync_metrics();
+  std::uint64_t insertions = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t evictions = 0;
+  for (std::uint32_t i = 0; i < islands_.count(); ++i) {
+    const SolutionPool& pool = islands_.pool(i);
+    insertions += pool.insertions();
+    duplicates += pool.duplicates_rejected();
+    evictions += pool.evictions();
   }
+  islands_.sync_metrics();
   m_reports_inserted_->add(insertions - synced_inserted_);
   m_duplicates_->add(duplicates - synced_duplicates_);
   m_evictions_->add(evictions - synced_evictions_);
@@ -288,37 +295,15 @@ void AbsSolver::sync_pool_metrics() {
   m_solutions_dropped_->add(solutions_dropped - synced_solutions_dropped_);
   synced_targets_dropped_ = targets_dropped;
   synced_solutions_dropped_ = solutions_dropped;
-  const Energy best = current_best_energy();
+  const Energy best = islands_.best_energy();
   if (best != kUnevaluated) {
     m_pool_best_energy_->set(static_cast<double>(best));
   }
-  m_pool_evaluated_->set(static_cast<double>(current_evaluated()));
-}
-
-void AbsSolver::salvage_drain(DeviceSlot& slot, AbsResult& result,
-                              double now) {
-  // Reports already in the mailbox survive their device's death; no
-  // replacement targets are bred — the device is out of the rotation.
-  for (auto& report : slot.device->solutions().drain()) {
-    ++result.reports_received;
-    obs::add(m_reports_received_);
-    const Energy energy = report.energy;
-    if (insert_report(slot.config.device_id, report.block_id, report.bits,
-                      energy)) {
-      ++result.reports_inserted;
-      if (result.best_trace.empty() ||
-          energy < result.best_trace.back().second) {
-        result.best_trace.emplace_back(now, energy);
-        obs::add(m_improvements_);
-      }
-    }
-  }
-  slot.seen_counter = slot.device->solutions().counter();
+  m_pool_evaluated_->set(static_cast<double>(islands_.evaluated_count()));
 }
 
 void AbsSolver::quarantine(std::size_t slot_index, DeviceHealth health,
-                           std::string diagnosis, AbsResult& result,
-                           double now) {
+                           std::string diagnosis, double now) {
   DeviceSlot& slot = devices_[slot_index];
   slot.health = health;
   slot.failure = std::move(diagnosis);
@@ -327,7 +312,9 @@ void AbsSolver::quarantine(std::size_t slot_index, DeviceHealth health,
   // device's threads are hung. The join happens at run end (Device::stop),
   // by which time injected stalls are cancelled.
   slot.device->request_stop();
-  salvage_drain(slot, result, now);
+  // Reports already in the mailbox survive their device's death; no
+  // replacement targets are bred — the device is out of the rotation.
+  (void)drain(slot_index, now);
   obs::add(m_device_failures_);
   if (!m_device_health_.empty()) {
     m_device_health_[slot_index]->set(static_cast<double>(health));
@@ -345,7 +332,7 @@ void AbsSolver::quarantine(std::size_t slot_index, DeviceHealth health,
   }
 }
 
-void AbsSolver::poll_device_health(AbsResult& result, double now) {
+void AbsSolver::poll_device_health(double now) {
   for (std::size_t d = 0; d < devices_.size(); ++d) {
     DeviceSlot& slot = devices_[d];
     if (slot.health == DeviceHealth::kHealthy) {
@@ -353,7 +340,7 @@ void AbsSolver::poll_device_health(AbsResult& result, double now) {
       if (std::exception_ptr failure = slot.device->failure();
           failure != nullptr) {
         quarantine(d, DeviceHealth::kFailed,
-                   "device worker threw: " + describe(failure), result, now);
+                   "device worker threw: " + describe(failure), now);
         continue;
       }
       // Stall detection (opt-in): the iteration counter is the heartbeat.
@@ -370,8 +357,7 @@ void AbsSolver::poll_device_health(AbsResult& result, double now) {
           diagnosis +=
               std::to_string(config_.watchdog.stall_grace_seconds);
           diagnosis += " s)";
-          quarantine(d, DeviceHealth::kStalled, std::move(diagnosis), result,
-                     now);
+          quarantine(d, DeviceHealth::kStalled, std::move(diagnosis), now);
         }
       }
       continue;
@@ -385,30 +371,19 @@ void AbsSolver::poll_device_health(AbsResult& result, double now) {
         now - slot.quarantined_at >=
             config_.watchdog.restart_backoff_seconds) {
       slot.device->stop();  // workers are idle after the failure; joins fast
-      salvage_drain(slot, result, now);
-      retire_device_counters(slot);
-
+      (void)drain(d, now);  // salvage what arrived since the quarantine
+      rebuild_device(d);
       ++slot.restarts;
-      slot.device = make_device(d, ++slot.incarnations);
-      slot.health = DeviceHealth::kHealthy;
-      slot.failure.clear();
       slot.seen_counter = 0;
       slot.last_iterations = 0;
       slot.last_progress_time = now;
-      reapply_algorithms(d);
       slot.device->start();
       for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
-        slot.device->targets().push(
-            diverse_ ? stock_target(static_cast<std::uint32_t>(d), b)
-                     : pool_.entry(rng_.below(pool_.size())).bits);
-        ++result.targets_generated;
+        slot.device->targets().push(islands_.random_member(island_of(d, b)));
       }
+      run_.targets_generated += slot.device->block_count();
       obs::add(m_targets_generated_, slot.device->block_count());
       obs::add(m_device_restarts_);
-      if (!m_device_health_.empty()) {
-        m_device_health_[d]->set(
-            static_cast<double>(DeviceHealth::kHealthy));
-      }
       obs::log_info("solver", "device restarted",
                     {{"device", static_cast<std::int64_t>(d)},
                      {"restart", static_cast<std::int64_t>(slot.restarts)},
@@ -435,11 +410,9 @@ void AbsSolver::write_run_checkpoint(AbsResult& result, double now) {
     checkpoint.device_flips.push_back(slot.retired_flips +
                                       slot.device->total_flips());
   }
-  // Diverse runs checkpoint the merged best-first view of all islands, so
-  // a resume (or a downgraded config) can warm-start a classic pool.
-  checkpoint.pool = diverse_
-                        ? std::make_shared<const SolutionPool>(merged_pool())
-                        : std::make_shared<const SolutionPool>(pool_);
+  // The merged best-first view of all islands, so a resume (or a config
+  // with another island count) can warm-start from it.
+  checkpoint.pool = std::make_shared<const SolutionPool>(merged_pool());
   try {
     write_checkpoint_file(config_.checkpoint_path, checkpoint);
     ++result.checkpoints_written;
@@ -464,83 +437,204 @@ void AbsSolver::write_run_checkpoint(AbsResult& result, double now) {
   }
 }
 
-AbsResult AbsSolver::run(const StopCriteria& stop) {
-  ABSQ_CHECK(stop.bounded(),
-             "at least one stop criterion must be set or the run never ends");
-
-  AbsResult result;
-  const std::uint64_t flips_at_start = flips_across_devices();
-
-  const std::uint64_t reassignments_at_start =
-      diverse_ ? controller_->reassignments() : 0;
-
+void AbsSolver::stock_targets() {
   // Revive slots left unhealthy by a previous run: the device object may
   // hold dead workers, so it is rebuilt from the weight matrix.
   for (std::size_t d = 0; d < devices_.size(); ++d) {
-    DeviceSlot& slot = devices_[d];
-    slot.restarts = 0;
-    if (slot.health != DeviceHealth::kHealthy) {
-      slot.device->stop();
-      retire_device_counters(slot);
-      slot.device = make_device(d, ++slot.incarnations);
-      reapply_algorithms(d);
-      slot.health = DeviceHealth::kHealthy;
-      slot.failure.clear();
-      if (!m_device_health_.empty()) {
-        m_device_health_[d]->set(
-            static_cast<double>(DeviceHealth::kHealthy));
-      }
-    }
+    devices_[d].restarts = 0;
+    if (devices_[d].health != DeviceHealth::kHealthy) rebuild_device(d);
   }
+  run_ = AbsResult{};
+  run_start_flips_ = flips_across_devices();
+  run_start_reassignments_ = controller_.reassignments();
 
-  // Host Step 1: random pool(s), energies unknown; stock the target buffers
-  // with the random population so every block starts on GA-chosen ground.
-  if (diverse_) {
-    islands_->initialize_random(w_->size());
-  } else {
-    pool_.initialize_random(w_->size(), rng_);
-  }
+  // Random island pools, energies unknown; the target buffers are stocked
+  // from them so every block starts on GA-chosen ground.
+  islands_.initialize_random(w_->size());
   synced_inserted_ = 0;
   synced_duplicates_ = 0;
   synced_evictions_ = 0;
-  obs::EventTracer* const tracer = config_.telemetry.tracer;
   if (config_.warm_start != nullptr) {
     for (std::size_t i = 0; i < config_.warm_start->size(); ++i) {
       const auto& entry = config_.warm_start->entry(i);
       ABSQ_CHECK(entry.bits.size() == w_->size(),
                  "warm-start pool is for a different instance size");
-      if (diverse_) {
-        // Round-robin so every island shares the resumed elite.
-        (void)islands_->insert(static_cast<std::uint32_t>(
-                                   i % islands_->count()),
-                               entry.bits, entry.energy);
-      } else {
-        (void)pool_.insert(entry.bits, entry.energy);
-      }
+      // Round-robin so every island shares the resumed elite.
+      (void)islands_.insert(
+          static_cast<std::uint32_t>(i % islands_.count()), entry.bits,
+          entry.energy);
     }
   }
-  for (auto& slot : devices_) {
-    Device& device = *slot.device;
-    // One target per resident block; blocks without a target continue from
-    // their current solution, so underfill is benign. With a warm start,
-    // its entries (sorted best-first in the pool) go out first.
-    for (std::uint32_t b = 0; b < device.block_count(); ++b) {
-      result.targets_generated += 1;
-      device.targets().push(stock_target(slot.config.device_id, b));
-    }
-    obs::add(m_targets_generated_, device.block_count());
-  }
-
-  Stopwatch watch;
-  for (auto& slot : devices_) {
-    slot.device->start();
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
+    DeviceSlot& slot = devices_[d];
     // Zero (not the current counter value): on a reused solver the first
     // poll then drains leftovers exactly as the pre-watchdog host did.
     slot.seen_counter = 0;
+    // One target per resident block; blocks without a target continue from
+    // their current solution, so underfill is benign. With a warm start,
+    // its entries (sorted best-first in the pool) go out first.
+    Device& device = *slot.device;
+    for (std::uint32_t b = 0; b < device.block_count(); ++b) {
+      const std::uint32_t island = island_of(d, b);
+      const SolutionPool& pool = islands_.pool(island);
+      device.targets().push(config_.warm_start != nullptr && b < pool.size()
+                                ? pool.entry(b).bits
+                                : islands_.random_member(island));
+    }
+    run_.targets_generated += device.block_count();
+    obs::add(m_targets_generated_, device.block_count());
+  }
+}
+
+bool AbsSolver::host_round(std::size_t d, double now) {
+  DeviceSlot& slot = devices_[d];
+  if (slot.health != DeviceHealth::kHealthy) return false;  // quarantined
+  // Host Step 2: poll the global counter; drain only when it moved.
+  const std::uint64_t counter = slot.device->solutions().counter();
+  if (counter == slot.seen_counter) return false;
+  slot.seen_counter = counter;
+
+  obs::EventTracer* const tracer = config_.telemetry.tracer;
+  obs::TraceSpan round_span(tracer, "ga_round", "host",
+                            config_.telemetry.pid_base,
+                            /*tid=*/static_cast<std::uint32_t>(d));
+
+  // Host Step 3: insert the arrivals into their arms' island pools.
+  const std::vector<sim::ReportedSolution> arrivals = drain(d, now);
+  round_span.set_arg("arrivals", static_cast<std::int64_t>(arrivals.size()));
+
+  // Host Step 4: breed as many fresh targets as solutions arrived, each
+  // from the island of the arriving report's arm, with that island's own
+  // operators and stream.
+  for (const auto& report : arrivals) {
+    slot.device->targets().push(islands_.breed(island_of(d, report.block_id)));
+  }
+  run_.targets_generated += arrivals.size();
+  obs::add(m_targets_generated_, arrivals.size());
+  if (tracer != nullptr && !arrivals.empty()) {
+    tracer->instant("target_push", "host", config_.telemetry.pid_base,
+                    /*tid=*/static_cast<std::uint32_t>(d), "targets",
+                    static_cast<std::int64_t>(arrivals.size()));
+  }
+  sync_pool_metrics();
+
+  // Round clock: one drained device = one GA round. The island ring
+  // migrates and the controller reallocates on their own cadences over it.
+  (void)islands_.note_round();
+  (void)controller_.note_round(
+      [this](std::uint32_t device, std::uint32_t block, std::uint32_t arm) {
+        DeviceSlot& target_slot = devices_[device];
+        if (target_slot.health == DeviceHealth::kHealthy) {
+          target_slot.device->request_block_algorithm(
+              block, controller_.arm(arm).algorithm);
+        }
+      });
+  return true;
+}
+
+AbsResult AbsSolver::finish_run(const StopCriteria& stop, double seconds,
+                                std::uint64_t rate_base_flips) {
+  // Final drain so reports in flight at stop time are not lost (always
+  // empty in lockstep, where every round drains what it stepped).
+  for (std::size_t d = 0; d < devices_.size(); ++d) (void)drain(d, seconds);
+  sync_pool_metrics();
+
+  if (islands_.evaluated_count() == 0) {
+    // Nothing was ever reported. If that is because every device died,
+    // surface the original fault rather than a misleading configuration
+    // hint.
+    for (const auto& slot : devices_) {
+      if (slot.health == DeviceHealth::kFailed) {
+        if (std::exception_ptr failure = slot.device->failure();
+            failure != nullptr) {
+          std::rethrow_exception(failure);
+        }
+        ABSQ_CHECK(false, "all devices failed before any report: "
+                              << slot.failure);
+      }
+    }
+  }
+  ABSQ_CHECK(islands_.evaluated_count() > 0,
+             "run ended before any device reported — raise the time limit");
+
+  AbsResult result = run_;
+  result.seconds = seconds;
+  if (stop.target_energy.has_value() &&
+      islands_.best_energy() <= *stop.target_energy) {
+    result.reached_target = true;
+  }
+  for (const auto& slot : devices_) {
+    Device& device = *slot.device;
+    DeviceSummary summary;
+    summary.device_id = slot.config.device_id;
+    summary.workers = device.worker_count();
+    summary.flips = slot.retired_flips + device.total_flips();
+    summary.iterations = slot.retired_iterations + device.total_iterations();
+    summary.reports = slot.retired_reports + device.solutions().counter();
+    summary.target_misses =
+        slot.retired_target_misses + device.target_misses();
+    summary.targets_dropped =
+        slot.retired_targets_dropped + device.targets().dropped();
+    summary.solutions_dropped =
+        slot.retired_solutions_dropped + device.solutions().dropped();
+    summary.algorithm_switches =
+        slot.retired_algorithm_switches + device.total_algorithm_switches();
+    summary.health = slot.health;
+    summary.restarts = slot.restarts;
+    summary.failure = slot.failure;
+    result.targets_dropped += summary.targets_dropped;
+    result.solutions_dropped += summary.solutions_dropped;
+    if (slot.health != DeviceHealth::kHealthy) {
+      result.failed_devices.push_back(slot.config.device_id);
+    }
+    result.devices.push_back(std::move(summary));
+  }
+  result.islands.reserve(islands_.count());
+  for (std::uint32_t i = 0; i < islands_.count(); ++i) {
+    const SolutionPool& pool = islands_.pool(i);
+    result.duplicates_rejected += pool.duplicates_rejected();
+    result.pool_evictions += pool.evictions();
+    IslandSummary summary;
+    summary.island_id = i;
+    summary.best_energy = pool.best_energy();
+    summary.pool_evaluated = pool.evaluated_count();
+    summary.inserts = islands_.inserts(i);
+    for (const auto& event : islands_.migration_log()) {
+      if (event.to == i) ++summary.migrations_in;
+    }
+    summary.blocks = controller_.blocks_on_island(i);
+    result.islands.push_back(summary);
+  }
+  result.migrations = islands_.migrations();
+  result.migration_events = islands_.migration_events();
+  result.controller_reassignments =
+      controller_.reassignments() - run_start_reassignments_;
+  result.best = islands_.best().bits;
+  result.best_energy = islands_.best().energy;
+  const std::uint64_t flips = flips_across_devices();
+  result.total_flips = flips - run_start_flips_;
+  result.evaluated_solutions = result.total_flips * w_->size();
+  result.search_rate =
+      seconds > 0.0
+          ? static_cast<double>((flips - rate_base_flips) * w_->size()) /
+                seconds
+          : 0.0;
+  return result;
+}
+
+AbsResult AbsSolver::run(const StopCriteria& stop) {
+  ABSQ_CHECK(stop.bounded(),
+             "at least one stop criterion must be set or the run never ends");
+
+  stock_targets();
+  Stopwatch watch;
+  for (auto& slot : devices_) {
+    slot.device->start();
     slot.last_iterations = slot.device->total_iterations();
     slot.last_progress_time = 0.0;
   }
 
+  obs::EventTracer* const tracer = config_.telemetry.tracer;
   const bool checkpointing = !config_.checkpoint_path.empty();
   double next_checkpoint = config_.checkpoint_interval_seconds;
   double next_snapshot = config_.snapshot_interval_seconds;
@@ -550,101 +644,21 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
   while (!done) {
     bool any_news = false;
     for (std::size_t d = 0; d < devices_.size(); ++d) {
-      DeviceSlot& slot = devices_[d];
-      if (slot.health != DeviceHealth::kHealthy) continue;  // quarantined
-      // Host Step 2: poll the global counter; drain only when it moved.
-      const std::uint64_t counter = slot.device->solutions().counter();
-      if (counter == slot.seen_counter) continue;
-      slot.seen_counter = counter;
-      any_news = true;
-
-      // One GA round for device d: drain, insert, breed replacements.
-      obs::TraceSpan round_span(tracer, "ga_round", "host",
-                                config_.telemetry.pid_base,
-                                /*tid=*/static_cast<std::uint32_t>(d));
-
-      // Host Step 3: insert arrivals into the pool.
-      auto arrivals = slot.device->solutions().drain();
-      round_span.set_arg("arrivals",
-                         static_cast<std::int64_t>(arrivals.size()));
-      obs::add(m_reports_received_, arrivals.size());
-      for (auto& report : arrivals) {
-        ++result.reports_received;
-        const Energy energy = report.energy;
-        if (insert_report(slot.config.device_id, report.block_id,
-                          report.bits, energy)) {
-          ++result.reports_inserted;
-          if (result.best_trace.empty() ||
-              energy < result.best_trace.back().second) {
-            result.best_trace.emplace_back(watch.seconds(), energy);
-            obs::add(m_improvements_);
-            if (diverse_) {
-              // The incumbent moved: weight this arm's credit heavily.
-              controller_->credit_improvement(
-                  controller_->arm_of(slot.config.device_id,
-                                      report.block_id));
-            }
-            if (tracer != nullptr) {
-              tracer->instant("incumbent", "host", config_.telemetry.pid_base,
-                              /*tid=*/static_cast<std::uint32_t>(d), "energy",
-                              energy);
-            }
-          }
-        }
-      }
-
-      // Host Step 4: breed as many fresh targets as solutions arrived. In
-      // diverse mode each replacement is bred from the island of the
-      // arriving report's arm, with that island's own operators and stream.
-      for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        if (diverse_) {
-          const std::uint32_t arm = controller_->arm_of(
-              slot.config.device_id, arrivals[i].block_id);
-          slot.device->targets().push(
-              islands_->breed(controller_->arm(arm).island));
-        } else {
-          slot.device->targets().push(
-              generate_target(pool_, config_.ga, rng_));
-        }
-        ++result.targets_generated;
-      }
-      obs::add(m_targets_generated_, arrivals.size());
-      if (tracer != nullptr && !arrivals.empty()) {
-        tracer->instant("target_push", "host", config_.telemetry.pid_base,
-                        /*tid=*/static_cast<std::uint32_t>(d), "targets",
-                        static_cast<std::int64_t>(arrivals.size()));
-      }
-      sync_pool_metrics();
-
-      // Diverse-ABS round clock: one drained device = one GA round. The
-      // island ring migrates and the controller reallocates on their own
-      // cadences over this clock.
-      if (diverse_) {
-        (void)islands_->note_round();
-        (void)controller_->note_round(
-            [this](std::uint32_t device, std::uint32_t block,
-                   std::uint32_t arm) {
-              DeviceSlot& target_slot = devices_[device];
-              if (target_slot.health == DeviceHealth::kHealthy) {
-                target_slot.device->request_block_algorithm(
-                    block, controller_->arm(arm).algorithm);
-              }
-            });
-      }
+      any_news |= host_round(d, watch.seconds());
     }
 
     // Watchdog: failure capture, stall detection, bounded restarts.
-    poll_device_health(result, watch.seconds());
+    poll_device_health(watch.seconds());
 
     // Periodic observation.
     if (config_.snapshot_interval_seconds > 0.0) {
       const double now = watch.seconds();
       if (now >= next_snapshot) {
-        const std::uint64_t flips = flips_across_devices() - flips_at_start;
+        const std::uint64_t flips = flips_across_devices() - run_start_flips_;
         RunSnapshot snapshot;
         snapshot.seconds = now;
-        snapshot.best_energy = current_best_energy();
-        snapshot.pool_evaluated = current_evaluated();
+        snapshot.best_energy = islands_.best_energy();
+        snapshot.pool_evaluated = islands_.evaluated_count();
         snapshot.total_flips = flips;
         // An empty observation window (first snapshot of a continuation,
         // or a poll racing the grid) yields NaN, not a nonsense rate.
@@ -658,7 +672,7 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
                           /*tid=*/0, "flips",
                           static_cast<std::int64_t>(flips));
         }
-        result.snapshots.push_back(snapshot);
+        run_.snapshots.push_back(snapshot);
         last_snapshot_time = now;
         last_snapshot_flips = flips;
         // Advance on the fixed grid so a late poll does not shift the
@@ -674,7 +688,7 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
     if (checkpointing && config_.checkpoint_interval_seconds > 0.0) {
       const double now = watch.seconds();
       if (now >= next_checkpoint) {
-        write_run_checkpoint(result, now);
+        write_run_checkpoint(run_, now);
         while (next_checkpoint <= now) {
           next_checkpoint += config_.checkpoint_interval_seconds;
         }
@@ -683,12 +697,11 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
 
     // Stop checks.
     if (stop_requested_.exchange(false)) {
-      result.cancelled = true;
+      run_.cancelled = true;
       done = true;
     }
     if (stop.target_energy.has_value() &&
-        current_best_energy() <= *stop.target_energy) {
-      result.reached_target = true;
+        islands_.best_energy() <= *stop.target_energy) {
       done = true;
     }
     if (stop.time_limit_seconds > 0.0 &&
@@ -696,7 +709,7 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
       done = true;
     }
     if (stop.max_flips > 0 &&
-        flips_across_devices() - flips_at_start >= stop.max_flips) {
+        flips_across_devices() - run_start_flips_ >= stop.max_flips) {
       done = true;
     }
 
@@ -720,106 +733,7 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
   }
 
   for (auto& slot : devices_) slot.device->stop();
-  result.seconds = watch.seconds();
-
-  // Final drain so reports in flight at stop time are not lost.
-  for (auto& slot : devices_) {
-    for (auto& report : slot.device->solutions().drain()) {
-      ++result.reports_received;
-      obs::add(m_reports_received_);
-      if (insert_report(slot.config.device_id, report.block_id, report.bits,
-                        report.energy)) {
-        ++result.reports_inserted;
-      }
-    }
-    result.solutions_dropped += slot.retired_solutions_dropped +
-                                slot.device->solutions().dropped();
-    result.targets_dropped +=
-        slot.retired_targets_dropped + slot.device->targets().dropped();
-  }
-  sync_pool_metrics();
-  if (diverse_) {
-    for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-      result.duplicates_rejected += islands_->pool(i).duplicates_rejected();
-      result.pool_evictions += islands_->pool(i).evictions();
-    }
-  } else {
-    result.duplicates_rejected = pool_.duplicates_rejected();
-    result.pool_evictions = pool_.evictions();
-  }
-  if (stop.target_energy.has_value() &&
-      current_best_energy() <= *stop.target_energy) {
-    result.reached_target = true;
-  }
-
-  if (current_evaluated() == 0) {
-    // Nothing was ever reported. If that is because every device died,
-    // surface the original fault rather than a misleading configuration
-    // hint.
-    for (const auto& slot : devices_) {
-      if (slot.health == DeviceHealth::kFailed) {
-        if (std::exception_ptr failure = slot.device->failure();
-            failure != nullptr) {
-          std::rethrow_exception(failure);
-        }
-        ABSQ_CHECK(false, "all devices failed before any report: "
-                              << slot.failure);
-      }
-    }
-  }
-  ABSQ_CHECK(current_evaluated() > 0,
-             "run ended before any device reported — raise the time limit");
-  for (auto& slot : devices_) {
-    Device& device = *slot.device;
-    DeviceSummary summary;
-    summary.device_id = slot.config.device_id;
-    summary.workers = device.worker_count();
-    summary.flips = slot.retired_flips + device.total_flips();
-    summary.iterations = slot.retired_iterations + device.total_iterations();
-    summary.reports = slot.retired_reports + device.solutions().counter();
-    summary.target_misses =
-        slot.retired_target_misses + device.target_misses();
-    summary.targets_dropped =
-        slot.retired_targets_dropped + device.targets().dropped();
-    summary.solutions_dropped =
-        slot.retired_solutions_dropped + device.solutions().dropped();
-    summary.algorithm_switches =
-        slot.retired_algorithm_switches + device.total_algorithm_switches();
-    summary.health = slot.health;
-    summary.restarts = slot.restarts;
-    summary.failure = slot.failure;
-    if (slot.health != DeviceHealth::kHealthy) {
-      result.failed_devices.push_back(slot.config.device_id);
-    }
-    result.devices.push_back(summary);
-  }
-  if (diverse_) {
-    result.migrations = islands_->migrations();
-    result.migration_events = islands_->migration_events();
-    result.controller_reassignments =
-        controller_->reassignments() - reassignments_at_start;
-    result.islands.reserve(islands_->count());
-    for (std::uint32_t i = 0; i < islands_->count(); ++i) {
-      IslandSummary summary;
-      summary.island_id = i;
-      summary.best_energy = islands_->pool(i).best_energy();
-      summary.pool_evaluated = islands_->pool(i).evaluated_count();
-      summary.inserts = islands_->inserts(i);
-      for (const auto& event : islands_->migration_log()) {
-        if (event.to == i) ++summary.migrations_in;
-      }
-      summary.blocks = controller_->blocks_on_island(i);
-      result.islands.push_back(summary);
-    }
-  }
-  result.best = current_best().bits;
-  result.best_energy = current_best().energy;
-  result.total_flips = flips_across_devices() - flips_at_start;
-  result.evaluated_solutions = result.total_flips * w_->size();
-  result.search_rate = result.seconds > 0.0
-                           ? static_cast<double>(result.evaluated_solutions) /
-                                 result.seconds
-                           : 0.0;
+  AbsResult result = finish_run(stop, watch.seconds(), run_start_flips_);
 
   // Graceful-shutdown checkpoint: a cancelled (SIGINT) or completed run
   // leaves a resumable snapshot behind.

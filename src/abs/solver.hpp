@@ -10,6 +10,17 @@
 //   Step 4: breed and store as many new targets as solutions arrived, and
 //           go back to Step 2.
 //
+// The host always runs Diverse ABS (arXiv:2207.03069) machinery: the pool
+// is an IslandSet and every block is routed through an (island, algorithm)
+// arm of the AdaptiveController. Classic ABS is its one-island, one-arm
+// (min-Δ) case, and island 0 replays the classic pool's RNG stream, so the
+// default config is the paper's single-pool protocol bit for bit (pinned by
+// the PortfolioLockstep tests). The protocol is written once, as three
+// private host phases: stock_targets (Step 1), host_round (Steps 2–4 for
+// one device plus the island/controller round clock) and finish_run (final
+// drain, summaries, rate). run() drives them against free-running device
+// threads; SyncAbsRunner drives the same phases in deterministic lockstep.
+//
 // Devices run concurrently and asynchronously (see Device); the only shared
 // state is the mailboxes. The solver stops on any of the configured
 // criteria and reports throughput in the paper's metric — evaluated
@@ -115,8 +126,8 @@ struct AbsConfig {
   double snapshot_interval_seconds = 0.0;
   /// Diverse ABS (docs/algorithms.md): island pools, the per-block search
   /// portfolio, and the adaptive (pool, algorithm) controller. The default
-  /// (1 island, min-Δ only, controller off) leaves the solver bit-identical
-  /// to the single-pool protocol above — the lockstep test pins this.
+  /// (1 island, min-Δ only, controller off) is classic ABS — the single-pool
+  /// protocol above, which the lockstep tests pin.
   portfolio::PortfolioConfig portfolio;
   /// Observability sinks, propagated to every device (non-owning; default
   /// = disabled). The solver adds host-side series (pool churn, GA
@@ -138,7 +149,7 @@ enum class DeviceHealth : std::uint8_t {
 /// totals across every incarnation of the device slot (restarts included).
 struct DeviceSummary {
   std::uint32_t device_id = 0;
-  std::uint32_t workers = 0;  ///< worker threads (0 = legacy single-thread)
+  std::uint32_t workers = 0;  ///< worker threads of the device
   std::uint64_t flips = 0;
   std::uint64_t iterations = 0;
   std::uint64_t reports = 0;  ///< solutions pushed (mailbox counter)
@@ -156,8 +167,8 @@ struct DeviceSummary {
   std::string failure;
 };
 
-/// Per-island accounting attached to diverse-mode results (empty vector on
-/// classic single-pool runs).
+/// Per-island accounting attached to every result (one entry on classic
+/// single-pool runs).
 struct IslandSummary {
   std::uint32_t island_id = 0;
   Energy best_energy = 0;  ///< kUnevaluated when nothing reported
@@ -210,8 +221,8 @@ struct AbsResult {
   std::vector<std::pair<double, Energy>> best_trace;
   /// Per-device breakdown (the Fig. 8 fairness data).
   std::vector<DeviceSummary> devices;
-  /// Diverse mode only: per-island breakdown, ring-migration totals, and
-  /// controller activity. All empty/zero on classic runs.
+  /// Per-island breakdown (one island on classic runs), ring-migration
+  /// totals and controller activity (both zero on classic runs).
   std::vector<IslandSummary> islands;
   std::uint64_t migrations = 0;        ///< elites copied over the ring
   std::uint64_t migration_events = 0;  ///< times the ring migration ran
@@ -247,14 +258,14 @@ class AbsSolver {
   /// consumed by that run.
   void request_stop() { stop_requested_.store(true); }
 
-  [[nodiscard]] const SolutionPool& pool() const { return pool_; }
-  /// Diverse mode only (null otherwise): the island pools / controller.
-  /// Host-loop state — read between runs or from the host thread.
-  [[nodiscard]] const portfolio::IslandSet* islands() const {
-    return islands_.get();
+  /// The island pools and the (island, algorithm) controller — one island
+  /// and one min-Δ arm on classic runs. Host-loop state: read between runs
+  /// or from the host thread.
+  [[nodiscard]] const portfolio::IslandSet& islands() const {
+    return islands_;
   }
-  [[nodiscard]] const portfolio::AdaptiveController* controller() const {
-    return controller_.get();
+  [[nodiscard]] const portfolio::AdaptiveController& controller() const {
+    return controller_;
   }
   [[nodiscard]] std::uint32_t num_devices() const {
     return static_cast<std::uint32_t>(devices_.size());
@@ -268,6 +279,9 @@ class AbsSolver {
   }
 
  private:
+  /// The lockstep executor drives the host phases below directly.
+  friend class SyncAbsRunner;
+
   /// One logical device position. The Device object is replaced on
   /// restart; the slot carries the identity, the health verdict, and the
   /// counters accumulated by retired incarnations.
@@ -293,6 +307,37 @@ class AbsSolver {
     std::uint64_t retired_algorithm_switches = 0;
   };
 
+  // --- Host phases (Fig. 5), shared by run() and SyncAbsRunner ----------
+
+  /// Host Step 1: opens a run. Revives slots a previous run left
+  /// quarantined, refills the island pools with random vectors (plus any
+  /// warm start) and stocks one target per resident block.
+  void stock_targets();
+  /// Host Steps 2–4 for device slot `d`: poll its counter, drain and insert
+  /// the arrivals (best_trace stamped with `now`), breed one replacement
+  /// per arrival, then tick the island/controller round clock. Returns
+  /// false when the device had nothing new (or is quarantined).
+  bool host_round(std::size_t d, double now);
+  /// Drains in-flight reports, then returns the run so far with its
+  /// per-device and per-island summaries. `seconds` is the wall time the
+  /// result covers; the search rate counts the flips committed since
+  /// `rate_base_flips`.
+  AbsResult finish_run(const StopCriteria& stop, double seconds,
+                       std::uint64_t rate_base_flips);
+
+  // --- Host-round helpers -----------------------------------------------
+
+  /// Drains slot `d`'s solution mailbox through receive(); returns the
+  /// arrivals so Step 4 can breed one replacement per report.
+  std::vector<sim::ReportedSolution> drain(std::size_t d, double now);
+  /// Host Step 3 for one report: insert into the island of the reporting
+  /// block's arm, credit the arm, and record an incumbent improvement.
+  void receive(std::size_t d, const sim::ReportedSolution& report,
+               double now);
+  /// Island whose pool block `block` of device `d` reports into and draws
+  /// its targets from.
+  [[nodiscard]] std::uint32_t island_of(std::size_t d,
+                                        std::uint32_t block) const;
   std::uint64_t flips_across_devices() const;
   /// Pushes the pool-churn counter deltas since the last sync into the
   /// metrics registry (no-op when metrics are disabled).
@@ -301,38 +346,22 @@ class AbsSolver {
   /// the seed so a restarted device explores a new stream.
   [[nodiscard]] std::unique_ptr<Device> make_device(std::size_t slot_index,
                                                     std::uint32_t incarnation);
-  /// Folds a retiring Device's lifetime counters into the slot's retired_*
-  /// accumulators so summaries stay lifetime totals across incarnations.
-  static void retire_device_counters(DeviceSlot& slot);
-  /// Drains a device's solution buffer into the pool without breeding
-  /// replacement targets — the salvage path for quarantined devices.
-  void salvage_drain(DeviceSlot& slot, AbsResult& result, double now);
+  /// Replaces slot `slot_index`'s Device with a fresh, healthy incarnation
+  /// (stopped, not started): folds the old one's counters into the
+  /// slot's retired_* totals and replays the controller's assignments.
+  void rebuild_device(std::size_t slot_index);
   /// Marks a device unhealthy, stops it without joining, salvages its
-  /// in-flight reports, and records telemetry.
+  /// in-flight reports (no replacement targets), and records telemetry.
   void quarantine(std::size_t slot_index, DeviceHealth health,
-                  std::string diagnosis, AbsResult& result, double now);
+                  std::string diagnosis, double now);
   /// Failure/stall detection plus the bounded restart policy; called from
   /// the host loop.
-  void poll_device_health(AbsResult& result, double now);
-  /// Writes a run checkpoint (atomic); failures are counted, not fatal.
+  void poll_device_health(double now);
+  /// Writes a run checkpoint (atomic) and counts it in `result`; failures
+  /// are counted, not fatal.
   void write_run_checkpoint(AbsResult& result, double now);
-  /// Best evaluated energy of the run's pool(s) — islands in diverse mode.
-  [[nodiscard]] Energy current_best_energy() const;
-  /// Evaluated entries across the run's pool(s).
-  [[nodiscard]] std::size_t current_evaluated() const;
-  /// The globally best entry across the run's pool(s).
-  [[nodiscard]] const SolutionPool::Entry& current_best() const;
-  /// Inserts one report into the right pool (the island of the reporting
-  /// block's arm in diverse mode), crediting the controller. Returns true
-  /// when the pool accepted it.
-  bool insert_report(std::uint32_t device, std::uint32_t block,
-                     const BitVector& bits, Energy energy);
-  /// A target-stocking bit vector for block `block` of device `device`
-  /// (its arm's island pool in diverse mode).
-  [[nodiscard]] const BitVector& stock_target(std::uint32_t device,
-                                              std::uint32_t block);
-  /// Diverse mode: the merged best-first view of all island pools (the
-  /// checkpoint payload, capped at pool_capacity).
+  /// The merged best-first view of all island pools (the checkpoint
+  /// payload, capped at pool_capacity, evaluated entries only).
   [[nodiscard]] SolutionPool merged_pool() const;
   /// Re-applies the controller's current (possibly reallocated) member
   /// assignments to a freshly built device incarnation.
@@ -340,17 +369,20 @@ class AbsSolver {
 
   const WeightMatrix* w_;
   AbsConfig config_;
-  SolutionPool pool_;
-  /// Diverse mode (portfolio.diverse()): the island pools and the
-  /// (island, algorithm) controller; null on classic runs. The controller
-  /// exists even with portfolio.controller == false — it carries the
-  /// static block → arm striping the report router needs.
-  std::unique_ptr<portfolio::IslandSet> islands_;
-  std::unique_ptr<portfolio::AdaptiveController> controller_;
-  bool diverse_ = false;
+  /// The island pools and the (island, algorithm) controller. The
+  /// controller exists even with portfolio.controller == false — it
+  /// carries the static block → arm striping the report router needs.
+  portfolio::IslandSet islands_;
+  portfolio::AdaptiveController controller_;
   std::vector<DeviceSlot> devices_;
-  Rng rng_;
   std::atomic<bool> stop_requested_{false};
+
+  /// The run in progress: what the host phases have accumulated since
+  /// stock_targets(). finish_run() returns a summarized copy, so the
+  /// lockstep runner can keep accumulating across calls.
+  AbsResult run_;
+  std::uint64_t run_start_flips_ = 0;
+  std::uint64_t run_start_reassignments_ = 0;
 
   // Host-side telemetry series, resolved at construction (null = off).
   obs::Counter* m_reports_received_ = nullptr;

@@ -4,156 +4,53 @@
 #include "util/stopwatch.hpp"
 
 namespace absq {
+namespace {
+
+AbsConfig lockstep_config(AbsConfig config) {
+  // One worker per device: single-shard mailboxes, so the round-based
+  // execution is bit-reproducible regardless of the host's core count.
+  config.device.threads_per_device = 1;
+  return config;
+}
+
+}  // namespace
 
 SyncAbsRunner::SyncAbsRunner(const WeightMatrix& w, AbsConfig config)
-    : w_(&w),
-      config_(std::move(config)),
-      pool_(config_.pool_capacity),
-      rng_(config_.seed) {
-  ABSQ_CHECK(config_.num_devices >= 1, "need at least one device");
-  // The deterministic runner predates Diverse ABS and keeps the single-pool
-  // protocol; diverse configs need the full AbsSolver host loop.
-  ABSQ_CHECK(!config_.portfolio.diverse(),
-             "SyncAbsRunner does not support Diverse ABS configs "
-             "(islands/portfolio/controller) — use AbsSolver");
-  devices_.reserve(config_.num_devices);
-  for (std::uint32_t d = 0; d < config_.num_devices; ++d) {
-    DeviceConfig device_config = config_.device;
-    device_config.device_id = d;
-    device_config.seed = mix64(config_.seed ^ (d + 1));
-    // Deterministic schedule: one mailbox shard, no worker threads, so the
-    // round-based execution is bit-reproducible across machines regardless
-    // of their core count.
-    device_config.threads_per_device = 0;
-    device_config.telemetry = config_.telemetry;
-    devices_.push_back(std::make_unique<Device>(w, device_config));
-  }
-}
+    : solver_(w, lockstep_config(std::move(config))) {}
 
-void SyncAbsRunner::ensure_started() {
-  if (started_) return;
-  started_ = true;
-  pool_.initialize_random(w_->size(), rng_);
-  if (config_.warm_start != nullptr) {
-    for (std::size_t i = 0; i < config_.warm_start->size(); ++i) {
-      const auto& entry = config_.warm_start->entry(i);
-      ABSQ_CHECK(entry.bits.size() == w_->size(),
-                 "warm-start pool is for a different instance size");
-      (void)pool_.insert(entry.bits, entry.energy);
+AbsResult SyncAbsRunner::run(std::uint64_t max_rounds,
+                             const StopCriteria& stop) {
+  if (!started_) {
+    solver_.stock_targets();
+    started_ = true;
+  }
+  const std::uint64_t flips_before = solver_.flips_across_devices();
+  Stopwatch watch;
+  for (std::uint64_t r = 0; r < max_rounds; ++r) {
+    for (std::size_t d = 0; d < solver_.devices_.size(); ++d) {
+      solver_.devices_[d].device->step_all_blocks_once();
+      // Deterministic time axis: the round index.
+      (void)solver_.host_round(d, static_cast<double>(rounds_));
+    }
+    ++rounds_;
+    if (stop.target_energy.has_value() &&
+        solver_.islands_.best_energy() <= *stop.target_energy) {
+      break;
     }
   }
-  for (auto& device : devices_) {
-    for (std::uint32_t b = 0; b < device->block_count(); ++b) {
-      const std::size_t index =
-          config_.warm_start != nullptr && b < pool_.size()
-              ? b
-              : rng_.below(pool_.size());
-      device->targets().push(pool_.entry(index).bits);
-      ++targets_generated_;
-    }
-  }
-}
-
-void SyncAbsRunner::one_round(AbsResult& result) {
-  obs::TraceSpan round_span(config_.telemetry.tracer, "ga_round", "host",
-                            /*pid=*/0, /*tid=*/0);
-  round_span.set_arg("round", static_cast<std::int64_t>(rounds_));
-  for (auto& device : devices_) {
-    device->step_all_blocks_once();
-    auto arrivals = device->solutions().drain();
-    for (auto& report : arrivals) {
-      ++reports_received_;
-      if (pool_.insert(report.bits, report.energy)) {
-        ++reports_inserted_;
-        if (result.best_trace.empty() ||
-            report.energy < result.best_trace.back().second) {
-          // Deterministic "time" axis: the round index.
-          result.best_trace.emplace_back(static_cast<double>(rounds_),
-                                         report.energy);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      device->targets().push(generate_target(pool_, config_.ga, rng_));
-      ++targets_generated_;
-    }
-  }
-  ++rounds_;
-}
-
-std::uint64_t SyncAbsRunner::lifetime_flips() const {
-  std::uint64_t flips = 0;
-  for (const auto& device : devices_) flips += device->total_flips();
-  return flips;
-}
-
-AbsResult SyncAbsRunner::finalize(AbsResult result,
-                                  std::uint64_t flips_before) const {
-  ABSQ_CHECK(pool_.evaluated_count() > 0, "no device ever reported");
-  result.best = pool_.best().bits;
-  result.best_energy = pool_.best().energy;
-  result.reports_received = reports_received_;
-  result.reports_inserted = reports_inserted_;
-  result.duplicates_rejected = pool_.duplicates_rejected();
-  result.pool_evictions = pool_.evictions();
-  result.targets_generated = targets_generated_;
-  std::uint64_t flips = 0;
-  for (const auto& device : devices_) {
-    flips += device->total_flips();
-    result.solutions_dropped += device->solutions().dropped();
-    result.targets_dropped += device->targets().dropped();
-
-    DeviceSummary summary;
-    summary.device_id = device->config().device_id;
-    summary.workers = device->worker_count();
-    summary.flips = device->total_flips();
-    summary.iterations = device->total_iterations();
-    summary.reports = device->solutions().counter();
-    summary.target_misses = device->target_misses();
-    summary.targets_dropped = device->targets().dropped();
-    summary.solutions_dropped = device->solutions().dropped();
-    result.devices.push_back(summary);
-  }
-  result.total_flips = flips;
-  result.evaluated_solutions = flips * w_->size();
-  // The rate must be derived *after* the flip totals are known — the
-  // callers only stamp result.seconds. total_flips is a lifetime figure
-  // ("the result so far") while seconds covers only this call, so the
-  // rate pairs the seconds with the flips committed *during* the call.
-  result.search_rate =
-      result.seconds > 0.0
-          ? static_cast<double>((flips - flips_before) * w_->size()) /
-                result.seconds
-          : 0.0;
-  return result;
+  return solver_.finish_run(stop, watch.seconds(), flips_before);
 }
 
 AbsResult SyncAbsRunner::run_rounds(std::uint64_t rounds) {
-  ensure_started();
-  AbsResult result;
-  const std::uint64_t flips_before = lifetime_flips();
-  Stopwatch watch;
-  for (std::uint64_t r = 0; r < rounds; ++r) one_round(result);
-  result.seconds = watch.seconds();
-  return finalize(std::move(result), flips_before);
+  return run(rounds, StopCriteria{});
 }
 
 AbsResult SyncAbsRunner::run_to_target(Energy target,
                                        std::uint64_t max_rounds) {
   ABSQ_CHECK(max_rounds >= 1, "max_rounds must be positive");
-  ensure_started();
-  AbsResult result;
-  const std::uint64_t flips_before = lifetime_flips();
-  Stopwatch watch;
-  for (std::uint64_t r = 0; r < max_rounds; ++r) {
-    one_round(result);
-    if (pool_.best_energy() <= target) {
-      result.reached_target = true;
-      break;
-    }
-  }
-  result.seconds = watch.seconds();
-  return finalize(std::move(result), flips_before);
+  StopCriteria stop;
+  stop.target_energy = target;
+  return run(max_rounds, stop);
 }
 
 }  // namespace absq

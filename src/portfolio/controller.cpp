@@ -45,6 +45,14 @@ AdaptiveController::AdaptiveController(const Config& config)
 std::uint32_t AdaptiveController::register_block(std::uint32_t device,
                                                  std::uint32_t block) {
   const auto arm = (device + block) % num_arms();
+  if (device >= ref_index_.size()) ref_index_.resize(device + 1);
+  std::vector<std::uint32_t>& row = ref_index_[device];
+  if (block >= row.size()) row.resize(block + 1, kUnregistered);
+  // A repeated registration is recorded but never looked up: the first
+  // one keeps answering arm_of.
+  if (row[block] == kUnregistered) {
+    row[block] = static_cast<std::uint32_t>(blocks_.size());
+  }
   blocks_.push_back({device, block, arm});
   ++arms_[arm].blocks;
   return arm;
@@ -52,8 +60,9 @@ std::uint32_t AdaptiveController::register_block(std::uint32_t device,
 
 std::uint32_t AdaptiveController::arm_of(std::uint32_t device,
                                          std::uint32_t block) const {
-  for (const BlockRef& ref : blocks_) {
-    if (ref.device == device && ref.block == block) return ref.arm;
+  if (device < ref_index_.size() && block < ref_index_[device].size()) {
+    const std::uint32_t ref = ref_index_[device][block];
+    if (ref != kUnregistered) return blocks_[ref].arm;
   }
   // A report from an unregistered block (a restarted device grew — cannot
   // happen with a fixed config, but stay total): the striped default.

@@ -69,7 +69,7 @@ class AdaptiveController {
   /// (also what DeviceConfig::algorithm_schedule must encode).
   std::uint32_t register_block(std::uint32_t device, std::uint32_t block);
 
-  /// Current arm of a registered block.
+  /// Current arm of a registered block — O(1), called per host report.
   [[nodiscard]] std::uint32_t arm_of(std::uint32_t device,
                                      std::uint32_t block) const;
 
@@ -103,9 +103,14 @@ class AdaptiveController {
     std::uint32_t arm = 0;
   };
 
+  static constexpr std::uint32_t kUnregistered = 0xffffffffu;
+
   Config config_;
   std::vector<Arm> arms_;
+  /// Registration order — also the reallocation draw order.
   std::vector<BlockRef> blocks_;
+  /// [device][block] → index into blocks_, or kUnregistered.
+  std::vector<std::vector<std::uint32_t>> ref_index_;
   Rng rng_;
   std::uint64_t rounds_ = 0;
   std::uint64_t reassignments_ = 0;

@@ -4,6 +4,8 @@
 // each island owns its own GA operator configuration (a deterministic
 // per-island diversification of the base GaConfig) and its own RNG
 // stream, so the islands explore genuinely different breeding regimes.
+// Island 0 runs the base operators on the root stream, which makes a
+// one-island set exactly the classic ABS pool.
 // Every `migration_interval` GA rounds the islands exchange elites over a
 // ring: island i copies its top-k evaluated entries into island (i+1)%N.
 //

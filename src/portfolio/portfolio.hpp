@@ -1,8 +1,7 @@
 // PortfolioConfig — the Diverse-ABS knobs of AbsConfig.
 //
 // Three orthogonal extensions over the single-pool, single-algorithm ABS
-// of the base paper (all off by default, preserving the legacy solver
-// bit-for-bit):
+// of the base paper (all off by default, which is classic ABS):
 //
 //   * islands:    N independently seeded solution pools with diversified
 //                 GA operators, connected by periodic ring migration of
@@ -13,9 +12,11 @@
 //                 that are currently producing pool improvements
 //                 (portfolio/controller.hpp).
 //
-// `diverse()` is the single predicate the solver branches on: when false,
-// AbsSolver runs the exact legacy host loop (same RNG stream, same flip
-// sequence — pinned by the lockstep test).
+// The solver does not branch on these knobs: every config runs the same
+// island/controller host loop, and classic ABS is its one-island, one-arm
+// (min-Δ) case — same RNG stream, same flip sequence as the single-pool
+// protocol, pinned by the lockstep tests. `diverse()` only labels a config
+// for reports.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +27,10 @@
 namespace absq::portfolio {
 
 struct PortfolioConfig {
-  /// Number of island pools. 1 = the legacy single pool.
+  /// Number of island pools. 1 = the classic single pool.
   std::uint32_t islands = 1;
   /// Portfolio members; blocks are striped across islands × algorithms.
-  /// Empty = {kMinDelta} (the legacy portfolio).
+  /// Empty = {kMinDelta} (the classic portfolio).
   std::vector<BlockAlgorithmKind> algorithms;
   /// Tuning knobs shared by every non-default member.
   AlgorithmOptions options;
@@ -56,7 +57,7 @@ struct PortfolioConfig {
   /// GA rounds between controller reallocation passes.
   std::uint64_t realloc_interval = 16;
 
-  /// The algorithm list with the empty-means-legacy default applied.
+  /// The algorithm list with the empty-means-classic default applied.
   [[nodiscard]] std::vector<BlockAlgorithmKind> algorithm_list() const {
     if (algorithms.empty()) return {BlockAlgorithmKind::kMinDelta};
     return algorithms;
@@ -67,7 +68,7 @@ struct PortfolioConfig {
     return migration_interval != 0 ? migration_interval : 64;
   }
 
-  /// True when anything departs from the legacy single-pool min-Δ solver.
+  /// True when anything departs from classic single-pool min-Δ ABS.
   [[nodiscard]] bool diverse() const {
     if (islands > 1 || controller) return true;
     const auto list = algorithm_list();

@@ -112,8 +112,8 @@ std::string status_json(const JobManager& manager,
           }
         }
       }
-      // Diverse-ABS jobs: one row per island (best energy, blocks
-      // currently assigned, elites received over the migration ring).
+      // One row per island (best energy, blocks currently assigned,
+      // elites received over the migration ring); classic jobs have one.
       if (island_best != nullptr) {
         Json islands = Json::array();
         for (const auto& series : island_best->series) {

@@ -1,5 +1,6 @@
 #include "sim/mailbox.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -8,19 +9,20 @@
 namespace absq::sim {
 namespace {
 
-/// Total capacity split evenly across shards, every shard non-empty.
-std::size_t per_shard_capacity(std::size_t capacity, std::size_t shards) {
+/// Splits `capacity` slots over at most `shards` shards — never more
+/// shards than slots, the remainder spread one slot each over the first
+/// shards — so the shard capacities sum to exactly `capacity`.
+template <typename Shard>
+std::vector<std::unique_ptr<Shard>> make_shards(std::size_t capacity,
+                                                std::size_t shards) {
   ABSQ_CHECK(capacity >= 1, "mailbox needs capacity >= 1");
   ABSQ_CHECK(shards >= 1, "mailbox needs at least one shard");
-  return (capacity + shards - 1) / shards;
-}
-
-template <typename Shard>
-std::vector<std::unique_ptr<Shard>> make_shards(std::size_t shards) {
+  const std::size_t count = std::min(shards, capacity);
   std::vector<std::unique_ptr<Shard>> result;
-  result.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  result.reserve(count);
+  for (std::size_t s = 0; s < count; ++s) {
     result.push_back(std::make_unique<Shard>());
+    result.back()->capacity = capacity / count + (s < capacity % count ? 1 : 0);
   }
   return result;
 }
@@ -28,8 +30,7 @@ std::vector<std::unique_ptr<Shard>> make_shards(std::size_t shards) {
 }  // namespace
 
 TargetBuffer::TargetBuffer(std::size_t capacity, std::size_t shards)
-    : shard_capacity_(per_shard_capacity(capacity, shards)),
-      shards_(make_shards<Shard>(shards)) {}
+    : shards_(make_shards<Shard>(capacity, shards)) {}
 
 void TargetBuffer::push(BitVector target) {
   if (fail::triggered("mailbox.target_push")) {
@@ -44,7 +45,7 @@ void TargetBuffer::push(BitVector target) {
   bool overwrote = false;
   {
     std::lock_guard lock(shard.mutex);
-    if (shard.queue.size() >= shard_capacity_) {
+    if (shard.queue.size() >= shard.capacity) {
       shard.queue.pop_front();
       dropped_.fetch_add(1, std::memory_order_relaxed);
       overwrote = true;
@@ -84,8 +85,7 @@ std::size_t TargetBuffer::pending() const {
 }
 
 SolutionBuffer::SolutionBuffer(std::size_t capacity, std::size_t shards)
-    : shard_capacity_(per_shard_capacity(capacity, shards)),
-      shards_(make_shards<Shard>(shards)) {}
+    : shards_(make_shards<Shard>(capacity, shards)) {}
 
 void SolutionBuffer::push(ReportedSolution solution) {
   push(std::move(solution),
@@ -104,7 +104,7 @@ void SolutionBuffer::push(ReportedSolution solution, std::size_t hint) {
   bool overwrote = false;
   {
     std::lock_guard lock(shard.mutex);
-    if (shard.queue.size() >= shard_capacity_) {
+    if (shard.queue.size() >= shard.capacity) {
       shard.queue.pop_front();
       dropped_.fetch_add(1, std::memory_order_relaxed);
       overwrote = true;

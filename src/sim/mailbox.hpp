@@ -14,10 +14,11 @@
 //      single atomic read.
 //
 // Internally each buffer is a set of mutex-guarded ring shards. A device
-// running W worker threads constructs its mailboxes with W shards so that
-// workers do not serialize on one lock: a worker pushes reports into and
-// preferentially polls targets from its own shard (the `hint` overloads),
-// falling back to scanning the other shards so no entry is stranded. The
+// running W worker threads constructs its mailboxes with W shards (capped
+// at the capacity, which stays the exact total) so that workers do not
+// serialize on one lock: a worker pushes reports into and preferentially
+// polls targets from its own shard (the `hint` overloads), falling back
+// to scanning the other shards so no entry is stranded. The
 // host-facing API — push / poll / drain / counter — is shard-oblivious;
 // with the default single shard the buffers behave exactly as before. The
 // fetch/push happens once per block iteration (thousands of flips), so even
@@ -42,9 +43,9 @@ namespace absq::sim {
 /// Host → device: GA-bred target solutions.
 class TargetBuffer {
  public:
-  /// `capacity` is the total capacity across all shards (each shard holds
-  /// at least one slot); `shards` is normally the owning device's worker
-  /// count.
+  /// `capacity` is the exact total across all shards; `shards` (normally
+  /// the owning device's worker count) is capped at `capacity`, so every
+  /// shard holds at least one slot.
   explicit TargetBuffer(std::size_t capacity, std::size_t shards = 1);
 
   /// Host side; shards are filled round-robin. A full shard overwrites its
@@ -91,9 +92,9 @@ class TargetBuffer {
   struct Shard {
     mutable std::mutex mutex;
     std::deque<BitVector> queue;
+    std::size_t capacity = 0;
   };
 
-  const std::size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> push_cursor_{0};
   std::atomic<std::size_t> poll_cursor_{0};
@@ -114,9 +115,9 @@ struct ReportedSolution {
 /// Device → host: best solutions found per block iteration.
 class SolutionBuffer {
  public:
-  /// `capacity` is the total capacity across all shards (each shard holds
-  /// at least one slot); `shards` is normally the owning device's worker
-  /// count.
+  /// `capacity` is the exact total across all shards; `shards` (normally
+  /// the owning device's worker count) is capped at `capacity`, so every
+  /// shard holds at least one slot.
   explicit SolutionBuffer(std::size_t capacity, std::size_t shards = 1);
 
   /// Device side; never blocks. Shards are filled round-robin; a full
@@ -159,9 +160,9 @@ class SolutionBuffer {
   struct Shard {
     mutable std::mutex mutex;
     std::deque<ReportedSolution> queue;
+    std::size_t capacity = 0;
   };
 
-  const std::size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> push_cursor_{0};
   std::atomic<std::uint64_t> pushed_{0};

@@ -154,6 +154,16 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   return std::stoll(find(name, Kind::kInt).value);
 }
 
+std::int64_t CliParser::get_int(const std::string& name, std::int64_t min,
+                                std::int64_t max) const {
+  const std::int64_t value = get_int(name);
+  if (value < min || value > max) {
+    fail_usage("--" + name + " must be in [" + std::to_string(min) + ", " +
+               std::to_string(max) + "], got " + std::to_string(value));
+  }
+  return value;
+}
+
 double CliParser::get_double(const std::string& name) const {
   return std::stod(find(name, Kind::kDouble).value);
 }

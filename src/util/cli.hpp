@@ -58,6 +58,12 @@ class CliParser {
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// get_int() for a flag that must lie in [min, max]: any other value is
+  /// a usage error naming the flag, so a negative count never wraps
+  /// through an unsigned cast.
+  [[nodiscard]] std::int64_t get_int(const std::string& name,
+                                     std::int64_t min,
+                                     std::int64_t max) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
@@ -68,6 +74,10 @@ class CliParser {
 
   void print_help() const { print_help(stdout); }
   void print_help(std::FILE* out) const;
+
+  /// Prints `message` and usage to stderr, then throws CliUsageError — for
+  /// value checks the flag table cannot express.
+  [[noreturn]] void fail_usage(const std::string& message) const;
 
  private:
   enum class Kind { kString, kInt, kDouble, kBool };
@@ -80,8 +90,6 @@ class CliParser {
   };
 
   const Flag& find(const std::string& name, Kind expected) const;
-  /// Prints `message` and usage to stderr, then throws CliUsageError.
-  [[noreturn]] void fail_usage(const std::string& message) const;
 
   std::string summary_;
   std::map<std::string, Flag> flags_;

@@ -402,8 +402,7 @@ const std::vector<HotPathRoot>& hot_path_roots() {
        {"iterate", "adapt_on_stagnation", "staggered_offset"}},
       {"src/abs/device.cpp",
        "Device",
-       {"iterate_block", "run_legacy_loop", "run_shard",
-        "step_all_blocks_once"}},
+       {"iterate_block", "run_shard", "step_all_blocks_once"}},
       // The flip kernels themselves — every form runs inside the loops
       // above, once per flip.
       {"src/qubo/delta_state.cpp",

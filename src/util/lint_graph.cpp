@@ -603,6 +603,28 @@ std::vector<const FunctionDef*> ProjectIndex::hot_roots() const {
   return out;
 }
 
+std::vector<std::string> ProjectIndex::unresolved_hot_roots() const {
+  std::vector<std::string> out;
+  for (const HotPathRoot& spec : hot_path_roots()) {
+    const FileIndex* fi = file(spec.file);
+    for (std::string_view function : spec.functions) {
+      const bool found =
+          fi != nullptr &&
+          std::any_of(fi->functions.begin(), fi->functions.end(),
+                      [&](const FunctionDef& fn) {
+                        return fn.class_name == spec.class_name &&
+                               fn.name == function;
+                      });
+      if (!found) {
+        out.push_back(std::string(spec.file) + ": " +
+                      std::string(spec.class_name) + "::" +
+                      std::string(function));
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<const FunctionDef*> ProjectIndex::reachable(
     const std::vector<const FunctionDef*>& roots, std::size_t depth) const {
   std::set<const FunctionDef*> seen(roots.begin(), roots.end());

@@ -123,6 +123,13 @@ class ProjectIndex {
   /// hot_path_roots()).
   [[nodiscard]] std::vector<const FunctionDef*> hot_roots() const;
 
+  /// Every hot_path_roots() entry without a definition in this index
+  /// (missing file or function), as "file: Class::function". The rules
+  /// skip such a root silently, so the self-test runs this over the
+  /// checked-out src/: a deleted or renamed root must fail there instead
+  /// of dropping ABSQ003/ABSQ007 coverage.
+  [[nodiscard]] std::vector<std::string> unresolved_hot_roots() const;
+
   /// Every FunctionDef reachable from the given roots through resolve(),
   /// to `depth` call frames (the roots themselves are included).
   [[nodiscard]] std::vector<const FunctionDef*> reachable(

@@ -19,7 +19,7 @@ absq::serve::JobManager& manager() {
     config.max_queue = 4;
     config.solver.num_devices = 1;
     config.solver.device.block_limit = 2;
-    config.solver.device.threads_per_device = 0;  // deterministic schedule
+    config.solver.device.threads_per_device = 1;  // one worker per device
     config.solver.pool_capacity = 8;
     static absq::serve::JobManager m(std::move(config));
     return &m;

@@ -35,16 +35,29 @@ TEST(DeviceExtras, DefaultWindowLadderIsGeometric) {
 }
 
 TEST(DeviceExtras, MailboxCapacityOverrides) {
+  // The mailboxes shard per worker, yet a configured capacity is the exact
+  // total at every worker count.
   const WeightMatrix w = random_qubo(32, 2);
-  DeviceConfig config;
-  config.block_limit = 4;
-  config.target_capacity = 2;
-  Device device(w, config);
-  // Pushing more targets than capacity drops the oldest.
-  Rng rng(3);
-  for (int i = 0; i < 5; ++i) device.targets().push(BitVector::random(32, rng));
-  EXPECT_EQ(device.targets().pending(), 2u);
-  EXPECT_EQ(device.targets().pushed(), 5u);
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    DeviceConfig config;
+    config.block_limit = 4;
+    config.threads_per_device = workers;
+    config.target_capacity = 2;
+    config.solution_capacity = 3;
+    Device device(w, config);
+    // Pushing more targets than capacity drops the oldest.
+    Rng rng(3);
+    for (int i = 0; i < 5; ++i) {
+      device.targets().push(BitVector::random(32, rng));
+    }
+    EXPECT_EQ(device.targets().pending(), 2u) << workers;
+    EXPECT_EQ(device.targets().pushed(), 5u) << workers;
+    EXPECT_EQ(device.targets().dropped(), 3u) << workers;
+    // Four blocks report into three solution slots.
+    device.step_all_blocks_once();
+    EXPECT_EQ(device.solutions().drain().size(), 3u) << workers;
+    EXPECT_EQ(device.solutions().dropped(), 1u) << workers;
+  }
 }
 
 TEST(DeviceExtras, BlockOffsetsAreStaggered) {

@@ -172,12 +172,12 @@ TEST(Device, MultiThreadedWorkersKeepCountersConsistent) {
   }
 }
 
-TEST(Device, ExplicitZeroThreadsKeepsLegacySingleThreadSchedule) {
+TEST(Device, SingleWorkerVisitsEveryBlockOnOneShard) {
   const WeightMatrix w = random_qubo(64, 22);
   DeviceConfig config = small_device_config(3, 16);
-  config.threads_per_device = 0;
+  config.threads_per_device = 1;
   Device device(w, config);
-  EXPECT_EQ(device.worker_count(), 0u);
+  EXPECT_EQ(device.worker_count(), 1u);
   EXPECT_EQ(device.targets().shard_count(), 1u);
   EXPECT_EQ(device.solutions().shard_count(), 1u);
   device.start();
@@ -189,6 +189,17 @@ TEST(Device, ExplicitZeroThreadsKeepsLegacySingleThreadSchedule) {
   }
   device.stop();
   EXPECT_GE(device.total_iterations(), 6u);
+  // The one worker owns every block and visits them round-robin.
+  for (std::uint32_t b = 0; b < device.block_count(); ++b) {
+    EXPECT_GE(device.block(b).iterations(), 1u) << b;
+  }
+}
+
+TEST(Device, ExplicitZeroThreadsIsRejected) {
+  const WeightMatrix w = random_qubo(64, 22);
+  DeviceConfig config = small_device_config(3, 16);
+  config.threads_per_device = 0;
+  EXPECT_THROW((void)Device(w, config), CheckError);
 }
 
 TEST(Device, MoreWorkersThanBlocksStillProgressesAndJoins) {

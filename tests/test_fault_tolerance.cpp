@@ -58,7 +58,7 @@ TEST_F(FaultToleranceTest, ThrownDeviceIsQuarantinedAndRunContinues) {
   }
   EXPECT_GT(result.total_flips, 0u);
   EXPECT_EQ(result.best_energy, full_energy(w, result.best));
-  EXPECT_TRUE(solver.pool().check_invariants());
+  EXPECT_TRUE(solver.islands().pool(0).check_invariants());
 }
 
 TEST_F(FaultToleranceTest, RestartPolicyRevivesFailedDevice) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -680,6 +683,49 @@ TEST(LintTransitive, SuppressionAtTheBlockingSiteIsHonoured) {
                  "  std::this_thread::sleep_for(std::chrono::seconds(1));\n"
                  "}\n");
   EXPECT_TRUE(check_transitive_blocking(index).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Hot-path root table — every root must exist, or its coverage is gone
+// ---------------------------------------------------------------------------
+
+TEST(LintHotRoots, MissingFunctionsAndFilesAreListed) {
+  ProjectIndex index;
+  index.add_file(kHotRootFile,
+                 "void Device::iterate_block(std::size_t i) {}\n");
+  const auto unresolved = index.unresolved_hot_roots();
+  const auto listed = [&unresolved](const std::string& root) {
+    return std::find(unresolved.begin(), unresolved.end(), root) !=
+           unresolved.end();
+  };
+  EXPECT_FALSE(listed("src/abs/device.cpp: Device::iterate_block"));
+  EXPECT_TRUE(listed("src/abs/device.cpp: Device::run_shard"));
+  EXPECT_TRUE(listed("src/abs/search_block.cpp: SearchBlock::iterate"));
+}
+
+TEST(LintHotRoots, EveryRootResolvesOnTheCheckedOutTree) {
+  namespace fs = std::filesystem;
+  const fs::path root = ABSQ_SOURCE_DIR;
+  ProjectIndex index;
+  for (const auto& entry : fs::recursive_directory_iterator(root / "src")) {
+    const fs::path& path = entry.path();
+    if (!entry.is_regular_file() ||
+        (path.extension() != ".cpp" && path.extension() != ".hpp")) {
+      continue;
+    }
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    index.add_file(fs::relative(path, root).generic_string(), text.str());
+  }
+  ASSERT_NE(index.file(kHotRootFile), nullptr) << "src/ not found at " << root;
+  std::string listing;
+  for (const std::string& missing : index.unresolved_hot_roots()) {
+    listing += "\n  " + missing;
+  }
+  EXPECT_TRUE(listing.empty())
+      << "hot_path_roots() names functions the tree no longer defines:"
+      << listing;
 }
 
 // ---------------------------------------------------------------------------

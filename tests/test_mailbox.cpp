@@ -116,6 +116,32 @@ TEST(TargetBuffer, ShardedOverflowDropsWithinTheFullShard) {
   EXPECT_EQ(buffer.pending(), 4u);
 }
 
+TEST(TargetBuffer, ShardCapacitiesSumToTheConfiguredTotal) {
+  // 5 slots over 4 shards: the remainder goes to the first shard, so a
+  // round-robin fill of exactly 5 drops nothing and holds exactly 5.
+  TargetBuffer uneven(5, 4);
+  EXPECT_EQ(uneven.shard_count(), 4u);
+  for (int i = 0; i < 5; ++i) uneven.push(BitVector(4));
+  EXPECT_EQ(uneven.dropped(), 0u);
+  EXPECT_EQ(uneven.pending(), 5u);
+  // Fewer slots than shards: one shard per slot, never more slots.
+  TargetBuffer narrow(2, 4);
+  EXPECT_EQ(narrow.shard_count(), 2u);
+  for (int i = 0; i < 5; ++i) narrow.push(BitVector(4));
+  EXPECT_EQ(narrow.pending(), 2u);
+  EXPECT_EQ(narrow.dropped(), 3u);
+}
+
+TEST(SolutionBuffer, FewerSlotsThanShardsKeepsTheExactTotal) {
+  SolutionBuffer buffer(3, 4);
+  EXPECT_EQ(buffer.shard_count(), 3u);
+  for (std::size_t worker = 0; worker < 4; ++worker) {
+    buffer.push({bits("0"), static_cast<Energy>(worker), 0, 0}, worker);
+  }
+  EXPECT_EQ(buffer.drain().size(), 3u);
+  EXPECT_EQ(buffer.dropped(), 1u);
+}
+
 TEST(SolutionBuffer, ShardedPushAndDrainCollectEverything) {
   SolutionBuffer buffer(16, 4);
   EXPECT_EQ(buffer.shard_count(), 4u);

@@ -464,9 +464,9 @@ void check_diverse_result(const AbsConfig& config, const WeightMatrix& w,
                           }));
 }
 
-TEST(DiverseSolver, RunsOnTheLegacySingleThreadPath) {
+TEST(DiverseSolver, RunsOnOneWorkerPerDevice) {
   const WeightMatrix w = random_qubo(64, 41);
-  const AbsConfig config = diverse_config(0);
+  const AbsConfig config = diverse_config(1);
   AbsSolver solver(w, config);
   StopCriteria stop;
   stop.time_limit_seconds = 0.6;
@@ -488,7 +488,7 @@ TEST(DiverseSolver, RunsOnTheShardedWorkerPath) {
 
 TEST(DiverseSolver, CheckpointMergesTheIslandPools) {
   const WeightMatrix w = random_qubo(64, 43);
-  AbsConfig config = diverse_config(0);
+  AbsConfig config = diverse_config(1);
   const std::string path =
       ::testing::TempDir() + "/diverse_checkpoint.absq";
   config.checkpoint_path = path;
@@ -505,11 +505,32 @@ TEST(DiverseSolver, CheckpointMergesTheIslandPools) {
   std::remove(path.c_str());
 }
 
-TEST(DiverseSolver, SyncRunnerRejectsDiverseConfigs) {
-  const WeightMatrix w = random_qubo(32, 44);
-  AbsConfig config;
-  config.portfolio.islands = 2;
-  EXPECT_THROW((void)SyncAbsRunner(w, config), CheckError);
+TEST(DiverseSolver, SyncRunnerIsReproducibleOnDiverseConfigs) {
+  // The lockstep runner drives the solver's own host phases, islands and
+  // controller included, so two runners on one diverse config agree on
+  // the whole trajectory.
+  const WeightMatrix w = random_qubo(64, 44);
+  const AbsConfig config = diverse_config(2);  // the runner forces 1
+  SyncAbsRunner runner_a(w, config);
+  SyncAbsRunner runner_b(w, config);
+  const AbsResult a = runner_a.run_rounds(40);
+  const AbsResult b = runner_b.run_rounds(40);
+  EXPECT_EQ(a.best_energy, b.best_energy);
+  EXPECT_EQ(a.total_flips, b.total_flips);
+  EXPECT_EQ(a.controller_reassignments, b.controller_reassignments);
+  EXPECT_GT(a.controller_reassignments, 0u);
+  const auto& log_a = runner_a.solver().islands().migration_log();
+  const auto& log_b = runner_b.solver().islands().migration_log();
+  ASSERT_FALSE(log_a.empty());
+  ASSERT_EQ(log_a.size(), log_b.size());
+  for (std::size_t i = 0; i < log_a.size(); ++i) {
+    EXPECT_EQ(log_a[i].round, log_b[i].round) << i;
+    EXPECT_EQ(log_a[i].from, log_b[i].from) << i;
+    EXPECT_EQ(log_a[i].to, log_b[i].to) << i;
+    EXPECT_EQ(log_a[i].energy, log_b[i].energy) << i;
+    EXPECT_EQ(log_a[i].inserted, log_b[i].inserted) << i;
+  }
+  check_diverse_result(config, w, a);
 }
 
 // ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ TEST(AbsSolver, ReportedEnergiesAreAlwaysExact) {
   const AbsResult result = solver.run(stop);
   EXPECT_EQ(result.best_energy, full_energy(w, result.best));
   // Pool invariants survive the run.
-  EXPECT_TRUE(solver.pool().check_invariants());
-  EXPECT_GT(solver.pool().evaluated_count(), 0u);
+  EXPECT_TRUE(solver.islands().pool(0).check_invariants());
+  EXPECT_GT(solver.islands().pool(0).evaluated_count(), 0u);
 }
 
 TEST(AbsSolver, FlipBudgetStopsTheRun) {
@@ -195,7 +195,7 @@ TEST(AbsSolver, TargetDropsAreCountedAndSurfaced) {
   // A single target slot cannot hold the four Step 1 targets: three drops
   // are guaranteed before the run even starts moving.
   config.device.target_capacity = 1;
-  config.device.threads_per_device = 0;
+  config.device.threads_per_device = 1;
   AbsSolver solver(w, config);
   StopCriteria stop;
   stop.max_flips = 2000;

@@ -181,7 +181,7 @@ TEST(SyncRunner, DeviceSummariesUseDeterministicSchedule) {
   ASSERT_EQ(result.devices.size(), 2u);
   std::uint64_t summary_flips = 0;
   for (const auto& summary : result.devices) {
-    EXPECT_EQ(summary.workers, 0u);
+    EXPECT_EQ(summary.workers, 1u);
     EXPECT_GT(summary.iterations, 0u);
     summary_flips += summary.flips;
   }

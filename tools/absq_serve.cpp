@@ -114,6 +114,15 @@ int run(int argc, char** argv) {
   const std::int64_t http_port = cli.get_int("http-port");
   ABSQ_CHECK(http_port >= -1 && http_port <= 65535,
              "--http-port must be in [0, 65535], or -1 for off");
+  // Per-job solver counts are range-checked before any port is bound: a
+  // negative value must be a usage error, not a wrapped cast that fails
+  // every job later.
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t devices = cli.get_int("devices", 1, 1024);
+  const std::int64_t blocks = cli.get_int("blocks", 0, kMaxU32);
+  const std::int64_t threads = cli.get_int("threads", 1, 1024);
+  const std::int64_t pool = cli.get_int("pool", 1, std::int64_t{1} << 20);
+  const std::int64_t max_restarts = cli.get_int("max-restarts", 0, kMaxU32);
 
   absq::obs::Logger::global().set_level(
       absq::obs::log_level_from_string(cli.get_string("log-level")));
@@ -139,19 +148,17 @@ int run(int argc, char** argv) {
   ABSQ_CHECK(!manager_config.recover || !manager_config.checkpoint_dir.empty(),
              "--recover needs --checkpoint-dir (the journal lives there)");
   manager_config.telemetry.metrics = &registry;
-  manager_config.solver.num_devices =
-      static_cast<std::uint32_t>(cli.get_int("devices"));
+  manager_config.solver.num_devices = static_cast<std::uint32_t>(devices);
   manager_config.solver.device.block_limit =
-      static_cast<std::uint32_t>(cli.get_int("blocks"));
+      static_cast<std::uint32_t>(blocks);
   manager_config.solver.device.threads_per_device =
-      static_cast<std::uint32_t>(cli.get_int("threads"));
+      static_cast<std::uint32_t>(threads);
   manager_config.solver.device.adaptive = cli.get_bool("adaptive");
-  manager_config.solver.pool_capacity =
-      static_cast<std::size_t>(cli.get_int("pool"));
+  manager_config.solver.pool_capacity = static_cast<std::size_t>(pool);
   manager_config.solver.watchdog.stall_grace_seconds =
       cli.get_double("watchdog-grace");
   manager_config.solver.watchdog.max_restarts =
-      static_cast<std::uint32_t>(cli.get_int("max-restarts"));
+      static_cast<std::uint32_t>(max_restarts);
   manager_config.solver.watchdog.restart_backoff_seconds =
       cli.get_double("restart-backoff");
   manager_config.solver.telemetry.metrics = &registry;

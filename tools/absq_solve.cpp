@@ -81,8 +81,7 @@ int run(int argc, char** argv) {
   cli.add_flag("local-steps", std::int64_t{0},
                "Step 4b flips per iteration (0 = one sweep)");
   cli.add_flag("threads", std::int64_t{-1},
-               "worker threads per device (-1 = auto: cores/devices, "
-               "0 = single legacy device thread)");
+               "worker threads per device (-1 = auto: cores/devices)");
   cli.add_flag("pool", std::int64_t{128}, "solution pool capacity");
   cli.add_flag("adaptive", false, "enable adaptive window switching");
   cli.add_flag("islands", std::int64_t{1},
@@ -136,6 +135,21 @@ int run(int argc, char** argv) {
                "append structured log lines to this file (default stderr)");
   if (!cli.parse(argc, argv)) return 0;
 
+  // Counts are range-checked before anything is loaded: a negative value
+  // must be a usage error, not a wrapped cast into a huge allocation.
+  constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t devices = cli.get_int("devices", 1, 1024);
+  const std::int64_t blocks = cli.get_int("blocks", 0, kMaxU32);
+  const std::int64_t local_steps = cli.get_int(
+      "local-steps", 0, std::numeric_limits<std::int64_t>::max());
+  // -1 is the documented "auto" sentinel; a device needs a worker.
+  const std::int64_t threads = cli.get_int("threads", -1, 1024);
+  if (threads == 0) {
+    cli.fail_usage("--threads must be -1 (auto) or at least 1, got 0");
+  }
+  const std::int64_t pool = cli.get_int("pool", 1, std::int64_t{1} << 20);
+  const std::int64_t max_restarts = cli.get_int("max-restarts", 0, kMaxU32);
+
   absq::obs::Logger::global().set_level(
       absq::obs::log_level_from_string(cli.get_string("log-level")));
   if (const std::string log_file = cli.get_string("log-file");
@@ -174,11 +188,9 @@ int run(int argc, char** argv) {
               static_cast<double>(w.bytes()) / (1 << 20));
 
   absq::AbsConfig config;
-  config.num_devices = static_cast<std::uint32_t>(cli.get_int("devices"));
-  config.device.block_limit =
-      static_cast<std::uint32_t>(cli.get_int("blocks"));
-  config.device.local_steps =
-      static_cast<std::uint64_t>(cli.get_int("local-steps"));
+  config.num_devices = static_cast<std::uint32_t>(devices);
+  config.device.block_limit = static_cast<std::uint32_t>(blocks);
+  config.device.local_steps = static_cast<std::uint64_t>(local_steps);
   config.device.adaptive = cli.get_bool("adaptive");
   config.device.kernel.form =
       absq::parse_kernel_form(cli.get_string("kernel"));
@@ -189,17 +201,10 @@ int run(int argc, char** argv) {
     const absq::QuboKernel plan(w, config.device.kernel);
     std::printf("kernel: %s\n", plan.description().c_str());
   }
-  // -1 is the documented "auto" sentinel; anything else negative is a
-  // typo that must not silently mean auto (or wrap through a cast).
-  const std::int64_t threads = cli.get_int("threads");
-  ABSQ_CHECK(threads >= -1 &&
-                 threads <= std::numeric_limits<std::uint32_t>::max(),
-             "--threads must be -1 (auto) or a worker count, got "
-                 << threads);
-  if (threads >= 0) {
+  if (threads > 0) {
     config.device.threads_per_device = static_cast<std::uint32_t>(threads);
   }
-  config.pool_capacity = static_cast<std::size_t>(cli.get_int("pool"));
+  config.pool_capacity = static_cast<std::size_t>(pool);
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::int64_t islands = cli.get_int("islands");
   ABSQ_CHECK(islands >= 1 && islands <= 64,
@@ -228,8 +233,7 @@ int run(int argc, char** argv) {
   config.checkpoint_path = cli.get_string("checkpoint");
   config.checkpoint_interval_seconds = cli.get_double("checkpoint-interval");
   config.watchdog.stall_grace_seconds = cli.get_double("watchdog-grace");
-  config.watchdog.max_restarts =
-      static_cast<std::uint32_t>(cli.get_int("max-restarts"));
+  config.watchdog.max_restarts = static_cast<std::uint32_t>(max_restarts);
   config.watchdog.restart_backoff_seconds =
       cli.get_double("restart-backoff");
 
