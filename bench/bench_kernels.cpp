@@ -6,7 +6,9 @@
 // The flip benchmarks run per kernel form (dense scalar reference, dense
 // SIMD, CSR sparse, and the opt-in 32-bit Δ width) on both the dense
 // random family and G-set-style Max-Cut instances, making the sparse
-// crossover measurable on one screen.
+// crossover measurable on one screen. The straight-search legs time whole
+// Algorithm 5 walks: dense random instances, and the G55 stand-in on the
+// sparse plan.
 //
 // Besides the interactive google-benchmark mode, `--report <path>` runs a
 // fixed deterministic sweep of the same kernel matrix and appends one
@@ -15,6 +17,7 @@
 // commits.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -216,6 +219,34 @@ void BM_StraightSearchLeg(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StraightSearchLeg)->Arg(256)->Arg(1024);
+
+void BM_StraightSearchLegSparseGset(benchmark::State& state) {
+  // A sparse-tts-sized walk: the G55 stand-in on the CSR plan, to targets
+  // ~25 % of the bits away (~1250 flips at n = 5000). Each step reads the
+  // pending tree's root, so a walk flip costs what a local flip does.
+  const auto n = static_cast<BitIndex>(state.range(0));
+  const QuboKernel& kernel =
+      cached_kernel(cached_gset(n), KernelOptions::Form::kSparse, false);
+  Rng rng(5);
+  DeltaState delta_state(kernel);
+  absq::BestTracker tracker;
+  std::uint64_t flips = 0;
+  for (auto _ : state) {
+    BitVector target = delta_state.bits();
+    for (BitIndex i = 0; i < n; ++i) {
+      if (rng.chance(0.25)) target.flip(i);
+    }
+    const absq::SearchStats stats =
+        absq::straight_search(delta_state, target, tracker);
+    benchmark::DoNotOptimize(stats);
+    flips += stats.flips;
+  }
+  state.counters["flips/s"] = benchmark::Counter(
+      static_cast<double>(flips), benchmark::Counter::kIsRate);
+  state.counters["solutions/s"] = benchmark::Counter(
+      static_cast<double>(flips) * n, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_StraightSearchLegSparseGset)->Arg(5000);
 
 void BM_PoolInsert(benchmark::State& state) {
   absq::SolutionPool pool(static_cast<std::size_t>(state.range(0)));

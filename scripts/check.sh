@@ -13,7 +13,11 @@
 #   3. memory check: the same targets under Address+UndefinedBehavior
 #      Sanitizer (cmake -DABSQ_SANITIZE=address) — quarantine, restart,
 #      and checkpoint paths juggle exception_ptrs and device teardown,
-#      exactly where lifetime bugs would hide.
+#      exactly where lifetime bugs would hide;
+#   then the debug tier: everything rebuilt with -DCMAKE_BUILD_TYPE=Debug
+#   and the full ctest suite run again. Tiers 1–3 define NDEBUG, so this
+#   is the only tier in which the ABSQ_DCHECK invariants (bounds checks,
+#   "straight search must end at target", ...) execute.
 #
 #   scripts/check.sh [jobs]      (default: nproc)
 set -euo pipefail
@@ -60,6 +64,12 @@ for test in "${SANITIZE_TARGETS[@]}"; do
 done
 echo "-- asan: chaos_smoke"
 ./scripts/chaos_smoke.sh build-asan
+
+echo
+echo "== debug tier: Debug (ABSQ_DCHECK on) build + ctest =="
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
+cmake --build build-debug -j "$JOBS"
+ctest --test-dir build-debug --output-on-failure -j "$JOBS"
 
 echo
 echo "check.sh: all gates passed"

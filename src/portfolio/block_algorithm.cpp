@@ -185,7 +185,9 @@ void MultiStartAlgorithm::restart(DeltaState& state, BestTracker& tracker,
   ++restarts_;
   // Walk back to the iteration incumbent (Δ state stays valid — the same
   // straight search that reaches GA targets), then kick a randomized
-  // distance away from it (Lewis 2017's restart diversification).
+  // distance away from it (Lewis 2017's restart diversification). The walk
+  // feeds this same tracker, so tracker.best() can move mid-walk;
+  // straight_search reads its target once, at entry.
   if (tracker.valid()) {
     stats += straight_search(state, tracker.best(), tracker);
   }

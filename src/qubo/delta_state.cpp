@@ -32,11 +32,21 @@ constexpr Energy kNoDelta = std::numeric_limits<Energy>::max();
 // ---------------------------------------------------------------------------
 // MinTree — leftmost-min tournament tree (sparse form only).
 
-void DeltaState::MinTree::build(const DeltaState& s) {
+void DeltaState::MinTree::build(const DeltaState& s,
+                                const std::uint64_t* only) {
   n = s.size();
   m = std::bit_ceil(n > 1 ? n : 1);
-  nodes.assign(static_cast<std::size_t>(m) * 2, Entry{kNoDelta, n});
-  for (BitIndex i = 0; i < n; ++i) nodes[m + i] = Entry{s.delta(i), i};
+  // The padding leaves [m + n, 2m) hold +∞ for good, so they are written
+  // only when the storage is first sized: a rebuild (one per straight
+  // walk) rewrites the n leaves and recombines, allocating nothing.
+  if (nodes.size() != static_cast<std::size_t>(m) * 2) {
+    nodes.assign(static_cast<std::size_t>(m) * 2, Entry{kNoDelta, n});
+  }
+  for (BitIndex i = 0; i < n; ++i) {
+    const bool kept =
+        only == nullptr || ((only[i >> 6] >> (i & 63)) & 1) != 0;
+    nodes[m + i] = Entry{kept ? s.delta(i) : kNoDelta, i};
+  }
   for (BitIndex p = m; p-- > 1;) {
     const Entry& a = nodes[2 * p];
     const Entry& b = nodes[2 * p + 1];
@@ -132,7 +142,8 @@ void DeltaState::init_zero_state() {
   }
   energy_ = 0;
   matrix_reads_ = n;
-  if (form_ == KernelForm::kSparse) tree_.build(*this);
+  pending_.assign(x_.words().size(), 0);
+  if (form_ == KernelForm::kSparse) tree_.build(*this, nullptr);
 }
 
 void DeltaState::init_from_bits(const BitVector& x) {
@@ -155,7 +166,8 @@ void DeltaState::init_from_bits(const BitVector& x) {
   }
   energy_ = full_energy(*w_, x);
   matrix_reads_ = static_cast<std::uint64_t>(n) * n;
-  if (form_ == KernelForm::kSparse) tree_.build(*this);
+  pending_.assign(x_.words().size(), 0);
+  if (form_ == KernelForm::kSparse) tree_.build(*this, nullptr);
 }
 
 std::span<const Energy> DeltaState::deltas() const {
@@ -308,6 +320,7 @@ void DeltaState::repair_sparse(D* deltas, BitIndex k) {
   const SparseWeightMatrix::Row row = sparse_->row(k);
   const int two_phi_k = 2 * signs_[k];
   const std::size_t deg = row.size();
+  const std::uint64_t* pending = pending_.data();
   for (std::size_t p = 0; p < deg; ++p) {
     const BitIndex i = row.cols[p];
     if (i == k) continue;  // Δ_k gets the negation rule, not Eq. (16)
@@ -315,6 +328,10 @@ void DeltaState::repair_sparse(D* deltas, BitIndex k) {
         deltas[i], two_phi_k * signs_[i] * static_cast<int>(row.weights[p]));
     deltas[i] = d;
     tree_.update(i, static_cast<Energy>(d));
+    // Outside a walk no bit is pending, so walk_tree_ is never touched.
+    if (((pending[i >> 6] >> (i & 63)) & 1) != 0) {
+      walk_tree_.update(i, static_cast<Energy>(d));
+    }
   }
 }
 
@@ -338,16 +355,74 @@ Energy DeltaState::flip_sparse(BitIndex k) {
 
 DeltaState::FlipOutcome DeltaState::flip_tracked_sparse(BitIndex k) {
   const Energy new_energy = flip_sparse(k);
-  // The repair already refreshed the tournament tree; the fused argmin of
-  // the dense forms becomes two leftmost-min range queries around k.
-  const BitIndex n = size();
-  const MinTree::Entry a = tree_.query(0, k);
-  const MinTree::Entry b = tree_.query(k + 1, n);
-  const MinTree::Entry best = b.val < a.val ? b : a;
-  if (best.idx >= n) {  // n == 1: only neighbour is flipping k back
-    return FlipOutcome{new_energy, new_energy + delta(k), k};
+  // The repair already refreshed the tournament tree. Its root is the
+  // leftmost minimum over every i; unless that is k, it is also the
+  // leftmost minimum over i ≠ k — the fused argmin of the dense forms —
+  // read in O(1).
+  MinTree::Entry best = tree_.root();
+  if (best.idx == k) {
+    // k holds the minimum: two leftmost-min range queries around it.
+    const BitIndex n = size();
+    const MinTree::Entry a = tree_.query(0, k);
+    const MinTree::Entry b = tree_.query(k + 1, n);
+    best = b.val < a.val ? b : a;
+    if (best.idx >= n) {  // n == 1: only neighbour is flipping k back
+      return FlipOutcome{new_energy, new_energy + delta(k), k};
+    }
   }
   return FlipOutcome{new_energy, new_energy + best.val, best.idx};
+}
+
+// ---------------------------------------------------------------------------
+// Straight walk (Algorithm 5).
+
+BitIndex DeltaState::begin_walk(const BitVector& target) {
+  ABSQ_CHECK(target.size() == size(), "state/target size mismatch");
+  const std::span<const std::uint64_t> xw = x_.words();
+  const std::span<const std::uint64_t> tw = target.words();
+  pending_count_ = 0;
+  for (std::size_t wi = 0; wi < pending_.size(); ++wi) {
+    pending_[wi] = xw[wi] ^ tw[wi];
+    pending_count_ += static_cast<BitIndex>(std::popcount(pending_[wi]));
+  }
+  if (form_ == KernelForm::kSparse) walk_tree_.build(*this, pending_.data());
+  return pending_count_;
+}
+
+void DeltaState::settle(BitIndex k) {
+  std::uint64_t& word = pending_[k >> 6];
+  const std::uint64_t bit = 1ULL << (k & 63);
+  if ((word & bit) == 0) return;
+  word &= ~bit;
+  --pending_count_;
+  if (form_ == KernelForm::kSparse) walk_tree_.update(k, kNoDelta);
+}
+
+template <class D>
+BitIndex DeltaState::argmin_pending_scan(const D* deltas) const {
+  // Ascending strict-< scan of the pending bits, 64 candidates per word via
+  // countr_zero: the first-seen minimum wins ties.
+  Energy best_delta = kNoDelta;
+  BitIndex best = size();
+  for (std::size_t wi = 0; wi < pending_.size(); ++wi) {
+    for (std::uint64_t word = pending_[wi]; word != 0; word &= word - 1) {
+      const auto b = static_cast<BitIndex>(
+          wi * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+      const auto d = static_cast<Energy>(deltas[b]);
+      if (d < best_delta) {
+        best_delta = d;
+        best = b;
+      }
+    }
+  }
+  return best;
+}
+
+BitIndex DeltaState::argmin_pending() const {
+  if (pending_count_ == 0) return size();
+  if (form_ == KernelForm::kSparse) return walk_tree_.root().idx;
+  return width_ == DeltaWidth::kWide64 ? argmin_pending_scan(deltas_.data())
+                                       : argmin_pending_scan(deltas32_.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -355,6 +430,7 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_sparse(BitIndex k) {
 
 Energy DeltaState::flip(BitIndex k) {
   ABSQ_DCHECK(k < size(), "flip index out of range");
+  settle(k);
   if (form_ == KernelForm::kSparse) return flip_sparse(k);
   return width_ == DeltaWidth::kWide64
              ? flip_dense(deltas_.data(), k)
@@ -363,6 +439,7 @@ Energy DeltaState::flip(BitIndex k) {
 
 DeltaState::FlipOutcome DeltaState::flip_tracked(BitIndex k) {
   ABSQ_DCHECK(k < size(), "flip index out of range");
+  settle(k);
   switch (form_) {
     case KernelForm::kSparse:
       return flip_tracked_sparse(k);

@@ -17,7 +17,9 @@
 //   * dense        — the original fused single-pass O(n) loop (reference);
 //   * dense-simd   — O(n) split into vectorizable repair + argmin passes;
 //   * sparse       — O(degree(k)) CSR repair, with a tournament tree over Δ
-//                    keeping the fused argmin exact in O(degree·log n);
+//                    keeping the fused argmin exact in O(degree·log n),
+//                    and a second one over the pending bits of a straight
+//                    walk, so a walk flip costs the same as a local flip;
 //
 // each with Δ stored 64-bit or (opt-in, overflow-prechecked) 32-bit. All
 // form × width combinations are pinned bit-identical — same energies, same
@@ -26,10 +28,11 @@
 //
 // The class deliberately exposes the Δ vector read-only: every search
 // algorithm in this library (Algorithms 3–5, the ABS SearchBlock, the
-// baselines) makes its decisions by reading delta()/argmin_window() and
-// commits them exclusively through flip(), so the Eq. (16) invariant can
-// never be bypassed. The invariant itself is property-tested against the
-// Eq. (4) reference for thousands of random flip sequences.
+// baselines) makes its decisions by reading delta()/argmin_window()/
+// argmin_pending() and commits them exclusively through flip(), so the
+// Eq. (16) invariant can never be bypassed. The invariant itself is
+// property-tested against the Eq. (4) reference for thousands of random
+// flip sequences.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +97,22 @@ class DeltaState {
   /// policy's linear scan). O(len) dense, O(log n) sparse. `len` ≤ n.
   [[nodiscard]] BitIndex argmin_window(BitIndex offset, BitIndex len) const;
 
+  /// Starts a straight walk (Algorithm 5) toward `target`: every bit where
+  /// bits() and `target` differ becomes *pending*, and every later flip of
+  /// a pending bit settles it. Returns the number of pending bits, the
+  /// Hamming distance. `target` is read only here, so it may change during
+  /// the walk — e.g. alias the incumbent of a tracker the walk feeds.
+  /// O(n/64) dense; O(n) sparse, which also builds the pending tree in
+  /// storage allocated by the first walk and reused by every later one.
+  BitIndex begin_walk(const BitVector& target);
+
+  /// The next walk step: the leftmost minimum-Δ pending bit — exactly what
+  /// an ascending strict-< scan of the pending bits returns — or size()
+  /// when no bit is pending. O(n/64 + pending) dense (a word-mask scan);
+  /// O(1) sparse (the root of the pending tree, which every flip keeps
+  /// current in O(degree · log n)).
+  [[nodiscard]] BitIndex argmin_pending() const;
+
   /// E(flip_i(X)) without changing state — Eq. (5).
   [[nodiscard]] Energy energy_after_flip(BitIndex i) const {
     return energy_ + delta(i);
@@ -154,10 +173,14 @@ class DeltaState {
                                // requires
     std::vector<Entry> nodes;  // leaves at [m, m + n)
 
-    void build(const DeltaState& s);
+    /// Leaf i holds Δ_i where bit i of `only` is set (every leaf when
+    /// `only` is null) and +∞ elsewhere. O(n); reuses the storage.
+    void build(const DeltaState& s, const std::uint64_t* only);
     void update(BitIndex i, Energy v);
     /// Leftmost min over [lo, hi); identity entry (idx == n) when empty.
     [[nodiscard]] Entry query(BitIndex lo, BitIndex hi) const;
+    /// Leftmost min over every leaf — a query(0, n) read off the root.
+    [[nodiscard]] const Entry& root() const { return nodes[1]; }
   };
 
   void init_zero_state();
@@ -176,6 +199,9 @@ class DeltaState {
 
   template <class D>
   BitIndex argmin_span(const D* deltas, BitIndex offset, BitIndex len) const;
+  template <class D>
+  BitIndex argmin_pending_scan(const D* deltas) const;
+  void settle(BitIndex k);
 
   const WeightMatrix* w_;
   const SparseWeightMatrix* sparse_ = nullptr;  // non-null iff form_ sparse
@@ -186,6 +212,12 @@ class DeltaState {
   // instead of extracting a bit.
   std::vector<std::int8_t> signs_;
   MinTree tree_;  // populated only by the sparse form
+  // Straight-walk state: bit i of pending_ is set while the walk still has
+  // to flip i. The sparse form mirrors it in walk_tree_, a MinTree whose
+  // settled leaves hold +∞, so the root is the next walk bit.
+  std::vector<std::uint64_t> pending_;
+  BitIndex pending_count_ = 0;
+  MinTree walk_tree_;  // sparse form only; built by the first walk
   Energy energy_ = 0;
   std::uint64_t flips_ = 0;
   std::uint64_t matrix_reads_ = 0;

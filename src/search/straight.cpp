@@ -1,55 +1,20 @@
 #include "search/straight.hpp"
 
-#include <bit>
-#include <cstdint>
-#include <limits>
-#include <vector>
-
 #include "util/check.hpp"
 
 namespace absq {
 
 SearchStats straight_search(DeltaState& state, const BitVector& target,
                             BestTracker& tracker) {
-  ABSQ_CHECK(state.size() == target.size(), "state/target size mismatch");
   SearchStats stats;
-
-  // Word-wide XOR difference mask: bit b is set iff state and target still
-  // differ at b. Replaces the per-bit differing_bits() materialization —
-  // the traversal scans 64 candidates per word via countr_zero, and a flip
-  // clears exactly one bit, so no vector shuffling per step.
-  const std::span<const std::uint64_t> sw = state.bits().words();
-  const std::span<const std::uint64_t> tw = target.words();
-  std::vector<std::uint64_t> diff(sw.size());
-  std::uint64_t remaining = 0;
-  for (std::size_t wi = 0; wi < diff.size(); ++wi) {
-    diff[wi] = sw[wi] ^ tw[wi];
-    remaining += static_cast<std::uint64_t>(std::popcount(diff[wi]));
-  }
-
-  while (remaining > 0) {
-    // Greedy rule of Algorithm 5: minimum Δ_k among differing bits,
-    // ascending-index traversal (first-seen minimum wins ties).
-    Energy best_delta = std::numeric_limits<Energy>::max();
-    BitIndex k = 0;
-    for (std::size_t wi = 0; wi < diff.size(); ++wi) {
-      std::uint64_t word = diff[wi];
-      while (word != 0) {
-        const BitIndex b = static_cast<BitIndex>(
-            wi * 64 + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-        const Energy d = state.delta(b);
-        if (d < best_delta) {
-          best_delta = d;
-          k = b;
-        }
-      }
-    }
-
+  // `target` is read once, here: the tracker fed below may alias it.
+  const BitIndex distance = state.begin_walk(target);
+  for (BitIndex step = 0; step < distance; ++step) {
+    // Greedy rule of Algorithm 5: minimum Δ_k among the bits still
+    // differing from the target, leftmost on ties.
+    const BitIndex k = state.argmin_pending();
     const std::uint64_t reads_before = state.matrix_reads();
     const auto outcome = state.flip_tracked(k);
-    diff[k >> 6] &= ~(1ULL << (k & 63));
-    --remaining;
     ++stats.flips;
     ++stats.accepted;
     // Honest per-flip cost: n matrix reads dense, degree(k) sparse.
@@ -61,7 +26,8 @@ SearchStats straight_search(DeltaState& state, const BitVector& target,
       ++stats.improvements;
     }
   }
-  ABSQ_DCHECK(state.bits() == target, "straight search must end at target");
+  ABSQ_DCHECK(state.argmin_pending() == state.size(),
+              "straight search must end at target");
   return stats;
 }
 

@@ -9,6 +9,16 @@
 // as a local search because the best solution seen is recorded. Because
 // every step moves closer to X', the walk can escape the local minimum it
 // started in.
+//
+// The differing bits are the state's *pending* set (DeltaState::begin_walk)
+// and each step reads the next one off DeltaState::argmin_pending, so one
+// loop serves every kernel form. A walk of d flips costs, per flip:
+//
+//   * dense forms — O(d) word-mask scan for the selection beside the O(n)
+//     Δ repair that dominates it;
+//   * sparse form — O(degree · log n): the repair also updates a tournament
+//     tree over the pending bits, whose root is the next step, and the best
+//     neighbour is read off the Δ tree's root.
 #pragma once
 
 #include "qubo/bit_vector.hpp"
@@ -18,10 +28,11 @@
 
 namespace absq {
 
-/// Runs the straight search in place. `state` ends exactly at `target`.
-/// The tracker is offered every visited solution and (going beyond the
-/// letter of Algorithm 5, at no extra asymptotic cost) every evaluated
-/// neighbour via the fused Δ-repair pass.
+/// Runs the straight search in place. `state` ends exactly at `target` as
+/// it was on entry. The tracker is offered every visited solution and
+/// (going beyond the letter of Algorithm 5, at no extra asymptotic cost)
+/// every evaluated neighbour via the fused Δ-repair pass. `target` may
+/// alias `tracker.best()`: it is read once, before the first flip.
 SearchStats straight_search(DeltaState& state, const BitVector& target,
                             BestTracker& tracker);
 

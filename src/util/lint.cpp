@@ -410,7 +410,8 @@ const std::vector<HotPathRoot>& hot_path_roots() {
        {"flip", "flip_tracked", "flip_dense", "flip_sparse",
         "flip_tracked_dense_scalar", "flip_tracked_dense_simd",
         "flip_tracked_sparse", "repair_sparse", "argmin_window",
-        "argmin_span"}},
+        "argmin_span", "begin_walk", "settle", "argmin_pending",
+        "argmin_pending_scan"}},
       // Every BlockAlgorithm::step is a Step-4b inner loop — one call per
       // iteration, flips per call — and inherits SearchBlock's constraints.
       {"src/portfolio/block_algorithm.cpp", "MinDeltaAlgorithm", {"step"}},

@@ -345,8 +345,10 @@ TEST(JobServer, IdempotentSubmitRetriesAcrossADroppedConnection) {
 
 TEST(JobServer, UnkeyedSubmitFailsFastOnADroppedConnection) {
   Fixture fixture;
-  Client client("127.0.0.1", fixture.server.port(), quick_retry_config());
+  // Armed before the client connects: the connection's reader checks the
+  // failpoint before it blocks in recv, so arming later races that check.
   fail::Registry::instance().arm_from_directives("serve.read=once");
+  Client client("127.0.0.1", fixture.server.port(), quick_retry_config());
   // No idempotency key, so no auto-retry: after an ambiguous failure the
   // caller must decide (the request may or may not have been admitted).
   EXPECT_THROW((void)client.submit(submit_request()), CheckError);

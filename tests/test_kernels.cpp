@@ -1,8 +1,9 @@
 // Tests for the per-instance kernel plan (QuboKernel), the CSR
 // SparseWeightMatrix, and — the load-bearing part — the lockstep contract:
 // every kernel form × Δ width must be bit-identical to the dense scalar
-// reference on energies, Δ vectors, argmin windows and FlipOutcomes
-// (including tie-breaks), so kernel selection is purely a throughput choice.
+// reference on energies, Δ vectors, argmin windows, FlipOutcomes (including
+// tie-breaks) and straight-search walks, so kernel selection is purely a
+// throughput choice.
 #include "qubo/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "qubo/delta_state.hpp"
 #include "qubo/energy.hpp"
 #include "qubo/sparse_matrix.hpp"
+#include "search/straight.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -231,7 +233,9 @@ TEST(QuboKernel, DescriptionNamesFormAndWidth) {
   KernelOptions options;
   options.form = KernelOptions::Form::kSparse;
   options.narrow_delta = true;
-  const QuboKernel kernel(random_sparse(64, 0.05, 45), options);
+  // The plan references its matrix, which must outlive it.
+  const WeightMatrix w = random_sparse(64, 0.05, 45);
+  const QuboKernel kernel(w, options);
   const std::string text = kernel.description();
   EXPECT_NE(text.find("sparse"), std::string::npos) << text;
   EXPECT_NE(text.find("32-bit"), std::string::npos) << text;
@@ -429,6 +433,171 @@ TEST(KernelLockstep, NarrowLanesAgreeEitherSideOfThePrecheck) {
     ASSERT_EQ(wide_got.best_neighbor_bit, expected.best_neighbor_bit);
     ASSERT_EQ(wide_got.best_neighbor_energy, expected.best_neighbor_energy);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Straight-search lockstep: Algorithm 5 selects the leftmost minimum-Δ
+// pending bit in every form — a word-mask scan in the dense forms, the
+// pending tree's root in the sparse one. Chained walks to random targets,
+// interleaved with window local search, must match the reference walk for
+// walk.
+// ---------------------------------------------------------------------------
+
+/// The next walk bit as an ascending strict-< scan of the bits still
+/// differing from `target` finds it; size() when none differs.
+BitIndex walk_step_oracle(const DeltaState& s, const BitVector& target) {
+  BitIndex best = s.size();
+  Energy best_value = std::numeric_limits<Energy>::max();
+  for (BitIndex i = 0; i < s.size(); ++i) {
+    if (s.bits().get(i) != target.get(i) && s.delta(i) < best_value) {
+      best_value = s.delta(i);
+      best = i;
+    }
+  }
+  return best;
+}
+
+void run_walk_lockstep(const WeightMatrix& w, std::uint64_t seed,
+                       int walks) {
+  const BitIndex n = w.size();
+  Rng rng(seed);
+  DeltaState reference(w);  // legacy ctor: dense scalar/64
+  BestTracker reference_tracker;
+
+  struct Lane {
+    std::string name;
+    std::unique_ptr<QuboKernel> kernel;
+    std::unique_ptr<DeltaState> state;
+    BestTracker tracker;
+  };
+  std::vector<Lane> lanes;
+  for (const auto& c : all_kernel_cases()) {
+    auto kernel = std::make_unique<QuboKernel>(w, c.options);
+    if (c.options.narrow_delta) {
+      ASSERT_EQ(kernel->width(), DeltaWidth::kNarrow32) << c.name;
+    }
+    auto state = std::make_unique<DeltaState>(*kernel);
+    lanes.push_back(
+        Lane{c.name, std::move(kernel), std::move(state), BestTracker()});
+  }
+
+  for (int walk = 0; walk < walks; ++walk) {
+    // A target 10–50 % of the bits away from the current solution.
+    const double fraction = 0.1 + 0.4 * rng.uniform01();
+    BitVector target = reference.bits();
+    for (BitIndex i = 0; i < n; ++i) {
+      if (rng.chance(fraction)) target.flip(i);
+    }
+
+    // Step 3 resets the incumbent, so each walk's tracker shows its own
+    // walk (on the zero matrix: the state after the first, leftmost step).
+    reference_tracker.reset();
+    for (auto& lane : lanes) lane.tracker.reset();
+
+    if (walk % 2 == 0) {
+      // Through straight_search: identical stats, tracker and end state.
+      const SearchStats expected =
+          straight_search(reference, target, reference_tracker);
+      for (auto& lane : lanes) {
+        std::uint64_t expected_ops = expected.ops;
+        if (lane.state->form() == KernelForm::kSparse) {
+          // Sparse ops are the degrees of the flipped (= differing) bits.
+          expected_ops = 0;
+          const BitVector& before = lane.state->bits();
+          for (const BitIndex k : before.differing_bits(target)) {
+            expected_ops += lane.kernel->sparse()->degree(k);
+          }
+        }
+        const SearchStats got =
+            straight_search(*lane.state, target, lane.tracker);
+        ASSERT_EQ(got.flips, expected.flips) << lane.name << " walk " << walk;
+        ASSERT_EQ(got.accepted, expected.accepted) << lane.name;
+        ASSERT_EQ(got.ops, expected_ops) << lane.name << " walk " << walk;
+        ASSERT_EQ(got.evaluated_solutions, expected.evaluated_solutions)
+            << lane.name;
+        ASSERT_EQ(got.improvements, expected.improvements)
+            << lane.name << " walk " << walk;
+        ASSERT_EQ(lane.tracker.valid(), reference_tracker.valid())
+            << lane.name;
+        ASSERT_EQ(lane.tracker.energy(), reference_tracker.energy())
+            << lane.name << " walk " << walk;
+        if (reference_tracker.valid()) {
+          ASSERT_EQ(lane.tracker.best(), reference_tracker.best())
+              << lane.name << " walk " << walk;
+        }
+      }
+    } else {
+      // Step by step through the DeltaState walk API: every selection is
+      // the oracle scan's, in every lane.
+      const BitIndex distance = reference.begin_walk(target);
+      ASSERT_EQ(distance, reference.bits().hamming_distance(target));
+      for (auto& lane : lanes) {
+        ASSERT_EQ(lane.state->begin_walk(target), distance) << lane.name;
+      }
+      for (BitIndex step = 0; step < distance; ++step) {
+        const BitIndex k = walk_step_oracle(reference, target);
+        ASSERT_EQ(reference.argmin_pending(), k) << "walk " << walk;
+        const auto expected = reference.flip_tracked(k);
+        for (auto& lane : lanes) {
+          ASSERT_EQ(lane.state->argmin_pending(), k)
+              << lane.name << " walk " << walk << " step " << step;
+          const auto got = lane.state->flip_tracked(k);
+          ASSERT_EQ(got.energy, expected.energy) << lane.name;
+          ASSERT_EQ(got.best_neighbor_bit, expected.best_neighbor_bit)
+              << lane.name << " walk " << walk << " step " << step;
+          ASSERT_EQ(got.best_neighbor_energy, expected.best_neighbor_energy)
+              << lane.name;
+        }
+      }
+      ASSERT_EQ(reference.argmin_pending(), n);
+      for (auto& lane : lanes) {
+        ASSERT_EQ(lane.state->argmin_pending(), n) << lane.name;
+      }
+    }
+
+    ASSERT_EQ(reference.bits(), target) << "walk " << walk;
+    ASSERT_EQ(reference.energy(), full_energy(w, target));
+    for (auto& lane : lanes) {
+      ASSERT_EQ(lane.state->bits(), target) << lane.name << " walk " << walk;
+      ASSERT_EQ(lane.state->energy(), reference.energy()) << lane.name;
+      for (BitIndex i = 0; i < n; ++i) {
+        ASSERT_EQ(lane.state->delta(i), reference.delta(i))
+            << lane.name << " walk " << walk << " Δ_" << i;
+      }
+    }
+
+    // Step 4b: a window local search (the Fig. 2 policy) from the target.
+    const auto window = static_cast<BitIndex>(1 + rng.below(n));
+    auto offset = static_cast<BitIndex>(rng.below(n));
+    const auto steps = 1 + rng.below(n);
+    for (std::uint64_t step = 0; step < steps; ++step) {
+      const BitIndex k = reference.argmin_window(offset, window);
+      const auto expected = reference.flip_tracked(k);
+      for (auto& lane : lanes) {
+        ASSERT_EQ(lane.state->argmin_window(offset, window), k) << lane.name;
+        const auto got = lane.state->flip_tracked(k);
+        ASSERT_EQ(got.best_neighbor_bit, expected.best_neighbor_bit)
+            << lane.name << " walk " << walk << " local step " << step;
+        ASSERT_EQ(got.best_neighbor_energy, expected.best_neighbor_energy)
+            << lane.name;
+      }
+      offset = (offset + window) % n;
+    }
+  }
+}
+
+TEST(WalkLockstep, GsetStyleSparseInstance) {
+  run_walk_lockstep(random_sparse(200, 0.03, 930), 931, 40);
+}
+
+TEST(WalkLockstep, DenseInstance) {
+  run_walk_lockstep(random_dense(96, 932), 933, 40);
+}
+
+TEST(WalkLockstep, ZeroMatrixTiesResolveLeftmost) {
+  // Every Δ is 0 forever, so each walk step is a pure tie among the
+  // pending bits: the leftmost must win in every form.
+  run_walk_lockstep(WeightMatrix(70), 934, 40);
 }
 
 // ---------------------------------------------------------------------------

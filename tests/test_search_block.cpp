@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "qubo/energy.hpp"
+#include "qubo/kernel.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -141,6 +143,63 @@ TEST(SearchBlock, DistinctBlocksDiverge) {
   (void)block_b.iterate(target);
   EXPECT_NE(block_a.current(), block_b.current());
 }
+
+class SearchBlockLockstep
+    : public ::testing::TestWithParam<portfolio::BlockAlgorithmKind> {};
+
+TEST_P(SearchBlockLockstep, SparseKernelBlockMatchesDenseScalarBlock) {
+  // A G-set-style instance (~5 nonzeros per row): a block on the CSR kernel
+  // and a block on the legacy dense scalar kernel, fed the same targets —
+  // fresh random ones and the blocks' own reports, as the GA would — must
+  // walk, search and report identically, whichever portfolio member runs
+  // Step 4b (multistart also walks back to its incumbent on restart).
+  const BitIndex n = 160;
+  Rng weights(17);
+  const WeightMatrix w = WeightMatrix::generate_symmetric(
+      n, [&weights](BitIndex, BitIndex) {
+        if (!weights.chance(0.03)) return static_cast<Weight>(0);
+        return static_cast<Weight>(weights.range(-100, 100));
+      });
+  KernelOptions sparse_options;
+  sparse_options.form = KernelOptions::Form::kSparse;
+  const QuboKernel sparse_kernel(w, sparse_options);
+  ASSERT_EQ(sparse_kernel.form(), KernelForm::kSparse);
+
+  auto config = block_config(96, 8);
+  config.algorithm = GetParam();
+  config.algorithm_options.restart_stall_limit = 8;
+  SearchBlock dense_block(w, config);
+  config.kernel = &sparse_kernel;
+  SearchBlock sparse_block(w, config);
+
+  Rng rng(18);
+  BitVector target = BitVector::random(n, rng);
+  for (int iteration = 0; iteration < 30; ++iteration) {
+    const auto expected = dense_block.iterate(target);
+    const auto got = sparse_block.iterate(target);
+    ASSERT_EQ(got.bits, expected.bits) << "iteration " << iteration;
+    ASSERT_EQ(got.energy, expected.energy) << "iteration " << iteration;
+    ASSERT_EQ(got.device_id, expected.device_id);
+    ASSERT_EQ(got.block_id, expected.block_id);
+    ASSERT_EQ(got.energy, full_energy(w, got.bits));
+    ASSERT_EQ(sparse_block.current(), dense_block.current());
+    ASSERT_EQ(sparse_block.stats().flips, dense_block.stats().flips);
+    ASSERT_EQ(sparse_block.stats().improvements,
+              dense_block.stats().improvements);
+    target = iteration % 3 == 2 ? expected.bits : BitVector::random(n, rng);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Members, SearchBlockLockstep,
+    ::testing::Values(portfolio::BlockAlgorithmKind::kMinDelta,
+                      portfolio::BlockAlgorithmKind::kSa,
+                      portfolio::BlockAlgorithmKind::kMultiStart),
+    [](const ::testing::TestParamInfo<portfolio::BlockAlgorithmKind>& p) {
+      std::string name = portfolio::to_string(p.param);
+      std::erase(name, '-');
+      return name;
+    });
 
 }  // namespace
 }  // namespace absq

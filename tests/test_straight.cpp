@@ -118,6 +118,34 @@ TEST(StraightSearch, EvaluationAccountingMatchesFlips) {
   EXPECT_EQ(stats.evaluated_solutions, stats.flips * 25);
 }
 
+TEST(StraightSearch, TargetMayAliasTheTrackersIncumbent) {
+  // MultiStartAlgorithm::restart walks back to tracker.best() while
+  // offering every visited state to that same tracker. Start at a local
+  // minimum and make a random (much worse) state the incumbent: the very
+  // first step beats it, so the aliased target moves mid-walk. The walk
+  // must still end at the incumbent as it was on entry.
+  Rng rng(16);
+  const WeightMatrix w = random_matrix(40, 17);
+  DeltaState state(w, BitVector::random(40, rng));
+  while (state.delta(state.argmin_window(0, 40)) < 0) {
+    (void)state.flip(state.argmin_window(0, 40));
+  }
+  const BitVector incumbent = BitVector::random(40, rng);
+  BestTracker tracker(incumbent, full_energy(w, incumbent));
+  ASSERT_GT(tracker.energy(), state.energy());
+  const BitIndex distance = state.bits().hamming_distance(incumbent);
+  ASSERT_GT(distance, 0u);
+
+  const SearchStats stats = straight_search(state, tracker.best(), tracker);
+  EXPECT_EQ(state.bits(), incumbent);
+  EXPECT_EQ(state.energy(), full_energy(w, incumbent));
+  EXPECT_EQ(stats.flips, distance);
+  EXPECT_NE(tracker.best(), incumbent) << "the walk never passed a better "
+                                          "state, so the alias was not tested";
+  EXPECT_LT(tracker.energy(), full_energy(w, incumbent));
+  EXPECT_EQ(tracker.energy(), full_energy(w, tracker.best()));
+}
+
 TEST(StraightSearch, ChainedWalksStayConsistent) {
   // A block's whole life is straight search → local flips → straight
   // search → ...; chain several walks and verify the state never drifts.
