@@ -3,12 +3,11 @@
 // each committed flip evaluates n neighbour solutions (Theorem 1), which
 // is where the paper's search-rate metric comes from.
 //
-// The flip benchmarks run per kernel form (dense scalar reference, dense
-// SIMD, CSR sparse, and the opt-in 32-bit Δ width) on both the dense
-// random family and G-set-style Max-Cut instances, making the sparse
-// crossover measurable on one screen. The straight-search legs time whole
-// Algorithm 5 walks: dense random instances, and the G55 stand-in on the
-// sparse plan.
+// The flip benchmarks run per kernel form (dense scalar, dense SIMD, CSR
+// sparse) on both the dense random family and G-set-style Max-Cut
+// instances, making the sparse crossover measurable on one screen. The
+// straight-search legs time whole Algorithm 5 walks: dense random
+// instances, and the G55 stand-in on the sparse plan.
 //
 // Besides the interactive google-benchmark mode, `--report <path>` runs a
 // fixed deterministic sweep of the same kernel matrix and appends one
@@ -22,7 +21,6 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -75,17 +73,16 @@ const WeightMatrix& cached_gset(BitIndex vertices) {
   return it->second;
 }
 
-const QuboKernel& cached_kernel(const WeightMatrix& w, KernelOptions::Form form,
-                                bool narrow) {
-  static std::map<std::tuple<const WeightMatrix*, KernelOptions::Form, bool>,
+const QuboKernel& cached_kernel(const WeightMatrix& w,
+                                KernelOptions::Form form) {
+  static std::map<std::pair<const WeightMatrix*, KernelOptions::Form>,
                   QuboKernel>
       cache;
-  const auto key = std::make_tuple(&w, form, narrow);
+  const auto key = std::make_pair(&w, form);
   auto it = cache.find(key);
   if (it == cache.end()) {
     KernelOptions options;
     options.form = form;
-    options.narrow_delta = narrow;
     it = cache.emplace(key, QuboKernel(w, options)).first;
   }
   return it->second;
@@ -142,7 +139,7 @@ void flip_benchmark(benchmark::State& state, DeltaState delta_state,
 }
 
 void BM_Flip(benchmark::State& state) {
-  // Legacy ctor: dense scalar reference kernel, 64-bit Δ.
+  // Legacy ctor: dense scalar kernel.
   const auto n = static_cast<BitIndex>(state.range(0));
   flip_benchmark(state, DeltaState(cached_matrix(n)), /*tracked=*/false);
 }
@@ -157,23 +154,15 @@ BENCHMARK(BM_FlipTracked)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 void BM_FlipTrackedSimd(benchmark::State& state) {
   const auto n = static_cast<BitIndex>(state.range(0));
   const QuboKernel& kernel =
-      cached_kernel(cached_matrix(n), KernelOptions::Form::kDenseSimd, false);
+      cached_kernel(cached_matrix(n), KernelOptions::Form::kDenseSimd);
   flip_benchmark(state, DeltaState(kernel), /*tracked=*/true);
 }
-BENCHMARK(BM_FlipTrackedSimd)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_FlipTrackedSimd32(benchmark::State& state) {
-  const auto n = static_cast<BitIndex>(state.range(0));
-  const QuboKernel& kernel =
-      cached_kernel(cached_matrix(n), KernelOptions::Form::kDenseSimd, true);
-  flip_benchmark(state, DeltaState(kernel), /*tracked=*/true);
-}
-BENCHMARK(BM_FlipTrackedSimd32)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_FlipTrackedSimd)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FlipTrackedSparseGset(benchmark::State& state) {
   const auto n = static_cast<BitIndex>(state.range(0));
   const QuboKernel& kernel =
-      cached_kernel(cached_gset(n), KernelOptions::Form::kSparse, false);
+      cached_kernel(cached_gset(n), KernelOptions::Form::kSparse);
   flip_benchmark(state, DeltaState(kernel), /*tracked=*/true);
 }
 BENCHMARK(BM_FlipTrackedSparseGset)->Arg(800)->Arg(2000)->Arg(5000);
@@ -183,7 +172,7 @@ void BM_FlipTrackedDenseGset(benchmark::State& state) {
   // BM_FlipTrackedSparseGset.
   const auto n = static_cast<BitIndex>(state.range(0));
   const QuboKernel& kernel =
-      cached_kernel(cached_gset(n), KernelOptions::Form::kDenseSimd, false);
+      cached_kernel(cached_gset(n), KernelOptions::Form::kDenseSimd);
   flip_benchmark(state, DeltaState(kernel), /*tracked=*/true);
 }
 BENCHMARK(BM_FlipTrackedDenseGset)->Arg(800)->Arg(2000)->Arg(5000);
@@ -226,7 +215,7 @@ void BM_StraightSearchLegSparseGset(benchmark::State& state) {
   // pending tree's root, so a walk flip costs what a local flip does.
   const auto n = static_cast<BitIndex>(state.range(0));
   const QuboKernel& kernel =
-      cached_kernel(cached_gset(n), KernelOptions::Form::kSparse, false);
+      cached_kernel(cached_gset(n), KernelOptions::Form::kSparse);
   Rng rng(5);
   DeltaState delta_state(kernel);
   absq::BestTracker tracker;
@@ -298,7 +287,6 @@ BENCHMARK(BM_UniformCrossover);
 struct ReportCase {
   const char* label;
   KernelOptions::Form form;
-  bool narrow;
 };
 
 /// One deterministic flips/s measurement; fills an AbsResult so the record
@@ -309,7 +297,6 @@ void measure_into_report(absq::bench::BenchReport& report,
                          const ReportCase& rc, std::uint64_t flips) {
   KernelOptions options;
   options.form = rc.form;
-  options.narrow_delta = rc.narrow;
   const QuboKernel kernel(w, options);
   DeltaState state(kernel);
   Rng rng(42);
@@ -362,15 +349,13 @@ int run_report(const std::string& path) {
   std::printf("bench_kernels --report %s\n", path.c_str());
 
   const ReportCase kDenseCases[] = {
-      {"dense", KernelOptions::Form::kDense, false},
-      {"dense-simd", KernelOptions::Form::kDenseSimd, false},
-      {"dense-simd-32", KernelOptions::Form::kDenseSimd, true},
+      {"dense", KernelOptions::Form::kDense},
+      {"dense-simd", KernelOptions::Form::kDenseSimd},
   };
   const ReportCase kSparseCases[] = {
-      {"dense", KernelOptions::Form::kDense, false},
-      {"dense-simd", KernelOptions::Form::kDenseSimd, false},
-      {"sparse", KernelOptions::Form::kSparse, false},
-      {"sparse-32", KernelOptions::Form::kSparse, true},
+      {"dense", KernelOptions::Form::kDense},
+      {"dense-simd", KernelOptions::Form::kDenseSimd},
+      {"sparse", KernelOptions::Form::kSparse},
   };
 
   for (const BitIndex n : {1024u, 4096u}) {

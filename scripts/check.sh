@@ -4,8 +4,8 @@
 #   1. tier-1: configure + build everything, run the full ctest suite
 #      (includes the tools_smoke, crash_smoke, serve_smoke and chaos_smoke
 #      end-to-end scripts);
-#   2. race check: rebuild the concurrency-sensitive tests under
-#      ThreadSanitizer (cmake -DABSQ_SANITIZE=thread) and run them —
+#   2. race check: rebuild the tests listed in scripts/sanitize_targets.txt
+#      under ThreadSanitizer (cmake -DABSQ_SANITIZE=thread) and run them —
 #      the observability layer's lock-free counters and ring tracer,
 #      the sharded mailboxes under device workers, the threaded solver,
 #      the fault-injection/watchdog paths, and the serving layer (job
@@ -13,7 +13,8 @@
 #   3. memory check: the same targets under Address+UndefinedBehavior
 #      Sanitizer (cmake -DABSQ_SANITIZE=address) — quarantine, restart,
 #      and checkpoint paths juggle exception_ptrs and device teardown,
-#      exactly where lifetime bugs would hide;
+#      exactly where lifetime bugs would hide, and the flip kernels' int32
+#      Δ arithmetic must never overflow;
 #   then the debug tier: everything rebuilt with -DCMAKE_BUILD_TYPE=Debug
 #   and the full ctest suite run again. Tiers 1–3 define NDEBUG, so this
 #   is the only tier in which the ABSQ_DCHECK invariants (bounds checks,
@@ -25,11 +26,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-SANITIZE_TARGETS=(test_metrics test_trace test_mailbox test_device
-                  test_solver test_sync_runner test_portfolio
-                  test_thread_pool test_failpoint test_fault_tolerance
-                  test_protocol test_journal test_job_manager
-                  test_job_server)
+# One target list for both sanitizer tiers, shared with CI.
+mapfile -t SANITIZE_TARGETS < <(grep -v '^#' scripts/sanitize_targets.txt)
 # The chaos harness (SIGKILL + --recover) also runs under both sanitizers,
 # against sanitized builds of the tools it drives.
 CHAOS_TOOLS=(absq_gen absq_serve absq_client)
@@ -58,9 +56,11 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DABSQ_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS" \
       --target "${SANITIZE_TARGETS[@]}" "${CHAOS_TOOLS[@]}"
+# UBSan only prints by default; halting makes a report (e.g. a signed
+# overflow in the int32 Δ kernels) fail the tier.
 for test in "${SANITIZE_TARGETS[@]}"; do
   echo "-- asan: $test"
-  ./build-asan/tests/"$test"
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/"$test"
 done
 echo "-- asan: chaos_smoke"
 ./scripts/chaos_smoke.sh build-asan

@@ -50,6 +50,7 @@ TARGET="$(sed -n 's/^best energy:  \(-\?[0-9]*\).*/\1/p' "$WORK/reference.out")"
 [[ -n "$TARGET" ]] || fail "could not parse the reference energy"
 
 # --- start the server --------------------------------------------------------
+: > "$WORK/serve.log"  # the background redirect may open it after the poll
 "$SERVE" --port 0 --solvers 2 --max-queue 8 --checkpoint-dir "$WORK/ck" \
   --metrics "$WORK/serve.prom" --report "$WORK/serve.jsonl" \
   --http-port 0 --log-level info --log-file "$WORK/serve.ndjson" \

@@ -104,7 +104,8 @@ set -e
 
 # Out-of-range counts are usage errors (exit 2) that name the flag, caught
 # before absq_solve loads or solves anything and before absq_serve binds a
-# port — a negative count must not wrap into a huge allocation.
+# port — a negative count must not wrap into a huge allocation. The error
+# line starts with the flag, or with $USAGE_ERROR when that is set.
 expect_usage_error() {  # <tool> <flag> <value> [args...]
   local tool="$1" flag="$2" value="$3"
   shift 3
@@ -115,7 +116,7 @@ expect_usage_error() {  # <tool> <flag> <value> [args...]
   set -e
   [[ "$code" == "2" ]] \
     || fail "$tool $flag $value exited $code, expected 2"
-  grep -q "^error: $flag " "$WORK/usage.err" \
+  grep -q "^error: ${USAGE_ERROR:-$flag }" "$WORK/usage.err" \
     || fail "$tool $flag $value did not name the flag"
   if grep -q "listening\|best energy" "$WORK/usage.out"; then
     fail "$tool $flag $value started before rejecting the value"
@@ -126,6 +127,9 @@ for flag in --devices --blocks --pool --max-restarts --local-steps; do
 done
 expect_usage_error absq_solve --threads 0 "$WORK/r.qubo" --seconds 0.1
 expect_usage_error absq_solve --threads -2 "$WORK/r.qubo" --seconds 0.1
+# The retired 32-bit Δ opt-in is an unknown flag now (every kernel is int32).
+USAGE_ERROR="unknown flag --delta32" \
+  expect_usage_error absq_solve --delta32 true "$WORK/r.qubo" --seconds 0.1
 for flag in --devices --blocks --threads --pool --max-restarts; do
   expect_usage_error absq_serve "$flag" -1 --port 0
 done

@@ -58,12 +58,8 @@ BaselineResult greedy_descent(const WeightMatrix& w,
     // completion (bounded overshoot past the budget) so the reported best
     // is guaranteed to be 1-flip minimal.
     for (;;) {
-      const auto deltas = state.deltas();
-      BitIndex best_bit = 0;
-      for (BitIndex i = 1; i < state.size(); ++i) {
-        if (deltas[i] < deltas[best_bit]) best_bit = i;
-      }
-      if (deltas[best_bit] >= 0) break;  // local minimum
+      const BitIndex best_bit = state.argmin_window(0, state.size());
+      if (state.delta(best_bit) >= 0) break;  // local minimum
       state.flip(best_bit);
       ++flips;
       tracker.offer(state.bits(), state.energy());
@@ -97,17 +93,17 @@ BaselineResult tabu_search(const WeightMatrix& w, std::uint64_t steps,
   std::vector<std::uint64_t> tabu_until(w.size(), 0);
   std::uint64_t flips = 0;
   for (std::uint64_t step = 0; step < steps; ++step) {
-    const auto deltas = state.deltas();
     const Energy incumbent = tracker.energy();
     BitIndex chosen = state.size();
     Energy chosen_delta = 0;
     for (BitIndex i = 0; i < state.size(); ++i) {
+      const Energy delta = state.delta(i);
       const bool tabu = tabu_until[i] > step;
       // Aspiration: ignore tabu when the move beats the incumbent.
-      if (tabu && state.energy() + deltas[i] >= incumbent) continue;
-      if (chosen == state.size() || deltas[i] < chosen_delta) {
+      if (tabu && state.energy() + delta >= incumbent) continue;
+      if (chosen == state.size() || delta < chosen_delta) {
         chosen = i;
-        chosen_delta = deltas[i];
+        chosen_delta = delta;
       }
     }
     if (chosen == state.size()) {

@@ -10,22 +10,19 @@ namespace absq {
 
 namespace {
 
-// Repair step d + adj in the Δ storage type. In the 32-bit width the dense
-// loops also touch i == k with the i ≠ k rule (branchless, exactly like the
-// 64-bit reference); that one transient value can exceed int32 range, so
-// the addition runs on uint32 (defined wraparound, identical bits for every
-// in-range value) and the k slot is overwritten with −Δ_k right after.
-template <class D>
-inline D add_repair(D d, int adj) {
-  if constexpr (sizeof(D) == sizeof(std::int32_t)) {
-    return static_cast<D>(static_cast<std::uint32_t>(d) +
-                          static_cast<std::uint32_t>(adj));
-  } else {
-    return d + adj;
-  }
+// Repair step d + adj of Eq. (16). The branchless dense loops also apply
+// the i ≠ k rule at i == k before they overwrite that slot with −Δ_k; that
+// one transient value can leave the int32 range (|Δ_k| + 2·|W_kk| may
+// exceed 2^31 − 1), so the addition runs on uint32: defined wraparound,
+// identical bits for every in-range value.
+inline std::int32_t add_repair(std::int32_t d, int adj) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(d) +
+                                   static_cast<std::uint32_t>(adj));
 }
 
-constexpr Energy kNoDelta = std::numeric_limits<Energy>::max();
+// +∞ of the tournament trees: settled and padding leaves. No Δ reaches it
+// (qubo/types.hpp proves |Δ| < INT32_MAX).
+constexpr std::int32_t kNoDelta = std::numeric_limits<std::int32_t>::max();
 
 }  // namespace
 
@@ -45,7 +42,7 @@ void DeltaState::MinTree::build(const DeltaState& s,
   for (BitIndex i = 0; i < n; ++i) {
     const bool kept =
         only == nullptr || ((only[i >> 6] >> (i & 63)) & 1) != 0;
-    nodes[m + i] = Entry{kept ? s.delta(i) : kNoDelta, i};
+    nodes[m + i] = Entry{kept ? s.deltas_[i] : kNoDelta, i};
   }
   for (BitIndex p = m; p-- > 1;) {
     const Entry& a = nodes[2 * p];
@@ -54,7 +51,7 @@ void DeltaState::MinTree::build(const DeltaState& s,
   }
 }
 
-void DeltaState::MinTree::update(BitIndex i, Energy v) {
+void DeltaState::MinTree::update(BitIndex i, std::int32_t v) {
   std::size_t p = static_cast<std::size_t>(m) + i;
   nodes[p].val = v;
   for (p >>= 1; p >= 1; p >>= 1) {
@@ -113,8 +110,7 @@ DeltaState::DeltaState(const QuboKernel& kernel)
     : w_(&kernel.dense()),
       sparse_(kernel.sparse()),
       x_(kernel.dense().size()),
-      form_(kernel.form()),
-      width_(kernel.width()) {
+      form_(kernel.form()) {
   init_zero_state();
 }
 
@@ -122,8 +118,7 @@ DeltaState::DeltaState(const QuboKernel& kernel, const BitVector& x)
     : w_(&kernel.dense()),
       sparse_(kernel.sparse()),
       x_(x),
-      form_(kernel.form()),
-      width_(kernel.width()) {
+      form_(kernel.form()) {
   init_from_bits(x);
 }
 
@@ -131,15 +126,8 @@ void DeltaState::init_zero_state() {
   // X = 0: E(0) = 0, Δ_i(0) = W_ii.
   const BitIndex n = w_->size();
   signs_.assign(n, +1);
-  if (width_ == DeltaWidth::kNarrow32) {
-    deltas32_.resize(n);
-    for (BitIndex i = 0; i < n; ++i) {
-      deltas32_[i] = static_cast<std::int32_t>(w_->at(i, i));
-    }
-  } else {
-    deltas_.resize(n);
-    for (BitIndex i = 0; i < n; ++i) deltas_[i] = w_->at(i, i);
-  }
+  deltas_.resize(n);
+  for (BitIndex i = 0; i < n; ++i) deltas_[i] = w_->at(i, i);
   energy_ = 0;
   matrix_reads_ = n;
   pending_.assign(x_.words().size(), 0);
@@ -154,15 +142,9 @@ void DeltaState::init_from_bits(const BitVector& x) {
     signs_[i] = static_cast<std::int8_t>(phi(x.get(i)));
   }
   const std::vector<Energy> d = all_deltas(*w_, x);
-  if (width_ == DeltaWidth::kNarrow32) {
-    // Safe: the kernel plan only selects the narrow width when the
-    // worst-case bound max_k B_k fits, and every Δ is within that bound.
-    deltas32_.resize(n);
-    for (BitIndex i = 0; i < n; ++i) {
-      deltas32_[i] = static_cast<std::int32_t>(d[i]);
-    }
-  } else {
-    deltas_ = d;
+  deltas_.resize(n);
+  for (BitIndex i = 0; i < n; ++i) {
+    deltas_[i] = static_cast<std::int32_t>(d[i]);
   }
   energy_ = full_energy(*w_, x);
   matrix_reads_ = static_cast<std::uint64_t>(n) * n;
@@ -170,22 +152,15 @@ void DeltaState::init_from_bits(const BitVector& x) {
   if (form_ == KernelForm::kSparse) tree_.build(*this, nullptr);
 }
 
-std::span<const Energy> DeltaState::deltas() const {
-  ABSQ_CHECK(width_ == DeltaWidth::kWide64,
-             "deltas() span is unavailable in the 32-bit Δ mode; use "
-             "delta()/argmin_window()");
-  return deltas_;
-}
-
 // ---------------------------------------------------------------------------
 // Dense forms.
 
-template <class D>
-Energy DeltaState::flip_dense(D* deltas, BitIndex k) {
+Energy DeltaState::flip_dense(BitIndex k) {
   const auto row = w_->row(k);
   // 2·φ(x_k) before the flip; Eq. (16) applies the pre-flip signs.
   const int two_phi_k = 2 * signs_[k];
-  const Energy old_delta_k = static_cast<Energy>(deltas[k]);
+  std::int32_t* deltas = deltas_.data();
+  const std::int32_t old_delta_k = deltas[k];
   const BitIndex n = size();
   const std::int8_t* signs = signs_.data();
   if (form_ == KernelForm::kDenseSimd) {
@@ -203,7 +178,7 @@ Energy DeltaState::flip_dense(D* deltas, BitIndex k) {
   // The loop touched i == k with the i ≠ k rule; the k = i case of Eq. (6)
   // is Δ_k ← −Δ_k (pre-flip value), so overwrite it.
   energy_ += old_delta_k;
-  deltas[k] = static_cast<D>(-old_delta_k);
+  deltas[k] = -old_delta_k;
   signs_[k] = static_cast<std::int8_t>(-signs_[k]);
   x_.flip(k);
   ++flips_;
@@ -211,22 +186,21 @@ Energy DeltaState::flip_dense(D* deltas, BitIndex k) {
   return energy_;
 }
 
-template <class D>
-DeltaState::FlipOutcome DeltaState::flip_tracked_dense_scalar(D* deltas,
-                                                              BitIndex k) {
+DeltaState::FlipOutcome DeltaState::flip_tracked_dense_scalar(BitIndex k) {
   const auto row = w_->row(k);
   const int two_phi_k = 2 * signs_[k];
-  const Energy old_delta_k = static_cast<Energy>(deltas[k]);
+  std::int32_t* deltas = deltas_.data();
+  const std::int32_t old_delta_k = deltas[k];
   const Energy new_energy = energy_ + old_delta_k;
 
   // Single fused pass: repair Δ_i and track min_{i≠k} Δ_i(new X). Strict <
   // keeps the leftmost minimum — the tie-break every form must match.
-  D best_delta = 0;
+  std::int32_t best_delta = 0;
   BitIndex best_bit = k;
   bool have_best = false;
   const BitIndex n = size();
   for (BitIndex i = 0; i < n; ++i) {
-    const D d =
+    const std::int32_t d =
         add_repair(deltas[i], two_phi_k * signs_[i] * static_cast<int>(row[i]));
     deltas[i] = d;
     if (i != k && (!have_best || d < best_delta)) {
@@ -235,7 +209,7 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_dense_scalar(D* deltas,
       have_best = true;
     }
   }
-  deltas[k] = static_cast<D>(-old_delta_k);
+  deltas[k] = -old_delta_k;
   energy_ = new_energy;
   signs_[k] = static_cast<std::int8_t>(-signs_[k]);
   x_.flip(k);
@@ -243,48 +217,39 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_dense_scalar(D* deltas,
   matrix_reads_ += n;
 
   // n == 1 has no neighbour other than k itself; report flipping back.
-  if (!have_best) {
-    return FlipOutcome{new_energy, new_energy + static_cast<Energy>(deltas[k]),
-                       k};
-  }
-  return FlipOutcome{new_energy, new_energy + static_cast<Energy>(best_delta),
-                     best_bit};
+  if (!have_best) return FlipOutcome{new_energy, new_energy + deltas[k], k};
+  return FlipOutcome{new_energy, new_energy + best_delta, best_bit};
 }
 
-template <class D>
-DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(D* deltas,
-                                                            BitIndex k) {
+DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(BitIndex k) {
   const auto row = w_->row(k);
   const int two_phi_k = 2 * signs_[k];
-  const Energy old_delta_k = static_cast<Energy>(deltas[k]);
+  std::int32_t* deltas = deltas_.data();
+  const std::int32_t old_delta_k = deltas[k];
   const Energy new_energy = energy_ + old_delta_k;
   const BitIndex n = size();
   const std::int8_t* signs = signs_.data();
 
   // Pass 1: branchless repair (the argmin is hoisted out so this loop
-  // vectorizes — the fused scalar loop's per-element compare defeats GCC's
-  // vectorizer on the int64 path).
+  // vectorizes without the fused scalar loop's per-element compare).
 #pragma omp simd
   for (BitIndex i = 0; i < n; ++i) {
     deltas[i] =
         add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
   }
-  deltas[k] = static_cast<D>(-old_delta_k);
+  deltas[k] = -old_delta_k;
   energy_ = new_energy;
   signs_[k] = static_cast<std::int8_t>(-signs_[k]);
   x_.flip(k);
   ++flips_;
   matrix_reads_ += n;
 
-  if (n == 1) {
-    return FlipOutcome{new_energy, new_energy + static_cast<Energy>(deltas[k]),
-                       k};
-  }
+  if (n == 1) return FlipOutcome{new_energy, new_energy + deltas[k], k};
 
   // Pass 2: min value over i ≠ k (vectorizable reductions), then the
   // leftmost index attaining it — integer min is order-independent, so the
   // result is bit-identical to the fused scalar pass.
-  D best = std::numeric_limits<D>::max();
+  std::int32_t best = std::numeric_limits<std::int32_t>::max();
 #pragma omp simd reduction(min : best)
   for (BitIndex i = 0; i < k; ++i) {
     best = deltas[i] < best ? deltas[i] : best;
@@ -308,15 +273,13 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(D* deltas,
       }
     }
   }
-  return FlipOutcome{new_energy, new_energy + static_cast<Energy>(best),
-                     best_bit};
+  return FlipOutcome{new_energy, new_energy + best, best_bit};
 }
 
 // ---------------------------------------------------------------------------
 // Sparse form.
 
-template <class D>
-void DeltaState::repair_sparse(D* deltas, BitIndex k) {
+void DeltaState::repair_sparse(BitIndex k) {
   const SparseWeightMatrix::Row row = sparse_->row(k);
   const int two_phi_k = 2 * signs_[k];
   const std::size_t deg = row.size();
@@ -324,26 +287,19 @@ void DeltaState::repair_sparse(D* deltas, BitIndex k) {
   for (std::size_t p = 0; p < deg; ++p) {
     const BitIndex i = row.cols[p];
     if (i == k) continue;  // Δ_k gets the negation rule, not Eq. (16)
-    const D d = add_repair(
-        deltas[i], two_phi_k * signs_[i] * static_cast<int>(row.weights[p]));
-    deltas[i] = d;
-    tree_.update(i, static_cast<Energy>(d));
+    const std::int32_t d = add_repair(
+        deltas_[i], two_phi_k * signs_[i] * static_cast<int>(row.weights[p]));
+    deltas_[i] = d;
+    tree_.update(i, d);
     // Outside a walk no bit is pending, so walk_tree_ is never touched.
-    if (((pending[i >> 6] >> (i & 63)) & 1) != 0) {
-      walk_tree_.update(i, static_cast<Energy>(d));
-    }
+    if (((pending[i >> 6] >> (i & 63)) & 1) != 0) walk_tree_.update(i, d);
   }
 }
 
 Energy DeltaState::flip_sparse(BitIndex k) {
-  const Energy old_delta_k = delta(k);
-  if (width_ == DeltaWidth::kNarrow32) {
-    repair_sparse(deltas32_.data(), k);
-    deltas32_[k] = static_cast<std::int32_t>(-old_delta_k);
-  } else {
-    repair_sparse(deltas_.data(), k);
-    deltas_[k] = -old_delta_k;
-  }
+  const std::int32_t old_delta_k = deltas_[k];
+  repair_sparse(k);
+  deltas_[k] = -old_delta_k;
   tree_.update(k, -old_delta_k);
   energy_ += old_delta_k;
   signs_[k] = static_cast<std::int8_t>(-signs_[k]);
@@ -398,31 +354,25 @@ void DeltaState::settle(BitIndex k) {
   if (form_ == KernelForm::kSparse) walk_tree_.update(k, kNoDelta);
 }
 
-template <class D>
-BitIndex DeltaState::argmin_pending_scan(const D* deltas) const {
+BitIndex DeltaState::argmin_pending() const {
+  if (pending_count_ == 0) return size();
+  if (form_ == KernelForm::kSparse) return walk_tree_.root().idx;
   // Ascending strict-< scan of the pending bits, 64 candidates per word via
-  // countr_zero: the first-seen minimum wins ties.
-  Energy best_delta = kNoDelta;
+  // countr_zero: the first-seen minimum wins ties. A pending bit always
+  // beats the +∞ start, since no Δ reaches kNoDelta.
+  std::int32_t best_delta = kNoDelta;
   BitIndex best = size();
   for (std::size_t wi = 0; wi < pending_.size(); ++wi) {
     for (std::uint64_t word = pending_[wi]; word != 0; word &= word - 1) {
       const auto b = static_cast<BitIndex>(
           wi * 64 + static_cast<std::size_t>(std::countr_zero(word)));
-      const auto d = static_cast<Energy>(deltas[b]);
-      if (d < best_delta) {
-        best_delta = d;
+      if (deltas_[b] < best_delta) {
+        best_delta = deltas_[b];
         best = b;
       }
     }
   }
   return best;
-}
-
-BitIndex DeltaState::argmin_pending() const {
-  if (pending_count_ == 0) return size();
-  if (form_ == KernelForm::kSparse) return walk_tree_.root().idx;
-  return width_ == DeltaWidth::kWide64 ? argmin_pending_scan(deltas_.data())
-                                       : argmin_pending_scan(deltas32_.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -432,9 +382,7 @@ Energy DeltaState::flip(BitIndex k) {
   ABSQ_DCHECK(k < size(), "flip index out of range");
   settle(k);
   if (form_ == KernelForm::kSparse) return flip_sparse(k);
-  return width_ == DeltaWidth::kWide64
-             ? flip_dense(deltas_.data(), k)
-             : flip_dense(deltas32_.data(), k);
+  return flip_dense(k);
 }
 
 DeltaState::FlipOutcome DeltaState::flip_tracked(BitIndex k) {
@@ -444,55 +392,41 @@ DeltaState::FlipOutcome DeltaState::flip_tracked(BitIndex k) {
     case KernelForm::kSparse:
       return flip_tracked_sparse(k);
     case KernelForm::kDenseSimd:
-      return width_ == DeltaWidth::kWide64
-                 ? flip_tracked_dense_simd(deltas_.data(), k)
-                 : flip_tracked_dense_simd(deltas32_.data(), k);
+      return flip_tracked_dense_simd(k);
     case KernelForm::kDenseScalar:
       break;
   }
-  return width_ == DeltaWidth::kWide64
-             ? flip_tracked_dense_scalar(deltas_.data(), k)
-             : flip_tracked_dense_scalar(deltas32_.data(), k);
-}
-
-template <class D>
-BitIndex DeltaState::argmin_span(const D* deltas, BitIndex offset,
-                                 BitIndex len) const {
-  // Wrapping strict-< scan: first segment [offset, offset+first), then
-  // [0, rest). First-seen minimum wins, exactly like the Fig. 2 policy.
-  const BitIndex n = size();
-  const BitIndex first = len < n - offset ? len : n - offset;
-  BitIndex best = offset;
-  D best_delta = deltas[offset];
-  for (BitIndex i = offset + 1; i < offset + first; ++i) {
-    if (deltas[i] < best_delta) {
-      best_delta = deltas[i];
-      best = i;
-    }
-  }
-  for (BitIndex i = 0; i < len - first; ++i) {
-    if (deltas[i] < best_delta) {
-      best_delta = deltas[i];
-      best = i;
-    }
-  }
-  return best;
+  return flip_tracked_dense_scalar(k);
 }
 
 BitIndex DeltaState::argmin_window(BitIndex offset, BitIndex len) const {
   const BitIndex n = size();
   ABSQ_DCHECK(len >= 1 && len <= n, "window length outside [1, n]");
   offset %= n;
+  const BitIndex first = len < n - offset ? len : n - offset;
   if (form_ == KernelForm::kSparse) {
-    const BitIndex first = len < n - offset ? len : n - offset;
     const MinTree::Entry a = tree_.query(offset, offset + first);
     if (len == first) return a.idx;
     const MinTree::Entry b = tree_.query(0, len - first);
     return b.val < a.val ? b.idx : a.idx;
   }
-  return width_ == DeltaWidth::kWide64
-             ? argmin_span(deltas_.data(), offset, len)
-             : argmin_span(deltas32_.data(), offset, len);
+  // Wrapping strict-< scan: first segment [offset, offset+first), then
+  // [0, rest). First-seen minimum wins, exactly like the Fig. 2 policy.
+  BitIndex best = offset;
+  std::int32_t best_delta = deltas_[offset];
+  for (BitIndex i = offset + 1; i < offset + first; ++i) {
+    if (deltas_[i] < best_delta) {
+      best_delta = deltas_[i];
+      best = i;
+    }
+  }
+  for (BitIndex i = 0; i < len - first; ++i) {
+    if (deltas_[i] < best_delta) {
+      best_delta = deltas_[i];
+      best = i;
+    }
+  }
+  return best;
 }
 
 }  // namespace absq

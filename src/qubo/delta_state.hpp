@@ -19,12 +19,15 @@
 //   * sparse       — O(degree(k)) CSR repair, with a tournament tree over Δ
 //                    keeping the fused argmin exact in O(degree·log n),
 //                    and a second one over the pending bits of a straight
-//                    walk, so a walk flip costs the same as a local flip;
+//                    walk, so a walk flip costs the same as a local flip.
 //
-// each with Δ stored 64-bit or (opt-in, overflow-prechecked) 32-bit. All
-// form × width combinations are pinned bit-identical — same energies, same
-// Δ, same FlipOutcome including tie-breaks — by lockstep property tests, so
-// which one runs is purely a throughput decision.
+// Every form stores Δ as int32: the exact bound |Δ_k(X)| ≤ (2n − 1)·2^15
+// stays below INT32_MAX for every accepted instance (a static_assert in
+// qubo/types.hpp), so no value can overflow and no plan-time check runs.
+// Energies stay int64. All forms are pinned bit-identical — same energies,
+// same Δ, same FlipOutcome including tie-breaks — by lockstep property
+// tests against the int64 Eq. (4) reference, so which one runs is purely
+// a throughput decision.
 //
 // The class deliberately exposes the Δ vector read-only: every search
 // algorithm in this library (Algorithms 3–5, the ABS SearchBlock, the
@@ -36,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "qubo/bit_vector.hpp"
@@ -57,15 +59,15 @@ class DeltaState {
 
   /// State for the all-zero vector: E(0) = 0 and Δ_i(0) = W_ii — the O(n)
   /// initialization the paper performs in device Step 1. Uses the original
-  /// dense scalar kernel (the reference form).
+  /// dense scalar kernel.
   explicit DeltaState(const WeightMatrix& w);
 
   /// State for an arbitrary starting vector. Costs O(n²) (Eq. 4 per bit);
   /// used by baselines and tests, never by the ABS hot path.
   DeltaState(const WeightMatrix& w, const BitVector& x);
 
-  /// Same two constructors, but running the form and Δ width the kernel
-  /// plan selected. The kernel (and the matrix it references) must outlive
+  /// Same two constructors, but running the form the kernel plan
+  /// selected. The kernel (and the matrix it references) must outlive
   /// the state; one plan is shared read-only by many states.
   explicit DeltaState(const QuboKernel& kernel);
   DeltaState(const QuboKernel& kernel, const BitVector& x);
@@ -79,17 +81,8 @@ class DeltaState {
   [[nodiscard]] const BitVector& bits() const { return x_; }
   [[nodiscard]] Energy energy() const { return energy_; }
 
-  /// Δ_i(X) regardless of storage width.
-  [[nodiscard]] Energy delta(BitIndex i) const {
-    return width_ == DeltaWidth::kWide64
-               ? deltas_[i]
-               : static_cast<Energy>(deltas32_[i]);
-  }
-
-  /// The whole Δ vector. Only available in 64-bit width (the narrow mode
-  /// stores int32 and cannot alias it as Energy) — ABSQ_CHECKs otherwise.
-  /// Hot-path callers use delta()/argmin_window(), which work in any mode.
-  [[nodiscard]] std::span<const Energy> deltas() const;
+  /// Δ_i(X).
+  [[nodiscard]] Energy delta(BitIndex i) const { return deltas_[i]; }
 
   /// First-in-traversal-order argmin of Δ over the wrapping window of `len`
   /// bits starting at `offset % n` (strict improvement only, so the
@@ -153,7 +146,6 @@ class DeltaState {
   [[nodiscard]] std::uint64_t matrix_reads() const { return matrix_reads_; }
 
   [[nodiscard]] KernelForm form() const { return form_; }
-  [[nodiscard]] DeltaWidth width() const { return width_; }
 
  private:
   // Tournament (segment) tree over the Δ vector, used only by the sparse
@@ -163,7 +155,7 @@ class DeltaState {
   // the tie-break contract shared by all kernel forms.
   struct MinTree {
     struct Entry {
-      Energy val;
+      std::int32_t val;
       BitIndex idx;
     };
     BitIndex n = 0;
@@ -176,7 +168,7 @@ class DeltaState {
     /// Leaf i holds Δ_i where bit i of `only` is set (every leaf when
     /// `only` is null) and +∞ elsewhere. O(n); reuses the storage.
     void build(const DeltaState& s, const std::uint64_t* only);
-    void update(BitIndex i, Energy v);
+    void update(BitIndex i, std::int32_t v);
     /// Leftmost min over [lo, hi); identity entry (idx == n) when empty.
     [[nodiscard]] Entry query(BitIndex lo, BitIndex hi) const;
     /// Leftmost min over every leaf — a query(0, n) read off the root.
@@ -186,28 +178,18 @@ class DeltaState {
   void init_zero_state();
   void init_from_bits(const BitVector& x);
 
-  template <class D>
-  Energy flip_dense(D* deltas, BitIndex k);
-  template <class D>
-  FlipOutcome flip_tracked_dense_scalar(D* deltas, BitIndex k);
-  template <class D>
-  FlipOutcome flip_tracked_dense_simd(D* deltas, BitIndex k);
-  template <class D>
-  void repair_sparse(D* deltas, BitIndex k);
+  Energy flip_dense(BitIndex k);
+  FlipOutcome flip_tracked_dense_scalar(BitIndex k);
+  FlipOutcome flip_tracked_dense_simd(BitIndex k);
+  void repair_sparse(BitIndex k);
   Energy flip_sparse(BitIndex k);
   FlipOutcome flip_tracked_sparse(BitIndex k);
-
-  template <class D>
-  BitIndex argmin_span(const D* deltas, BitIndex offset, BitIndex len) const;
-  template <class D>
-  BitIndex argmin_pending_scan(const D* deltas) const;
   void settle(BitIndex k);
 
   const WeightMatrix* w_;
   const SparseWeightMatrix* sparse_ = nullptr;  // non-null iff form_ sparse
   BitVector x_;
-  std::vector<Energy> deltas_;         // 64-bit width
-  std::vector<std::int32_t> deltas32_; // 32-bit width (one of the two used)
+  std::vector<std::int32_t> deltas_;
   // φ(x_i) ∈ {+1, −1} cached per bit so the repair loop reads a byte
   // instead of extracting a bit.
   std::vector<std::int8_t> signs_;
@@ -222,7 +204,6 @@ class DeltaState {
   std::uint64_t flips_ = 0;
   std::uint64_t matrix_reads_ = 0;
   KernelForm form_ = KernelForm::kDenseScalar;
-  DeltaWidth width_ = DeltaWidth::kWide64;
 };
 
 }  // namespace absq

@@ -1,6 +1,5 @@
 #include "qubo/kernel.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -20,16 +19,6 @@ const char* to_string(KernelForm form) {
   return "?";
 }
 
-const char* to_string(DeltaWidth width) {
-  switch (width) {
-    case DeltaWidth::kWide64:
-      return "64-bit";
-    case DeltaWidth::kNarrow32:
-      return "32-bit";
-  }
-  return "?";
-}
-
 KernelOptions::Form parse_kernel_form(const std::string& name) {
   if (name == "auto") return KernelOptions::Form::kAuto;
   if (name == "dense") return KernelOptions::Form::kDense;
@@ -40,49 +29,16 @@ KernelOptions::Form parse_kernel_form(const std::string& name) {
   return KernelOptions::Form::kAuto;  // unreachable
 }
 
-Energy QuboKernel::worst_case_delta_bound(const WeightMatrix& w) {
-  // Eq. (4): Δ_k(X) = φ(x_k)(2 Σ_{i≠k} W_ki x_i + W_kk). Over all X the
-  // inner sum ranges over subset sums of row k, so with P_k = Σ_{i≠k}
-  // max(W_ki, 0) and N_k = Σ_{i≠k} max(−W_ki, 0)
-  //
-  //     max_X |Δ_k(X)| = max(W_kk + 2 P_k,  2 N_k − W_kk)  =: B_k
-  //
-  // — exact (both extremes are reached by X selecting exactly the
-  // positive / the negative entries), and every Δ the repair loop ever
-  // stores is the Δ of some reachable state, so max_k B_k bounds the whole
-  // run. Tightness is pinned by enumeration tests on small instances.
-  Energy bound = 0;
-  const BitIndex n = w.size();
-  for (BitIndex k = 0; k < n; ++k) {
-    const auto row = w.row(k);
-    Energy pos = 0;
-    Energy neg = 0;
-    for (BitIndex i = 0; i < n; ++i) {
-      if (i == k) continue;
-      if (row[i] > 0) {
-        pos += row[i];
-      } else {
-        neg -= row[i];
-      }
-    }
-    const Energy diag = w.at(k, k);
-    bound = std::max({bound, diag + 2 * pos, 2 * neg - diag});
-  }
-  return bound;
-}
-
 QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
-    : w_(&w), options_(options) {
+    : w_(&w) {
   const BitIndex n = w.size();
-  // One O(n²) analysis pass; instances are planned once and searched for
-  // billions of flips, so this never shows up in a profile.
+  // One O(n²) pass counts the nonzeros kAuto's density rule reads.
   for (BitIndex k = 0; k < n; ++k) {
     const auto row = w.row(k);
     for (BitIndex i = 0; i < n; ++i) {
       if (row[i] != 0) ++nonzeros_;
     }
   }
-  delta_bound_ = worst_case_delta_bound(w);
 
   switch (options.form) {
     case KernelOptions::Form::kDense:
@@ -95,25 +51,13 @@ QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
       form_ = KernelForm::kSparse;
       break;
     case KernelOptions::Form::kAuto:
-      form_ = (n >= options.sparse_min_bits &&
-               density() <= options.sparse_density_threshold)
+      form_ = (n >= kSparseMinBits && density() <= kSparseDensityThreshold)
                   ? KernelForm::kSparse
                   : KernelForm::kDenseSimd;
       break;
   }
   if (form_ == KernelForm::kSparse) {
     sparse_ = std::make_shared<const SparseWeightMatrix>(w);
-  }
-
-  if (options.narrow_delta) {
-    const Energy limit =
-        std::min<Energy>(options.narrow_limit,
-                         std::numeric_limits<std::int32_t>::max());
-    if (delta_bound_ <= limit) {
-      width_ = DeltaWidth::kNarrow32;
-    } else {
-      narrow_fallback_ = true;  // requested but provably unsafe → 64-bit
-    }
   }
 }
 
@@ -125,13 +69,10 @@ double QuboKernel::density() const {
 
 std::string QuboKernel::description() const {
   std::ostringstream os;
-  os << to_string(form_) << '/' << to_string(width_);
+  os << to_string(form_) << "/32-bit";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.2f", density() * 100.0);
-  os << " (n=" << w_->size() << ", density " << buf << "%, |delta|<="
-     << delta_bound_;
-  if (narrow_fallback_) os << ", narrow fallback";
-  os << ')';
+  os << " (n=" << w_->size() << ", density " << buf << "%)";
   return os.str();
 }
 

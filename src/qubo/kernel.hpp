@@ -1,4 +1,4 @@
-// QuboKernel — per-instance flip-kernel plan (form + Δ width selection).
+// QuboKernel — per-instance flip-kernel plan (form selection).
 //
 // The Δ-update of Eq. (16) is the hot loop of the whole system, and the
 // cheapest correct implementation depends on the instance:
@@ -10,29 +10,19 @@
 //   * kDenseSimd   — contiguous dense row, repair and argmin as separate
 //                    vectorizable passes (#pragma omp simd). Wins on dense
 //                    instances (synthetic random, TSP permutation QUBOs).
-//   * kDenseScalar — the original fused single-pass loop; the reference
-//                    the other forms are pinned bit-identical against.
+//   * kDenseScalar — the original fused single-pass loop.
 //
-// Orthogonally, Δ values are stored 64-bit (always safe: |Δ| < 2^32 for
-// in-range instances, see qubo/types.hpp) or — opt-in, QUBO++'s ABS3
-// narrow-coefficient mode — 32-bit. Unlike ABS3, whose "overflow checks
-// are omitted for performance", the narrow mode here is guarded by a
-// one-time worst-case precheck at plan time:
-//
-//     max_X |Δ_k(X)| = max(W_kk + 2·Σ_{i≠k} max(W_ki, 0),
-//                          −W_kk + 2·Σ_{i≠k} max(−W_ki, 0))  =: B_k,
-//
-// so if max_k B_k fits int32 no reachable Δ (or repair intermediate — each
-// repair step lands on a Δ of a reachable state) can overflow; otherwise
-// the plan silently falls back to 64-bit. Every form × width combination
-// produces bit-identical energies, Δ vectors and flip outcomes — pinned by
-// the lockstep property tests — so kernel selection is purely a
+// Every form stores Δ as int32. QUBO++'s ABS3 omits overflow checks on its
+// 32-bit coefficients "for performance"; here no check is needed, because
+// the exact worst case |Δ_k(X)| ≤ (2n − 1)·2^15 of every accepted instance
+// is proved below INT32_MAX by a static_assert in qubo/types.hpp. Every
+// form produces bit-identical energies, Δ vectors and flip outcomes —
+// pinned by the lockstep property tests — so kernel selection is purely a
 // performance decision. docs/kernels.md records selection rules and the
 // measured crossover.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -49,56 +39,46 @@ enum class KernelForm : std::uint8_t {
   kSparse = 2,       ///< CSR rows + tournament tree for the argmin
 };
 
-/// Storage width of the Δ vector.
+/// Storage width of the Δ vector. Every plan stores int32; kWide64 names
+/// the retired 64-bit lane only so that code pricing a flip's bytes from
+/// width() (the absbench harness) keeps compiling.
 enum class DeltaWidth : std::uint8_t {
-  kWide64 = 0,   ///< int64 (always safe)
-  kNarrow32 = 1, ///< int32 (opt-in; only when the precheck proves it safe)
+  kWide64 = 0,
+  kNarrow32 = 1,
 };
 
 [[nodiscard]] const char* to_string(KernelForm form);
-[[nodiscard]] const char* to_string(DeltaWidth width);
 
 struct KernelOptions {
   enum class Form : std::uint8_t {
     kAuto = 0,    ///< sparse when profitable, dense-SIMD otherwise
-    kDense = 1,   ///< force the scalar dense reference kernel
+    kDense = 1,   ///< force the scalar dense kernel
     kDenseSimd = 2,
     kSparse = 3,
   };
   Form form = Form::kAuto;
-
-  /// Opt-in 32-bit Δ mode. Applied only when the worst-case precheck
-  /// proves every reachable Δ fits (see QuboKernel::delta_bound); falls
-  /// back to 64-bit otherwise.
-  bool narrow_delta = false;
-
-  /// Largest |Δ| the narrow mode may represent. The default is the honest
-  /// int32 limit; tests lower it to exercise both sides of the precheck
-  /// without building 2 GiB instances.
-  Energy narrow_limit = std::numeric_limits<std::int32_t>::max();
-
-  /// kAuto picks the sparse form when stored-nonzeros/n² is at or below
-  /// this. Default from the measured crossover in EXPERIMENTS.md: with the
-  /// early-exit tournament tree the CSR kernel wins ~3× at 1% density
-  /// (G22) and loses at 6% (G1), so the break-even sits near 3%.
-  double sparse_density_threshold = 0.03125;
-
-  /// kAuto never picks sparse below this size — for tiny instances the
-  /// tournament tree costs more than the dense row it replaces.
-  BitIndex sparse_min_bits = 64;
 };
 
 [[nodiscard]] KernelOptions::Form parse_kernel_form(const std::string& name);
 
 /// The planned kernel for one instance: the dense matrix (always kept —
 /// reference energies, baselines and the dense forms read it), the CSR
-/// form when the plan selected it, and the chosen form/width. One plan is
+/// form when the plan selected it, and the chosen form. One plan is
 /// shared read-only by every search block of a device.
 class QuboKernel {
  public:
-  /// Plans the kernel. One O(n²) analysis pass (nonzero count + worst-case
-  /// Δ bound); builds the CSR form only when selected. `w` must outlive
-  /// the kernel.
+  /// kAuto picks the sparse form when stored-nonzeros/n² is at or below
+  /// this. From the measured crossover in EXPERIMENTS.md: with the
+  /// early-exit tournament tree the CSR kernel wins ~3× at 1% density
+  /// (G22) and loses at 6% (G1), so the break-even sits near 3%.
+  static constexpr double kSparseDensityThreshold = 1.0 / 32;
+
+  /// kAuto never picks sparse below this size — for tiny instances the
+  /// tournament tree costs more than the dense row it replaces.
+  static constexpr BitIndex kSparseMinBits = 64;
+
+  /// Plans the kernel. One O(n²) pass counts the nonzeros; builds the CSR
+  /// form only when selected. `w` must outlive the kernel.
   explicit QuboKernel(const WeightMatrix& w, const KernelOptions& options = {});
 
   [[nodiscard]] const WeightMatrix& dense() const { return *w_; }
@@ -108,35 +88,20 @@ class QuboKernel {
   }
 
   [[nodiscard]] KernelForm form() const { return form_; }
-  [[nodiscard]] DeltaWidth width() const { return width_; }
-  [[nodiscard]] const KernelOptions& options() const { return options_; }
-
-  /// max_k B_k — the worst-case |Δ| over every reachable state, the value
-  /// the narrow-mode precheck compares against narrow_limit.
-  [[nodiscard]] Energy delta_bound() const { return delta_bound_; }
-
-  /// True when narrow_delta was requested but the precheck forced 64-bit.
-  [[nodiscard]] bool narrow_fallback() const { return narrow_fallback_; }
+  /// Always kNarrow32: every form stores Δ as int32.
+  [[nodiscard]] DeltaWidth width() const { return DeltaWidth::kNarrow32; }
 
   [[nodiscard]] std::size_t stored_nonzeros() const { return nonzeros_; }
   [[nodiscard]] double density() const;
 
-  /// e.g. "sparse/32-bit (density 0.59%, |Δ| ≤ 123456)" — for logs/benches.
+  /// e.g. "sparse/32-bit (n=5000, density 0.08%)" — for logs/benches.
   [[nodiscard]] std::string description() const;
-
-  /// The precheck bound max_k B_k (see the file comment) — the exact
-  /// maximum of |Δ_k(X)| over every k and X. Exposed for boundary tests.
-  [[nodiscard]] static Energy worst_case_delta_bound(const WeightMatrix& w);
 
  private:
   const WeightMatrix* w_;
-  KernelOptions options_;
   std::shared_ptr<const SparseWeightMatrix> sparse_;
   KernelForm form_ = KernelForm::kDenseScalar;
-  DeltaWidth width_ = DeltaWidth::kWide64;
-  Energy delta_bound_ = 0;
   std::size_t nonzeros_ = 0;
-  bool narrow_fallback_ = false;
 };
 
 }  // namespace absq

@@ -1,9 +1,10 @@
-// Tests for the per-instance kernel plan (QuboKernel), the CSR
-// SparseWeightMatrix, and — the load-bearing part — the lockstep contract:
-// every kernel form × Δ width must be bit-identical to the dense scalar
-// reference on energies, Δ vectors, argmin windows, FlipOutcomes (including
-// tie-breaks) and straight-search walks, so kernel selection is purely a
-// throughput choice.
+// Tests for the per-instance kernel plan (QuboKernel), the int32 Δ bound,
+// the CSR SparseWeightMatrix, and — the load-bearing part — the lockstep
+// contract: every kernel form must be bit-identical to the dense scalar one
+// on energies, Δ vectors, argmin windows, FlipOutcomes (including
+// tie-breaks) and straight-search walks, and all of them must match the
+// int64 Eq. (4) oracle (full_energy/all_deltas), so kernel selection is
+// purely a throughput choice.
 #include "qubo/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -140,8 +141,8 @@ TEST(QuboKernel, AutoSelectsSparseForLargeLowDensityInstances) {
   EXPECT_EQ(kernel.form(), KernelForm::kSparse);
   ASSERT_NE(kernel.sparse(), nullptr);
   EXPECT_EQ(kernel.sparse()->size(), w.size());
-  EXPECT_EQ(kernel.width(), DeltaWidth::kWide64);  // narrow is opt-in
-  EXPECT_LE(kernel.density(), kernel.options().sparse_density_threshold);
+  EXPECT_EQ(kernel.width(), DeltaWidth::kNarrow32);
+  EXPECT_LE(kernel.density(), QuboKernel::kSparseDensityThreshold);
 }
 
 TEST(QuboKernel, AutoKeepsDenseInstancesOnSimd) {
@@ -152,7 +153,7 @@ TEST(QuboKernel, AutoKeepsDenseInstancesOnSimd) {
 }
 
 TEST(QuboKernel, AutoKeepsTinyInstancesDense) {
-  // Sparse but below sparse_min_bits: the tournament tree would cost more
+  // Sparse but below kSparseMinBits: the tournament tree would cost more
   // than the dense row it replaces.
   const WeightMatrix w = random_sparse(32, 0.05, 33);
   const QuboKernel kernel(w);
@@ -183,56 +184,61 @@ TEST(QuboKernel, ParseKernelFormRoundTrips) {
   EXPECT_THROW((void)parse_kernel_form("cuda"), CheckError);
 }
 
-TEST(QuboKernel, WorstCaseDeltaBoundIsExactOnSmallInstances) {
-  // The precheck bound must equal the true max |Δ_k(X)| over every state X
-  // and bit k — exhaustively enumerated for small n. Exactness matters: a
-  // loose bound would refuse narrow mode on instances that are in fact
-  // safe; an unsound one would corrupt searches.
-  for (const std::uint64_t seed : {41u, 42u, 43u}) {
-    const BitIndex n = 10;
-    const WeightMatrix w = random_dense(n, seed);
-    Energy max_abs = 0;
-    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-      BitVector x(n);
-      for (BitIndex i = 0; i < n; ++i) x.set(i, (mask >> i) & 1u);
-      for (const Energy d : all_deltas(w, x)) {
-        max_abs = std::max(max_abs, d < 0 ? -d : d);
+TEST(QuboKernel, ExtremeInstancesReachTheInt32DeltaBound) {
+  // The int32 Δ proof (qubo/types.hpp) rests on max_row_delta being the
+  // exact max_X |Δ_k(X)|, reached by a row of all kMinWeight. Enumerate
+  // every state of the two extreme instances, every entry kMinWeight and
+  // every entry kMaxWeight, and check the bound is met exactly; then walk
+  // each form to the maximizing state by flips and check Eq. (4) there.
+  static_assert(max_row_delta(kMaxBits, kMinWeight) == 2147450880);
+  for (BitIndex n = 1; n <= 12; ++n) {
+    for (const Weight weight : {kMinWeight, kMaxWeight}) {
+      const WeightMatrix w = WeightMatrix::generate_symmetric(
+          n, [weight](BitIndex, BitIndex) { return weight; });
+      Energy max_abs = -1;
+      BitVector argmax(n);
+      for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+        BitVector x(n);
+        for (BitIndex i = 0; i < n; ++i) x.set(i, (mask >> i) & 1u);
+        for (const Energy d : all_deltas(w, x)) {
+          if ((d < 0 ? -d : d) > max_abs) {
+            max_abs = d < 0 ? -d : d;
+            argmax = x;
+          }
+        }
+      }
+      const Energy magnitude = weight < 0 ? 32768 : 32767;
+      ASSERT_EQ(max_abs, (2 * Energy{n} - 1) * magnitude)
+          << "n=" << n << " w=" << weight;
+      ASSERT_EQ(max_row_delta(n, weight), max_abs)
+          << "n=" << n << " w=" << weight;
+
+      const std::vector<Energy> expected = all_deltas(w, argmax);
+      for (const auto form :
+           {KernelOptions::Form::kDense, KernelOptions::Form::kDenseSimd,
+            KernelOptions::Form::kSparse}) {
+        KernelOptions options;
+        options.form = form;
+        const QuboKernel kernel(w, options);
+        DeltaState state(kernel);
+        for (const BitIndex k : state.bits().differing_bits(argmax)) {
+          state.flip_tracked(k);
+        }
+        ASSERT_EQ(state.bits(), argmax);
+        ASSERT_EQ(state.energy(), full_energy(w, argmax))
+            << kernel.description();
+        for (BitIndex i = 0; i < n; ++i) {
+          ASSERT_EQ(state.delta(i), expected[i])
+              << kernel.description() << " w=" << weight << " Δ_" << i;
+        }
       }
     }
-    EXPECT_EQ(QuboKernel::worst_case_delta_bound(w), max_abs)
-        << "seed " << seed;
   }
-}
-
-TEST(QuboKernel, NarrowPrecheckStraddlesTheLimit) {
-  const WeightMatrix w = random_dense(48, 44);
-  const Energy bound = QuboKernel::worst_case_delta_bound(w);
-  ASSERT_GT(bound, 0);
-
-  KernelOptions options;
-  options.narrow_delta = true;
-  options.narrow_limit = bound;  // exactly representable → narrow engages
-  const QuboKernel at_limit(w, options);
-  EXPECT_EQ(at_limit.width(), DeltaWidth::kNarrow32);
-  EXPECT_FALSE(at_limit.narrow_fallback());
-  EXPECT_EQ(at_limit.delta_bound(), bound);
-
-  options.narrow_limit = bound - 1;  // one below → provably unsafe → 64-bit
-  const QuboKernel over_limit(w, options);
-  EXPECT_EQ(over_limit.width(), DeltaWidth::kWide64);
-  EXPECT_TRUE(over_limit.narrow_fallback());
-
-  options.narrow_delta = false;  // not requested → wide, no fallback flag
-  options.narrow_limit = std::numeric_limits<std::int32_t>::max();
-  const QuboKernel wide(w, options);
-  EXPECT_EQ(wide.width(), DeltaWidth::kWide64);
-  EXPECT_FALSE(wide.narrow_fallback());
 }
 
 TEST(QuboKernel, DescriptionNamesFormAndWidth) {
   KernelOptions options;
   options.form = KernelOptions::Form::kSparse;
-  options.narrow_delta = true;
   // The plan references its matrix, which must outlive it.
   const WeightMatrix w = random_sparse(64, 0.05, 45);
   const QuboKernel kernel(w, options);
@@ -242,8 +248,10 @@ TEST(QuboKernel, DescriptionNamesFormAndWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Lockstep: every form × width is bit-identical to the dense scalar
-// reference over long random mixed flip/flip_tracked/argmin sequences.
+// Lockstep: every form is bit-identical to the dense scalar reference over
+// long random mixed flip/flip_tracked/argmin sequences, and every 16 steps
+// all of them match the int64 Eq. (4) oracle, which shares no code with
+// DeltaState.
 // ---------------------------------------------------------------------------
 
 struct KernelCase {
@@ -258,14 +266,9 @@ std::vector<KernelCase> all_kernel_cases() {
            {KernelOptions::Form::kDense, "dense"},
            {KernelOptions::Form::kDenseSimd, "dense-simd"},
            {KernelOptions::Form::kSparse, "sparse"}}) {
-    for (const bool narrow : {false, true}) {
-      KernelOptions options;
-      options.form = form;
-      options.narrow_delta = narrow;
-      cases.push_back(
-          {std::string(form_name) + (narrow ? "/32-bit" : "/64-bit"),
-           options});
-    }
+    KernelOptions options;
+    options.form = form;
+    cases.push_back({form_name, options});
   }
   return cases;
 }
@@ -293,9 +296,8 @@ void run_lockstep(const WeightMatrix& w, std::uint64_t seed, int steps,
   const BitVector start =
       random_start ? BitVector::random(n, rng) : BitVector(n);
 
-  const DeltaState reference_seed(w, start);  // legacy ctor: dense scalar/64
+  const DeltaState reference_seed(w, start);  // legacy ctor: dense scalar
   ASSERT_EQ(reference_seed.form(), KernelForm::kDenseScalar);
-  ASSERT_EQ(reference_seed.width(), DeltaWidth::kWide64);
   DeltaState reference = reference_seed;
 
   struct Lane {
@@ -306,11 +308,6 @@ void run_lockstep(const WeightMatrix& w, std::uint64_t seed, int steps,
   std::vector<Lane> lanes;
   for (const auto& c : all_kernel_cases()) {
     auto kernel = std::make_unique<QuboKernel>(w, c.options);
-    if (c.options.narrow_delta) {
-      // The test matrices are small enough that narrow must engage, or the
-      // case would silently collapse into its 64-bit twin.
-      ASSERT_EQ(kernel->width(), DeltaWidth::kNarrow32) << c.name;
-    }
     auto state = std::make_unique<DeltaState>(*kernel, start);
     lanes.push_back({c.name, std::move(kernel), std::move(state)});
   }
@@ -337,6 +334,26 @@ void run_lockstep(const WeightMatrix& w, std::uint64_t seed, int steps,
     }
 
     if (step % 16 == 0) {
+      // The reference is int32 like the lanes, so hold all of them to the
+      // independent Eq. (4) oracle, not only to each other.
+      const Energy expected_energy = full_energy(w, reference.bits());
+      const std::vector<Energy> expected_deltas =
+          all_deltas(w, reference.bits());
+      ASSERT_EQ(reference.energy(), expected_energy) << "step " << step;
+      for (BitIndex i = 0; i < n; ++i) {
+        ASSERT_EQ(reference.delta(i), expected_deltas[i])
+            << "step " << step << " Δ_" << i;
+      }
+      for (auto& lane : lanes) {
+        ASSERT_EQ(lane.state->bits(), reference.bits()) << lane.name;
+        ASSERT_EQ(lane.state->energy(), expected_energy)
+            << lane.name << " step " << step;
+        for (BitIndex i = 0; i < n; ++i) {
+          ASSERT_EQ(lane.state->delta(i), expected_deltas[i])
+              << lane.name << " step " << step << " Δ_" << i;
+        }
+      }
+
       const auto offset = static_cast<BitIndex>(rng.below(n));
       const auto len = static_cast<BitIndex>(1 + rng.below(n));
       const BitIndex expected = argmin_window_oracle(reference, offset, len);
@@ -392,47 +409,9 @@ TEST(KernelLockstep, SaturatedWeightExtremes) {
       WeightMatrix::generate_symmetric(48, [&rng](BitIndex, BitIndex) {
         return rng.chance(0.5) ? kMinWeight : kMaxWeight;
       });
-  // |Δ| reaches ~48·2·32768 ≈ 3.1M — comfortably int32, so the narrow lanes
-  // still engage and must stay exact at the weight extremes.
+  // |Δ| reaches ~48·2·32768 ≈ 3.1M, and the dense loops' transient i == k
+  // repair adds up to 2·32768 more: every form must stay exact here.
   run_lockstep(w, 904, 400, true);
-}
-
-TEST(KernelLockstep, NarrowLanesAgreeEitherSideOfThePrecheck) {
-  // Straddle the precheck *during a lockstep run*: one narrow lane planned
-  // right at the bound (engages) and one just below it (falls back to
-  // 64-bit). Both must match the reference exactly.
-  const WeightMatrix w = random_dense(40, 905);
-  const Energy bound = QuboKernel::worst_case_delta_bound(w);
-
-  KernelOptions engaged_options;
-  engaged_options.narrow_delta = true;
-  engaged_options.narrow_limit = bound;
-  const QuboKernel engaged(w, engaged_options);
-  ASSERT_EQ(engaged.width(), DeltaWidth::kNarrow32);
-
-  KernelOptions fallback_options;
-  fallback_options.narrow_delta = true;
-  fallback_options.narrow_limit = bound - 1;
-  const QuboKernel fallback(w, fallback_options);
-  ASSERT_EQ(fallback.width(), DeltaWidth::kWide64);
-  ASSERT_TRUE(fallback.narrow_fallback());
-
-  DeltaState reference(w);
-  DeltaState narrow_state(engaged);
-  DeltaState wide_state(fallback);
-  Rng rng(906);
-  for (int step = 0; step < 400; ++step) {
-    const auto k = static_cast<BitIndex>(rng.below(40));
-    const auto expected = reference.flip_tracked(k);
-    const auto narrow_got = narrow_state.flip_tracked(k);
-    const auto wide_got = wide_state.flip_tracked(k);
-    ASSERT_EQ(narrow_got.energy, expected.energy) << "step " << step;
-    ASSERT_EQ(narrow_got.best_neighbor_bit, expected.best_neighbor_bit);
-    ASSERT_EQ(narrow_got.best_neighbor_energy, expected.best_neighbor_energy);
-    ASSERT_EQ(wide_got.energy, expected.energy) << "step " << step;
-    ASSERT_EQ(wide_got.best_neighbor_bit, expected.best_neighbor_bit);
-    ASSERT_EQ(wide_got.best_neighbor_energy, expected.best_neighbor_energy);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +440,7 @@ void run_walk_lockstep(const WeightMatrix& w, std::uint64_t seed,
                        int walks) {
   const BitIndex n = w.size();
   Rng rng(seed);
-  DeltaState reference(w);  // legacy ctor: dense scalar/64
+  DeltaState reference(w);  // legacy ctor: dense scalar
   BestTracker reference_tracker;
 
   struct Lane {
@@ -473,9 +452,6 @@ void run_walk_lockstep(const WeightMatrix& w, std::uint64_t seed,
   std::vector<Lane> lanes;
   for (const auto& c : all_kernel_cases()) {
     auto kernel = std::make_unique<QuboKernel>(w, c.options);
-    if (c.options.narrow_delta) {
-      ASSERT_EQ(kernel->width(), DeltaWidth::kNarrow32) << c.name;
-    }
     auto state = std::make_unique<DeltaState>(*kernel);
     lanes.push_back(
         Lane{c.name, std::move(kernel), std::move(state), BestTracker()});
@@ -557,6 +533,11 @@ void run_walk_lockstep(const WeightMatrix& w, std::uint64_t seed,
 
     ASSERT_EQ(reference.bits(), target) << "walk " << walk;
     ASSERT_EQ(reference.energy(), full_energy(w, target));
+    const std::vector<Energy> expected_deltas = all_deltas(w, target);
+    for (BitIndex i = 0; i < n; ++i) {
+      ASSERT_EQ(reference.delta(i), expected_deltas[i])
+          << "walk " << walk << " Δ_" << i;
+    }
     for (auto& lane : lanes) {
       ASSERT_EQ(lane.state->bits(), target) << lane.name << " walk " << walk;
       ASSERT_EQ(lane.state->energy(), reference.energy()) << lane.name;

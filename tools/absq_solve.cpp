@@ -96,9 +96,6 @@ int run(int argc, char** argv) {
   cli.add_flag("kernel", std::string("auto"),
                "flip-kernel form: auto | dense | dense-simd | sparse "
                "(all bit-identical; auto picks by instance density)");
-  cli.add_flag("delta32", false,
-               "opt into the 32-bit delta mode (falls back to 64-bit when "
-               "the worst-case overflow precheck fails)");
   cli.add_flag("seed", std::int64_t{1}, "solver seed");
   cli.add_flag("out", std::string(""), "write best solution to this file");
   cli.add_flag("print-trace", false, "print the improvement trace");
@@ -194,7 +191,6 @@ int run(int argc, char** argv) {
   config.device.adaptive = cli.get_bool("adaptive");
   config.device.kernel.form =
       absq::parse_kernel_form(cli.get_string("kernel"));
-  config.device.kernel.narrow_delta = cli.get_bool("delta32");
   {
     // Print the plan the devices will run (each device builds an identical
     // plan from the same options).
