@@ -14,6 +14,15 @@ fail() { echo "tools_smoke: FAIL — $1" >&2; exit 1; }
 "$BIN/tools/absq_gen" random --bits 96 --seed 5 --out "$WORK/r.qubo"
 "$BIN/tools/absq_info" "$WORK/r.qubo" | grep -q "bits:          96" \
   || fail "absq_info did not report the instance size"
+"$BIN/tools/absq_info" "$WORK/r.qubo" | grep -q "dense int16 storage" \
+  || fail "absq_info did not report dense storage for a random instance"
+# A sparse instance is stored as CSR from the moment it is read.
+printf 'qubo 200\n0 1 -3\n5 5 2\n7 199 4\n' > "$WORK/s.qubo"
+"$BIN/tools/absq_info" "$WORK/s.qubo" > "$WORK/s.info"
+grep -q "CSR storage" "$WORK/s.info" \
+  || fail "absq_info did not report CSR storage for a sparse instance"
+grep -q "weight range:  \[-3, 4\]" "$WORK/s.info" \
+  || fail "absq_info misread the stored entries of a sparse instance"
 "$BIN/tools/absq_solve" "$WORK/r.qubo" --seconds 0.5 --out "$WORK/r.sol" \
   | grep -q "best energy" || fail "absq_solve (qubo) produced no result"
 "$BIN/tools/absq_info" "$WORK/r.qubo" --verify "$WORK/r.sol" \

@@ -11,7 +11,7 @@ namespace {
 DeltaState make_block_state(const WeightMatrix& w,
                             const SearchBlock::Config& config) {
   if (config.kernel != nullptr) {
-    ABSQ_CHECK(&config.kernel->dense() == &w,
+    ABSQ_CHECK(&config.kernel->matrix() == &w,
                "kernel plan built for a different matrix");
     return DeltaState(*config.kernel);
   }

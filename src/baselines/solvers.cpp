@@ -50,9 +50,14 @@ BaselineResult greedy_descent(const WeightMatrix& w,
   Rng rng(mix64(seed));
   BestTracker tracker;
   std::uint64_t flips = 0;
+  // One scalar dense plan serves every restart, so a CSR-stored matrix is
+  // copied to dense rows once rather than once per descent.
+  KernelOptions scalar;
+  scalar.form = KernelOptions::Form::kDense;
+  const QuboKernel kernel(w, scalar);
 
   while (flips < flip_budget) {
-    DeltaState state(w, BitVector::random(w.size(), rng));
+    DeltaState state(kernel, BitVector::random(w.size(), rng));
     tracker.offer(state.bits(), state.energy());
     // Steepest descent to a 1-flip local minimum. Descents always run to
     // completion (bounded overshoot past the budget) so the reported best
@@ -130,11 +135,12 @@ BaselineResult simulated_bifurcation(const WeightMatrix& w,
 
   // Equivalent Ising couplings: J_ij = −2·W_ij (i ≠ j),
   // h_i = −2·W_ii − 2·Σ_{j≠i} W_ij (see qubo/ising.hpp). The local field
-  // Σ_j J_ij x_j + h_i is evaluated directly from W rows.
+  // Σ_j J_ij x_j + h_i is evaluated directly from dense W rows.
+  const DenseRows rows(w);
   std::vector<double> h(n);
   double j_square_sum = 0.0;
   for (BitIndex i = 0; i < n; ++i) {
-    const auto row = w.row(i);
+    const auto row = rows.row(i);
     Energy row_sum = 0;
     for (BitIndex j = 0; j < n; ++j) {
       if (j == i) continue;
@@ -175,7 +181,7 @@ BaselineResult simulated_bifurcation(const WeightMatrix& w,
     // Symplectic Euler: momenta first (local field from W rows), then
     // positions, then the inelastic walls of bSB.
     for (BitIndex i = 0; i < n; ++i) {
-      const auto row = w.row(i);
+      const auto row = rows.row(i);
       double field = h[i];
       for (BitIndex j = 0; j < n; ++j) {
         if (j != i) field += -2.0 * static_cast<double>(row[j]) * x[j];

@@ -1,10 +1,12 @@
 #include "problems/graph.hpp"
 
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <string>
 #include <unordered_set>
 
 #include "util/check.hpp"
+#include "util/text_scan.hpp"
 
 namespace absq {
 
@@ -137,9 +139,14 @@ void write_gset(std::ostream& out, const WeightedGraph& graph) {
 }
 
 WeightedGraph read_gset(std::istream& in) {
+  // A whitespace token stream, not a line format: any run of whitespace,
+  // newlines included, separates numbers.
+  const std::string text = read_all(in);
+  TextScanner tokens(text);
   long long n = 0;
   long long m = 0;
-  ABSQ_CHECK(static_cast<bool>(in >> n >> m), "missing G-set 'n m' header");
+  ABSQ_CHECK(tokens.read_int(n) && tokens.read_int(m),
+             "missing G-set 'n m' header");
   ABSQ_CHECK(n >= 2 && n <= static_cast<long long>(kMaxBits),
              "vertex count " << n << " out of range");
   ABSQ_CHECK(m >= 0, "negative edge count");
@@ -148,10 +155,13 @@ WeightedGraph read_gset(std::istream& in) {
     long long u = 0;
     long long v = 0;
     long long w = 0;
-    ABSQ_CHECK(static_cast<bool>(in >> u >> v >> w),
+    ABSQ_CHECK(tokens.read_int(u) && tokens.read_int(v) && tokens.read_int(w),
                "G-set file truncated at edge " << edge << " of " << m);
     ABSQ_CHECK(u >= 1 && u <= n && v >= 1 && v <= n,
                "edge endpoint out of range at edge " << edge);
+    ABSQ_CHECK(w >= std::numeric_limits<int>::min() &&
+                   w <= std::numeric_limits<int>::max(),
+               "edge weight " << w << " outside int at edge " << edge);
     graph.add_edge(static_cast<BitIndex>(u - 1), static_cast<BitIndex>(v - 1),
                    static_cast<int>(w));
   }

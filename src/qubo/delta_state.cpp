@@ -97,26 +97,29 @@ DeltaState::MinTree::Entry DeltaState::MinTree::query(BitIndex lo,
 // ---------------------------------------------------------------------------
 // Construction.
 
-DeltaState::DeltaState(const WeightMatrix& w) : w_(&w), x_(w.size()) {
+DeltaState::DeltaState(const WeightMatrix& w)
+    : w_(&w), dense_(w), x_(w.size()) {
   init_zero_state();
 }
 
 DeltaState::DeltaState(const WeightMatrix& w, const BitVector& x)
-    : w_(&w), x_(x) {
+    : w_(&w), dense_(w), x_(x) {
   init_from_bits(x);
 }
 
 DeltaState::DeltaState(const QuboKernel& kernel)
-    : w_(&kernel.dense()),
+    : w_(&kernel.matrix()),
       sparse_(kernel.sparse()),
-      x_(kernel.dense().size()),
+      dense_(kernel.dense_rows()),
+      x_(kernel.matrix().size()),
       form_(kernel.form()) {
   init_zero_state();
 }
 
 DeltaState::DeltaState(const QuboKernel& kernel, const BitVector& x)
-    : w_(&kernel.dense()),
+    : w_(&kernel.matrix()),
       sparse_(kernel.sparse()),
+      dense_(kernel.dense_rows()),
       x_(x),
       form_(kernel.form()) {
   init_from_bits(x);
@@ -156,7 +159,7 @@ void DeltaState::init_from_bits(const BitVector& x) {
 // Dense forms.
 
 Energy DeltaState::flip_dense(BitIndex k) {
-  const auto row = w_->row(k);
+  const auto row = dense_.row(k);
   // 2·φ(x_k) before the flip; Eq. (16) applies the pre-flip signs.
   const int two_phi_k = 2 * signs_[k];
   std::int32_t* deltas = deltas_.data();
@@ -187,7 +190,7 @@ Energy DeltaState::flip_dense(BitIndex k) {
 }
 
 DeltaState::FlipOutcome DeltaState::flip_tracked_dense_scalar(BitIndex k) {
-  const auto row = w_->row(k);
+  const auto row = dense_.row(k);
   const int two_phi_k = 2 * signs_[k];
   std::int32_t* deltas = deltas_.data();
   const std::int32_t old_delta_k = deltas[k];
@@ -222,7 +225,7 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_dense_scalar(BitIndex k) {
 }
 
 DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(BitIndex k) {
-  const auto row = w_->row(k);
+  const auto row = dense_.row(k);
   const int two_phi_k = 2 * signs_[k];
   std::int32_t* deltas = deltas_.data();
   const std::int32_t old_delta_k = deltas[k];

@@ -59,11 +59,13 @@ class DeltaState {
 
   /// State for the all-zero vector: E(0) = 0 and Δ_i(0) = W_ii — the O(n)
   /// initialization the paper performs in device Step 1. Uses the original
-  /// dense scalar kernel.
+  /// dense scalar kernel, on dense rows (DenseRows: a private copy when `w`
+  /// is CSR-stored).
   explicit DeltaState(const WeightMatrix& w);
 
-  /// State for an arbitrary starting vector. Costs O(n²) (Eq. 4 per bit);
-  /// used by baselines and tests, never by the ABS hot path.
+  /// State for an arbitrary starting vector. Costs O(n²) (Eq. 4 per bit) on
+  /// dense storage, O(nnz) on CSR; used by baselines and tests, never by
+  /// the ABS hot path.
   DeltaState(const WeightMatrix& w, const BitVector& x);
 
   /// Same two constructors, but running the form the kernel plan
@@ -188,6 +190,7 @@ class DeltaState {
 
   const WeightMatrix* w_;
   const SparseWeightMatrix* sparse_ = nullptr;  // non-null iff form_ sparse
+  DenseRows dense_;                             // empty iff form_ sparse
   BitVector x_;
   std::vector<std::int32_t> deltas_;
   // φ(x_i) ∈ {+1, −1} cached per bit so the repair loop reads a byte

@@ -3,7 +3,9 @@
 // These are the O(n²) and O(n) formulas the paper starts from. The solver
 // never calls them in its hot path (that is the whole point of the paper);
 // they exist as the ground truth the incremental DeltaState is verified
-// against, and as the kernels of the baseline Algorithms 1 and 2.
+// against, and as the kernels of the baseline Algorithms 1 and 2. On a
+// CSR-stored matrix each walks stored entries only, so the O(n²) bounds
+// below become O(nnz).
 #pragma once
 
 #include <vector>

@@ -49,24 +49,20 @@ IsingModel IsingModel::from_qubo(const WeightMatrix& w) {
   // Substituting x = (s + 1)/2 into E(X) and multiplying by 4:
   //   4E = Σ_{i<j} 2W_ij s_i s_j + Σ_i (2W_ii + 2Σ_{j≠i} W_ij) s_i + C
   // so J_ij = −2W_ij, h_i = −2W_ii − 2Σ_{j≠i} W_ij, offset = C, giving
-  // H(S) = 4·E(X) exactly.
-  const BitIndex n = w.size();
-  IsingModel m(n);
+  // H(S) = 4·E(X) exactly. C = Σ_i 2W_ii + Σ_{i<j} 2W_ij. Every term is
+  // read off a stored upper-triangle entry; an off-diagonal W_ij enters the
+  // row sums of both i and j.
+  IsingModel m(w.size());
   std::int64_t offset = 0;
-  for (BitIndex i = 0; i < n; ++i) {
-    std::int64_t row_sum = 0;
-    for (BitIndex j = 0; j < n; ++j) {
-      if (j != i) row_sum += w.at(i, j);
+  w.for_each_upper([&m, &offset](BitIndex i, BitIndex j, Weight weight) {
+    const auto v = static_cast<std::int64_t>(weight);
+    m.h_[i] -= 2 * v;
+    offset += 2 * v;
+    if (i != j) {
+      m.h_[j] -= 2 * v;
+      m.j_[m.pair_index(i, j)] = -2 * v;
     }
-    m.h_[i] = -2 * (static_cast<std::int64_t>(w.at(i, i)) + row_sum);
-    offset += 2 * static_cast<std::int64_t>(w.at(i, i)) + row_sum;
-    for (BitIndex j = i + 1; j < n; ++j) {
-      m.set_coupling(i, j, -2 * static_cast<std::int64_t>(w.at(i, j)));
-    }
-  }
-  // Σ_{i<j} 2W_ij == Σ_i Σ_{j≠i} W_ij, already folded into `offset` above
-  // (each unordered pair counted twice × W_ij, divided by the symmetric
-  // accumulation — row_sum per i adds W_ij once for each ordered pair).
+  });
   m.offset_ = offset;
   m.scale_ = 4;
   return m;

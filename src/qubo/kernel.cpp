@@ -31,15 +31,6 @@ KernelOptions::Form parse_kernel_form(const std::string& name) {
 
 QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
     : w_(&w) {
-  const BitIndex n = w.size();
-  // One O(n²) pass counts the nonzeros kAuto's density rule reads.
-  for (BitIndex k = 0; k < n; ++k) {
-    const auto row = w.row(k);
-    for (BitIndex i = 0; i < n; ++i) {
-      if (row[i] != 0) ++nonzeros_;
-    }
-  }
-
   switch (options.form) {
     case KernelOptions::Form::kDense:
       form_ = KernelForm::kDenseScalar;
@@ -51,20 +42,17 @@ QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
       form_ = KernelForm::kSparse;
       break;
     case KernelOptions::Form::kAuto:
-      form_ = (n >= kSparseMinBits && density() <= kSparseDensityThreshold)
-                  ? KernelForm::kSparse
-                  : KernelForm::kDenseSimd;
+      form_ = w.csr() != nullptr ? KernelForm::kSparse : KernelForm::kDenseSimd;
       break;
   }
-  if (form_ == KernelForm::kSparse) {
-    sparse_ = std::make_shared<const SparseWeightMatrix>(w);
+  if (form_ != KernelForm::kSparse) {
+    dense_ = DenseRows(w);
+  } else if (w.csr() != nullptr) {
+    sparse_ = w.csr();
+  } else {
+    converted_ = std::make_shared<const SparseWeightMatrix>(w);
+    sparse_ = converted_.get();
   }
-}
-
-double QuboKernel::density() const {
-  const double n = static_cast<double>(w_->size());
-  if (n == 0.0) return 0.0;
-  return static_cast<double>(nonzeros_) / (n * n);
 }
 
 std::string QuboKernel::description() const {

@@ -18,8 +18,10 @@
 // is proved below INT32_MAX by a static_assert in qubo/types.hpp. Every
 // form produces bit-identical energies, Δ vectors and flip outcomes —
 // pinned by the lockstep property tests — so kernel selection is purely a
-// performance decision. docs/kernels.md records selection rules and the
-// measured crossover.
+// performance decision. Which form kAuto runs is not decided here: the
+// matrix's storage already is the density rule's verdict (qubo/
+// weight_matrix.hpp), so the plan reads it in O(1). docs/kernels.md records
+// the rule and the measured crossover.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +53,7 @@ enum class DeltaWidth : std::uint8_t {
 
 struct KernelOptions {
   enum class Form : std::uint8_t {
-    kAuto = 0,    ///< sparse when profitable, dense-SIMD otherwise
+    kAuto = 0,    ///< the storage's form: CSR → sparse, dense → dense-SIMD
     kDense = 1,   ///< force the scalar dense kernel
     kDenseSimd = 2,
     kSparse = 3,
@@ -61,47 +63,42 @@ struct KernelOptions {
 
 [[nodiscard]] KernelOptions::Form parse_kernel_form(const std::string& name);
 
-/// The planned kernel for one instance: the dense matrix (always kept —
-/// reference energies, baselines and the dense forms read it), the CSR
-/// form when the plan selected it, and the chosen form. One plan is
-/// shared read-only by every search block of a device.
+/// The planned kernel for one instance: the matrix, the chosen form, and
+/// the rows that form reads. kAuto runs the storage's own form — the
+/// density rule already ran when the matrix was finished — and shares the
+/// matrix's CSR or dense rows, so planning is O(1). Only a forced form that
+/// differs from the storage converts: a CSR copy of dense storage, or a
+/// kernel-owned dense copy of CSR storage. One plan is shared read-only by
+/// every search block of a device.
 class QuboKernel {
  public:
-  /// kAuto picks the sparse form when stored-nonzeros/n² is at or below
-  /// this. From the measured crossover in EXPERIMENTS.md: with the
-  /// early-exit tournament tree the CSR kernel wins ~3× at 1% density
-  /// (G22) and loses at 6% (G1), so the break-even sits near 3%.
-  static constexpr double kSparseDensityThreshold = 1.0 / 32;
-
-  /// kAuto never picks sparse below this size — for tiny instances the
-  /// tournament tree costs more than the dense row it replaces.
-  static constexpr BitIndex kSparseMinBits = 64;
-
-  /// Plans the kernel. One O(n²) pass counts the nonzeros; builds the CSR
-  /// form only when selected. `w` must outlive the kernel.
+  /// Plans the kernel. `w` must outlive the kernel.
   explicit QuboKernel(const WeightMatrix& w, const KernelOptions& options = {});
 
-  [[nodiscard]] const WeightMatrix& dense() const { return *w_; }
+  [[nodiscard]] const WeightMatrix& matrix() const { return *w_; }
   /// Non-null exactly when form() == KernelForm::kSparse.
-  [[nodiscard]] const SparseWeightMatrix* sparse() const {
-    return sparse_.get();
-  }
+  [[nodiscard]] const SparseWeightMatrix* sparse() const { return sparse_; }
+  /// The rows the dense forms read; empty when form() is kSparse.
+  [[nodiscard]] const DenseRows& dense_rows() const { return dense_; }
 
   [[nodiscard]] KernelForm form() const { return form_; }
   /// Always kNarrow32: every form stores Δ as int32.
   [[nodiscard]] DeltaWidth width() const { return DeltaWidth::kNarrow32; }
 
-  [[nodiscard]] std::size_t stored_nonzeros() const { return nonzeros_; }
-  [[nodiscard]] double density() const;
+  [[nodiscard]] std::size_t stored_nonzeros() const {
+    return w_->stored_nonzeros();
+  }
+  [[nodiscard]] double density() const { return w_->density(); }
 
   /// e.g. "sparse/32-bit (n=5000, density 0.08%)" — for logs/benches.
   [[nodiscard]] std::string description() const;
 
  private:
   const WeightMatrix* w_;
-  std::shared_ptr<const SparseWeightMatrix> sparse_;
+  const SparseWeightMatrix* sparse_ = nullptr;
+  std::shared_ptr<const SparseWeightMatrix> converted_;  // forced sparse
+  DenseRows dense_;
   KernelForm form_ = KernelForm::kDenseScalar;
-  std::size_t nonzeros_ = 0;
 };
 
 }  // namespace absq

@@ -1,26 +1,23 @@
 #include "qubo/sparse_matrix.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 #include "qubo/weight_matrix.hpp"
 #include "util/check.hpp"
 
 namespace absq {
 
-SparseWeightMatrix::SparseWeightMatrix(const WeightMatrix& w)
-    : n_(w.size()), row_ptr_(static_cast<std::size_t>(w.size()) + 1, 0) {
-  std::size_t nnz = 0;
-  for (BitIndex i = 0; i < n_; ++i) {
-    const auto row = w.row(i);
-    std::size_t count = 0;
-    for (BitIndex j = 0; j < n_; ++j) {
-      if (row[j] != 0) ++count;
-    }
-    nnz += count;
-    row_ptr_[i + 1] = nnz;
+SparseWeightMatrix::SparseWeightMatrix(const WeightMatrix& w) {
+  if (const SparseWeightMatrix* csr = w.csr(); csr != nullptr) {
+    *this = *csr;
+    return;
   }
-  cols_.reserve(nnz);
-  weights_.reserve(nnz);
+  n_ = w.size();
+  row_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  cols_.reserve(w.stored_nonzeros());
+  weights_.reserve(w.stored_nonzeros());
   for (BitIndex i = 0; i < n_; ++i) {
     const auto row = w.row(i);
     for (BitIndex j = 0; j < n_; ++j) {
@@ -29,6 +26,7 @@ SparseWeightMatrix::SparseWeightMatrix(const WeightMatrix& w)
         weights_.push_back(row[j]);
       }
     }
+    row_ptr_[i + 1] = cols_.size();
   }
 }
 
@@ -64,24 +62,29 @@ SparseWeightMatrix SparseWeightMatrix::from_triplets(
     }
   }
   // Scatter order within a row follows the triplet order; the kernels (and
-  // at()) rely on ascending columns, so sort each row once.
+  // at()) rely on strictly ascending columns. Row-major triplets already
+  // scatter that way (a row receives its mirrored entries, then its own);
+  // any other row is sorted once, which also exposes duplicate keys.
+  std::vector<std::pair<BitIndex, Weight>> entries;
   for (BitIndex i = 0; i < n; ++i) {
     const std::size_t begin = m.row_ptr_[i];
     const std::size_t end = m.row_ptr_[i + 1];
-    std::vector<std::pair<BitIndex, Weight>> entries;
-    entries.reserve(end - begin);
+    const BitIndex* cols = m.cols_.data();
+    if (std::adjacent_find(cols + begin, cols + end, std::greater_equal<>()) ==
+        cols + end) {
+      continue;
+    }
+    entries.clear();
     for (std::size_t p = begin; p < end; ++p) {
       entries.emplace_back(m.cols_[p], m.weights_[p]);
     }
     std::sort(entries.begin(), entries.end());
     for (std::size_t p = begin; p < end; ++p) {
-      ABSQ_CHECK(p == begin || entries[p - begin].first !=
-                                   entries[p - begin - 1].first,
-                 "duplicate triplet for entry (" << i << ", "
-                                                 << entries[p - begin].first
-                                                 << ")");
-      m.cols_[p] = entries[p - begin].first;
-      m.weights_[p] = entries[p - begin].second;
+      const auto& [col, weight] = entries[p - begin];
+      ABSQ_CHECK(p == begin || col != entries[p - begin - 1].first,
+                 "duplicate triplet for entry (" << i << ", " << col << ")");
+      m.cols_[p] = col;
+      m.weights_[p] = weight;
     }
   }
   return m;

@@ -7,10 +7,10 @@
 // (exactly as the dense WeightMatrix materializes both) so row k is one
 // contiguous, ascending-index scan.
 //
-// A SparseWeightMatrix is immutable once built. It can be derived from an
-// existing dense WeightMatrix (the usual path: QuboKernel plans the kernel
-// for an instance) or emitted directly by WeightMatrixBuilder::build_sparse
-// without ever materializing the n² dense array.
+// A SparseWeightMatrix is immutable once built. It is the CSR storage of a
+// WeightMatrix the density rule stores sparse (built by from_triplets while
+// the matrix is finished, never through an n² array), or a conversion of a
+// dense-stored matrix when a caller forces the sparse kernel form.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,8 @@ class SparseWeightMatrix {
  public:
   SparseWeightMatrix() = default;
 
-  /// CSR of every nonzero of `w` (both triangles, diagonal included).
+  /// CSR of every nonzero of `w` (both triangles, diagonal included): a
+  /// copy of CSR storage, or one O(n²) pass over dense storage.
   explicit SparseWeightMatrix(const WeightMatrix& w);
 
   /// One (i, j, w) energy term with i ≤ j; the off-diagonal mirror entry is
@@ -39,7 +40,7 @@ class SparseWeightMatrix {
   };
 
   /// Builds from upper-triangle triplets (i ≤ j, no duplicate (i, j) keys,
-  /// zero weights ignored). Used by WeightMatrixBuilder::build_sparse.
+  /// zero weights ignored). Triplets in row-major order need no sort.
   static SparseWeightMatrix from_triplets(BitIndex n,
                                           const std::vector<Triplet>& terms);
 
@@ -83,6 +84,9 @@ class SparseWeightMatrix {
     return row_ptr_.size() * sizeof(std::size_t) +
            cols_.size() * sizeof(BitIndex) + weights_.size() * sizeof(Weight);
   }
+
+  friend bool operator==(const SparseWeightMatrix& a,
+                         const SparseWeightMatrix& b) = default;
 
  private:
   BitIndex n_ = 0;

@@ -8,8 +8,11 @@
 namespace absq {
 namespace {
 
+// Algorithms 1 and 2 read dense rows and count the paper's dense matrix
+// reads, on either storage (DenseRows copies CSR storage out once).
+
 /// Instrumented Eq. (1): counts one matrix read per (set, set) index pair.
-Energy instrumented_full_energy(const WeightMatrix& w, const BitVector& x,
+Energy instrumented_full_energy(const DenseRows& w, const BitVector& x,
                                 SearchStats& stats) {
   Energy total = 0;
   const auto set_bits = x.ones();
@@ -23,7 +26,7 @@ Energy instrumented_full_energy(const WeightMatrix& w, const BitVector& x,
 }
 
 /// Instrumented Eq. (10): Δ_k via one full row read (n matrix reads).
-Energy instrumented_delta_k(const WeightMatrix& w, const BitVector& x,
+Energy instrumented_delta_k(const DenseRows& w, const BitVector& x,
                             BitIndex k, SearchStats& stats) {
   const auto row = w.row(k);
   Energy sum = 0;
@@ -52,8 +55,9 @@ SearchOutcome naive_local_search(const WeightMatrix& w, const BitVector& start,
   SearchStats stats;
   const Acceptor accept = effective_acceptor(opts);
 
+  const DenseRows rows(w);
   BitVector x = start;
-  Energy e_x = instrumented_full_energy(w, x, stats);
+  Energy e_x = instrumented_full_energy(rows, x, stats);
   BitVector best = x;
   Energy e_best = e_x;
 
@@ -61,7 +65,8 @@ SearchOutcome naive_local_search(const WeightMatrix& w, const BitVector& start,
     const auto k = static_cast<BitIndex>(rng.below(x.size()));
     // Generate the neighbour and evaluate it from scratch — Alg. 1 line 6.
     BitVector candidate = x.with_flip(k);
-    const Energy e_candidate = instrumented_full_energy(w, candidate, stats);
+    const Energy e_candidate =
+        instrumented_full_energy(rows, candidate, stats);
     if (accept(e_candidate - e_x, step, rng)) {
       x = std::move(candidate);
       e_x = e_candidate;
@@ -85,15 +90,16 @@ SearchOutcome single_delta_local_search(const WeightMatrix& w,
   SearchStats stats;
   const Acceptor accept = effective_acceptor(opts);
 
+  const DenseRows rows(w);
   BitVector x = start;
-  Energy e_x = instrumented_full_energy(w, x, stats);
+  Energy e_x = instrumented_full_energy(rows, x, stats);
   BitVector best = x;
   Energy e_best = e_x;
 
   for (std::uint64_t step = 0; step < opts.steps; ++step) {
     const auto k = static_cast<BitIndex>(rng.below(x.size()));
     // E(flip_k(X)) by the O(n) difference formula — Alg. 2 line 6.
-    const Energy delta = instrumented_delta_k(w, x, k, stats);
+    const Energy delta = instrumented_delta_k(rows, x, k, stats);
     ++stats.evaluated_solutions;
     if (accept(delta, step, rng)) {
       x.flip(k);

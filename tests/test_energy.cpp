@@ -27,6 +27,15 @@ WeightMatrix random_matrix(BitIndex n, std::uint64_t seed) {
   });
 }
 
+/// A CSR-stored instance: ~1% of the entries set, diagonal included.
+WeightMatrix random_csr_matrix(BitIndex n, std::uint64_t seed) {
+  Rng rng(seed);
+  return WeightMatrix::generate_symmetric(n, [&rng](BitIndex i, BitIndex j) {
+    if (i != j && !rng.chance(0.01)) return Weight{0};
+    return static_cast<Weight>(rng.range(-100, 100));
+  });
+}
+
 TEST(Phi, MatchesDefinition) {
   EXPECT_EQ(phi(0), 1);
   EXPECT_EQ(phi(1), -1);
@@ -111,6 +120,37 @@ TEST(AllDeltas, ZeroVectorDeltasAreDiagonal) {
   const WeightMatrix w = random_matrix(12, 9);
   const auto deltas = all_deltas(w, BitVector(12));
   for (BitIndex i = 0; i < 12; ++i) EXPECT_EQ(deltas[i], w.at(i, i));
+}
+
+TEST(FullEnergy, CsrStorageMatchesBruteForce) {
+  const WeightMatrix w = random_csr_matrix(300, 21);
+  ASSERT_NE(w.csr(), nullptr);
+  Rng rng(22);
+  for (int trial = 0; trial < 10; ++trial) {
+    const BitVector x = BitVector::random(300, rng);
+    EXPECT_EQ(full_energy(w, x), brute_force_energy(w, x));
+  }
+  BitVector all(300);
+  for (BitIndex i = 0; i < 300; ++i) all.set(i, true);
+  EXPECT_EQ(full_energy(w, all), brute_force_energy(w, all));
+}
+
+TEST(AllDeltas, CsrStorageMatchesBruteForce) {
+  // Δ_k(X) = E(flip_k(X)) − E(X), both sides from the literal Eq. (1).
+  const WeightMatrix w = random_csr_matrix(200, 23);
+  ASSERT_NE(w.csr(), nullptr);
+  Rng rng(24);
+  for (int trial = 0; trial < 4; ++trial) {
+    const BitVector x = BitVector::random(200, rng);
+    const Energy e = brute_force_energy(w, x);
+    const auto deltas = all_deltas(w, x);
+    ASSERT_EQ(deltas.size(), 200u);
+    for (BitIndex k = 0; k < 200; ++k) {
+      const Energy expected = brute_force_energy(w, x.with_flip(k)) - e;
+      ASSERT_EQ(deltas[k], expected) << "k=" << k;
+      ASSERT_EQ(delta_k(w, x, k), expected) << "k=" << k;
+    }
+  }
 }
 
 TEST(Energy, SixteenBitExtremesDoNotOverflow) {

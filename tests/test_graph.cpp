@@ -159,6 +159,39 @@ TEST(GsetFormat, OutOfRangeVertexThrows) {
   EXPECT_THROW((void)read_gset(in), CheckError);
 }
 
+TEST(GsetFormat, OutOfIntWeightThrows) {
+  // Regression: weights were read as long long and narrowed to int, so
+  // 4294967297 (2³² + 1) was accepted as weight 1.
+  for (const char* text : {"3 1\n1 2 4294967297\n", "3 1\n1 2 -2147483649\n",
+                           "3 2\n1 2 1\n2 3 2147483648\n"}) {
+    std::istringstream in(text);
+    try {
+      (void)read_gset(in);
+      FAIL() << "accepted " << text;
+    } catch (const CheckError& error) {
+      EXPECT_NE(std::string(error.what()).find("outside int at edge"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  std::istringstream extremes("3 2\n1 2 2147483647\n2 3 -2147483648\n");
+  const WeightedGraph graph = read_gset(extremes);
+  EXPECT_EQ(graph.edges()[0].weight, 2147483647);
+  EXPECT_EQ(graph.edges()[1].weight, -2147483648);
+}
+
+TEST(GsetFormat, PlusSignsTabsAndCrlfAreAccepted) {
+  // A whitespace token stream: any whitespace separates numbers.
+  std::istringstream in("+3\t+2\r\n1\t2\t+1\r\n2 3\n-1\r\n");
+  const WeightedGraph graph = read_gset(in);
+  ASSERT_EQ(graph.edge_count(), 2u);
+  EXPECT_EQ(graph.edges()[0].weight, 1);
+  EXPECT_EQ(graph.edges()[1].v, 2u);
+  EXPECT_EQ(graph.edges()[1].weight, -1);
+  std::istringstream double_sign("3 1\n1 2 +-1\n");
+  EXPECT_THROW((void)read_gset(double_sign), CheckError);
+}
+
 TEST(GsetFormat, MissingHeaderThrows) {
   std::istringstream in("");
   EXPECT_THROW((void)read_gset(in), CheckError);

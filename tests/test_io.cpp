@@ -105,6 +105,68 @@ TEST(QuboIo, TruncatedEntryThrows) {
   EXPECT_THROW((void)read_qubo(in), CheckError);
 }
 
+TEST(QuboIo, PlusSignsTabsAndCrlfAreAccepted) {
+  // What `istream >> long long` accepted: a leading '+', any whitespace
+  // between fields, and a '\r' before each '\n'.
+  std::istringstream plus("qubo +3\n+0 +2 +7\n");
+  EXPECT_EQ(read_qubo(plus).at(0, 2), 7);
+  std::istringstream tabs("qubo\t3\n0\t2\t-7\t\n");
+  EXPECT_EQ(read_qubo(tabs).at(2, 0), -7);
+  std::istringstream crlf("# c\r\nqubo 3\r\n0 0 5\r\n0 2 -7\r\n");
+  const WeightMatrix w = read_qubo(crlf);
+  EXPECT_EQ(w.at(0, 0), 5);
+  EXPECT_EQ(w.at(0, 2), -7);
+}
+
+TEST(QuboIo, SignAndLineEndEdgeCasesAreRejected) {
+  for (const char* text : {
+           "qubo 3\n0 1 +-5\n",      // one sign only
+           "qubo 3\n0 1 + 5\n",      // a sign must touch its digits
+           "qubo 3\r\n\r\n0 0 1\r\n",  // "\r" alone is not a blank line
+           "qubo 3\n0 1 5x\n",       // trailing junk after the weight
+       }) {
+    std::istringstream in(text);
+    EXPECT_THROW((void)read_qubo(in), CheckError) << text;
+  }
+}
+
+TEST(QuboIo, ErrorsNameTheFirstBadLine) {
+  // A repeat above a malformed line is the first error in file order.
+  std::istringstream in("qubo 3\n1 2 5\n0 1 5\n1 2 4\nx\n");
+  try {
+    (void)read_qubo(in);
+    FAIL() << "accepted";
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("line 4: duplicate entry (1, 2)"),
+              std::string::npos)
+        << error.what();
+  }
+  std::istringstream bad("qubo 3\n0 0 1\n\n0 3 1\n");
+  try {
+    (void)read_qubo(bad);
+    FAIL() << "accepted";
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("line 4: index out of range"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(QuboIo, WriteEmitsStoredUpperEntriesInRowMajorOrder) {
+  const WeightMatrix w = sample_matrix();
+  std::ostringstream expected;
+  expected << "qubo 6\n";
+  for (BitIndex i = 0; i < 6; ++i) {
+    for (BitIndex j = i; j < 6; ++j) {
+      if (w.at(i, j) == 0) continue;
+      expected << i << ' ' << j << ' ' << w.at(i, j) << '\n';
+    }
+  }
+  std::ostringstream out;
+  write_qubo(out, w);
+  EXPECT_EQ(out.str(), expected.str());
+}
+
 TEST(QuboIo, FileRoundTrip) {
   const WeightMatrix original = sample_matrix();
   const std::string path = ::testing::TempDir() + "/absq_io_test.qubo";

@@ -108,57 +108,58 @@ TEST(SparseMatrix, FromTripletsRejectsDuplicateKeys) {
   EXPECT_THROW((void)SparseWeightMatrix::from_triplets(3, terms), CheckError);
 }
 
-TEST(SparseMatrix, BuilderBuildSparseMatchesBuild) {
-  // Includes an odd off-diagonal coefficient so the ×2 energy_scale path is
-  // exercised identically by both build paths.
-  WeightMatrixBuilder dense_builder(6);
-  WeightMatrixBuilder sparse_builder(6);
-  for (auto* b : {&dense_builder, &sparse_builder}) {
-    b->add(0, 1, 7);  // odd → doubles every coefficient
-    b->add(2, 4, -6);
-    b->add_linear(3, 11);
-    b->add(5, 5, -2);
-    b->add(1, 0, 1);  // accumulates onto (0, 1)
-  }
-  const WeightMatrix w = dense_builder.build();
-  const SparseWeightMatrix sp = sparse_builder.build_sparse();
-  EXPECT_EQ(dense_builder.energy_scale(), sparse_builder.energy_scale());
-  ASSERT_EQ(sp.size(), w.size());
-  for (BitIndex i = 0; i < w.size(); ++i) {
-    for (BitIndex j = 0; j < w.size(); ++j) {
-      EXPECT_EQ(sp.at(i, j), w.at(i, j)) << "(" << i << ", " << j << ")";
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // QuboKernel planning
 // ---------------------------------------------------------------------------
 
 TEST(QuboKernel, AutoSelectsSparseForLargeLowDensityInstances) {
   const WeightMatrix w = random_sparse(128, 0.01, 31);
+  ASSERT_NE(w.csr(), nullptr);
   const QuboKernel kernel(w);
   EXPECT_EQ(kernel.form(), KernelForm::kSparse);
-  ASSERT_NE(kernel.sparse(), nullptr);
-  EXPECT_EQ(kernel.sparse()->size(), w.size());
+  // The plan runs the matrix's own CSR rather than a copy of it.
+  EXPECT_EQ(kernel.sparse(), w.csr());
   EXPECT_EQ(kernel.width(), DeltaWidth::kNarrow32);
-  EXPECT_LE(kernel.density(), QuboKernel::kSparseDensityThreshold);
+  EXPECT_EQ(kernel.stored_nonzeros(), w.csr()->stored_nonzeros());
+  EXPECT_LE(kernel.density(), WeightMatrix::kSparseDensityThreshold);
 }
 
 TEST(QuboKernel, AutoKeepsDenseInstancesOnSimd) {
   const WeightMatrix w = random_dense(80, 32);
+  ASSERT_EQ(w.csr(), nullptr);
   const QuboKernel kernel(w);
   EXPECT_EQ(kernel.form(), KernelForm::kDenseSimd);
   EXPECT_EQ(kernel.sparse(), nullptr);
+  EXPECT_EQ(kernel.dense_rows().row(3).data(), w.row(3).data());
 }
 
 TEST(QuboKernel, AutoKeepsTinyInstancesDense) {
   // Sparse but below kSparseMinBits: the tournament tree would cost more
   // than the dense row it replaces.
   const WeightMatrix w = random_sparse(32, 0.05, 33);
+  ASSERT_EQ(w.csr(), nullptr);
   const QuboKernel kernel(w);
   EXPECT_EQ(kernel.form(), KernelForm::kDenseSimd);
   EXPECT_EQ(kernel.sparse(), nullptr);
+}
+
+TEST(QuboKernel, ForcedDenseFormsOnCsrStorageOwnTheirRows) {
+  const WeightMatrix w = random_sparse(128, 0.01, 35);
+  ASSERT_NE(w.csr(), nullptr);
+  for (const auto form :
+       {KernelOptions::Form::kDense, KernelOptions::Form::kDenseSimd}) {
+    KernelOptions options;
+    options.form = form;
+    const QuboKernel kernel(w, options);
+    EXPECT_EQ(kernel.sparse(), nullptr);
+    ASSERT_EQ(kernel.dense_rows().size(), w.size());
+    for (BitIndex i = 0; i < w.size(); ++i) {
+      for (BitIndex j = 0; j < w.size(); ++j) {
+        ASSERT_EQ(kernel.dense_rows().row(i)[j], w.at(i, j))
+            << "(" << i << ", " << j << ")";
+      }
+    }
+  }
 }
 
 TEST(QuboKernel, ForcedFormsAreRespected) {
@@ -289,8 +290,14 @@ BitIndex argmin_window_oracle(const DeltaState& s, BitIndex offset,
   return best;
 }
 
-void run_lockstep(const WeightMatrix& w, std::uint64_t seed, int steps,
-                  bool random_start) {
+/// Which storage a lockstep instance must have: with one instance of each
+/// per suite, every suite runs both storages and both forced-form
+/// conversions (the sparse lane on dense storage, the dense lanes on CSR).
+enum class Storage { kDense, kCsr };
+
+void run_lockstep(const WeightMatrix& w, Storage storage, std::uint64_t seed,
+                  int steps, bool random_start) {
+  ASSERT_EQ(w.csr() != nullptr, storage == Storage::kCsr);
   const BitIndex n = w.size();
   Rng rng(seed);
   const BitVector start =
@@ -387,20 +394,28 @@ class KernelLockstep : public ::testing::TestWithParam<BitIndex> {};
 
 TEST_P(KernelLockstep, DenseInstanceFromZeroState) {
   const BitIndex n = GetParam();
-  run_lockstep(random_dense(n, 500 + n), 600 + n, 300, false);
+  run_lockstep(random_dense(n, 500 + n), Storage::kDense, 600 + n, 300,
+               false);
 }
 
 TEST_P(KernelLockstep, DenseInstanceFromRandomState) {
   const BitIndex n = GetParam();
-  run_lockstep(random_dense(n, 700 + n), 800 + n, 300, true);
+  run_lockstep(random_dense(n, 700 + n), Storage::kDense, 800 + n, 300, true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, KernelLockstep,
                          ::testing::Values(1, 2, 3, 17, 64, 65, 130));
 
 TEST(KernelLockstep, GsetStyleSparseInstance) {
-  // ~6 nonzeros per row out of 96 — the regime the CSR kernel exists for.
-  run_lockstep(random_sparse(96, 0.06, 901), 902, 500, true);
+  // ~6 nonzeros per row out of 96: 6% is above the 1/32 rule, so the
+  // matrix is dense-stored and the sparse lane runs a CSR conversion.
+  run_lockstep(random_sparse(96, 0.06, 901), Storage::kDense, 902, 500, true);
+}
+
+TEST(KernelLockstep, CsrStoredSparseInstance) {
+  // ~2 nonzeros per row out of 128: CSR-stored, so the dense lanes run
+  // kernel-owned dense copies and the reference a private one.
+  run_lockstep(random_sparse(128, 0.015, 905), Storage::kCsr, 906, 500, true);
 }
 
 TEST(KernelLockstep, SaturatedWeightExtremes) {
@@ -411,7 +426,7 @@ TEST(KernelLockstep, SaturatedWeightExtremes) {
       });
   // |Δ| reaches ~48·2·32768 ≈ 3.1M, and the dense loops' transient i == k
   // repair adds up to 2·32768 more: every form must stay exact here.
-  run_lockstep(w, 904, 400, true);
+  run_lockstep(w, Storage::kDense, 904, 400, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -436,8 +451,9 @@ BitIndex walk_step_oracle(const DeltaState& s, const BitVector& target) {
   return best;
 }
 
-void run_walk_lockstep(const WeightMatrix& w, std::uint64_t seed,
-                       int walks) {
+void run_walk_lockstep(const WeightMatrix& w, Storage storage,
+                       std::uint64_t seed, int walks) {
+  ASSERT_EQ(w.csr() != nullptr, storage == Storage::kCsr);
   const BitIndex n = w.size();
   Rng rng(seed);
   DeltaState reference(w);  // legacy ctor: dense scalar
@@ -568,17 +584,18 @@ void run_walk_lockstep(const WeightMatrix& w, std::uint64_t seed,
 }
 
 TEST(WalkLockstep, GsetStyleSparseInstance) {
-  run_walk_lockstep(random_sparse(200, 0.03, 930), 931, 40);
+  run_walk_lockstep(random_sparse(200, 0.03, 930), Storage::kCsr, 931, 40);
 }
 
 TEST(WalkLockstep, DenseInstance) {
-  run_walk_lockstep(random_dense(96, 932), 933, 40);
+  run_walk_lockstep(random_dense(96, 932), Storage::kDense, 933, 40);
 }
 
 TEST(WalkLockstep, ZeroMatrixTiesResolveLeftmost) {
   // Every Δ is 0 forever, so each walk step is a pure tie among the
   // pending bits: the leftmost must win in every form.
-  run_walk_lockstep(WeightMatrix(70), 934, 40);
+  // An empty 70-bit matrix is CSR-stored (0 entries, n ≥ kSparseMinBits).
+  run_walk_lockstep(WeightMatrix(70), Storage::kCsr, 934, 40);
 }
 
 // ---------------------------------------------------------------------------

@@ -147,26 +147,21 @@ TEST(SearchBlock, DistinctBlocksDiverge) {
 class SearchBlockLockstep
     : public ::testing::TestWithParam<portfolio::BlockAlgorithmKind> {};
 
-TEST_P(SearchBlockLockstep, SparseKernelBlockMatchesDenseScalarBlock) {
-  // A G-set-style instance (~5 nonzeros per row): a block on the CSR kernel
-  // and a block on the legacy dense scalar kernel, fed the same targets —
-  // fresh random ones and the blocks' own reports, as the GA would — must
-  // walk, search and report identically, whichever portfolio member runs
-  // Step 4b (multistart also walks back to its incumbent on restart).
-  const BitIndex n = 160;
-  Rng weights(17);
-  const WeightMatrix w = WeightMatrix::generate_symmetric(
-      n, [&weights](BitIndex, BitIndex) {
-        if (!weights.chance(0.03)) return static_cast<Weight>(0);
-        return static_cast<Weight>(weights.range(-100, 100));
-      });
+/// A block on the sparse kernel and a block on the legacy dense scalar
+/// kernel, fed the same targets — fresh random ones and the blocks' own
+/// reports, as the GA would — must walk, search and report identically,
+/// whichever portfolio member runs Step 4b (multistart also walks back to
+/// its incumbent on restart).
+void run_block_lockstep(const WeightMatrix& w,
+                        portfolio::BlockAlgorithmKind algorithm) {
+  const BitIndex n = w.size();
   KernelOptions sparse_options;
   sparse_options.form = KernelOptions::Form::kSparse;
   const QuboKernel sparse_kernel(w, sparse_options);
   ASSERT_EQ(sparse_kernel.form(), KernelForm::kSparse);
 
   auto config = block_config(96, 8);
-  config.algorithm = GetParam();
+  config.algorithm = algorithm;
   config.algorithm_options.restart_stall_limit = 8;
   SearchBlock dense_block(w, config);
   config.kernel = &sparse_kernel;
@@ -188,6 +183,33 @@ TEST_P(SearchBlockLockstep, SparseKernelBlockMatchesDenseScalarBlock) {
               dense_block.stats().improvements);
     target = iteration % 3 == 2 ? expected.bits : BitVector::random(n, rng);
   }
+}
+
+/// A G-set-style 160-bit instance with about `density` of its entries set.
+WeightMatrix gset_style(double density) {
+  Rng weights(17);
+  return WeightMatrix::generate_symmetric(
+      160, [&weights, density](BitIndex, BitIndex) {
+        if (!weights.chance(density)) return static_cast<Weight>(0);
+        return static_cast<Weight>(weights.range(-100, 100));
+      });
+}
+
+TEST_P(SearchBlockLockstep, SparseKernelBlockMatchesDenseScalarBlock) {
+  // ~5 nonzeros per row: CSR-stored, so the sparse block runs the matrix's
+  // own CSR and the dense scalar block a private dense copy.
+  const WeightMatrix w = gset_style(0.03);
+  ASSERT_TRUE(w.csr() != nullptr);
+  run_block_lockstep(w, GetParam());
+}
+
+TEST_P(SearchBlockLockstep, DenseStoredInstanceMatchesToo) {
+  // ~10 nonzeros per row is above the 1/32 rule: dense-stored, so the
+  // sparse block runs a CSR conversion and the dense block the rows
+  // themselves.
+  const WeightMatrix w = gset_style(0.06);
+  ASSERT_TRUE(w.csr() == nullptr);
+  run_block_lockstep(w, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,9 +1,18 @@
 #include "qubo/weight_matrix.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <map>
+#include <sstream>
+#include <utility>
+
+#include "abs/sync_runner.hpp"
+#include "problems/maxcut.hpp"
 #include "qubo/bit_vector.hpp"
 #include "qubo/energy.hpp"
+#include "qubo/io.hpp"
+#include "qubo/kernel.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -40,7 +49,15 @@ TEST(WeightMatrix, RowSpanMatchesAt) {
 }
 
 TEST(WeightMatrix, BytesReportsFootprint) {
-  EXPECT_EQ(WeightMatrix(100).bytes(), 100u * 100u * sizeof(Weight));
+  // Dense storage holds n² weights; CSR storage its row offsets and the
+  // stored entries only — an empty 100-bit matrix is 101 offsets.
+  const WeightMatrix dense(40);
+  ASSERT_EQ(dense.csr(), nullptr);
+  EXPECT_EQ(dense.bytes(), 40u * 40u * sizeof(Weight));
+  const WeightMatrix sparse(100);
+  ASSERT_NE(sparse.csr(), nullptr);
+  EXPECT_EQ(sparse.bytes(), sparse.csr()->bytes());
+  EXPECT_EQ(sparse.bytes(), 101u * sizeof(std::size_t));
 }
 
 TEST(WeightMatrixBuilder, RejectsBadSizes) {
@@ -218,6 +235,247 @@ TEST(WeightMatrix, DiagonalExtraction) {
       });
   const std::vector<Weight> expected = {1, 2, 3, 4};
   EXPECT_EQ(w.diagonal(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Storage: one rule, chosen when the matrix is finished
+// ---------------------------------------------------------------------------
+
+/// An n-bit matrix whose upper triangle holds `pairs` off-diagonal entries
+/// (each stored twice) and `diagonal` diagonal ones (each stored once).
+WeightMatrix with_entries(BitIndex n, BitIndex pairs, BitIndex diagonal) {
+  WeightMatrixBuilder b(n);
+  for (BitIndex p = 0; p < pairs; ++p) b.add(p % n, (p % n + 1 + p / n) % n, 2);
+  for (BitIndex i = 0; i < diagonal; ++i) b.add_linear(i, 3);
+  return b.build();
+}
+
+TEST(WeightMatrix, StorageFollowsTheDensityRule) {
+  // n = 64: the rule allows 64²/32 = 128 stored entries as CSR.
+  const WeightMatrix at_limit = with_entries(64, 64, 0);
+  ASSERT_EQ(at_limit.stored_nonzeros(), 128u);
+  EXPECT_NE(at_limit.csr(), nullptr);
+  const WeightMatrix over_limit = with_entries(64, 64, 1);
+  ASSERT_EQ(over_limit.stored_nonzeros(), 129u);
+  EXPECT_EQ(over_limit.csr(), nullptr);
+  EXPECT_EQ(WeightMatrix::stores_csr(64, 128), true);
+  EXPECT_EQ(WeightMatrix::stores_csr(64, 129), false);
+
+  // kSparseMinBits: an empty matrix is CSR from 64 bits, dense below.
+  EXPECT_EQ(WeightMatrix(WeightMatrix::kSparseMinBits - 1).csr(), nullptr);
+  EXPECT_NE(WeightMatrix(WeightMatrix::kSparseMinBits).csr(), nullptr);
+  EXPECT_EQ(with_entries(63, 1, 0).csr(), nullptr);
+  EXPECT_NE(with_entries(64, 1, 0).csr(), nullptr);
+}
+
+TEST(WeightMatrix, RuleCountsFinalWeightsOnly) {
+  // 64 pairs sit at the limit; a 65th whose terms cancel, and a diagonal
+  // that build_scaled() quantizes to 0, are not stored and do not count.
+  WeightMatrixBuilder cancelled(64);
+  for (BitIndex p = 0; p < 64; ++p) cancelled.add(p, (p + 1) % 64, 2);
+  cancelled.add(0, 5, 2);
+  cancelled.add(5, 0, -2);
+  EXPECT_EQ(cancelled.build().stored_nonzeros(), 128u);
+  EXPECT_NE(cancelled.build().csr(), nullptr);
+
+  WeightMatrixBuilder quantized(64);
+  for (BitIndex p = 0; p < 64; ++p) quantized.add(p, (p + 1) % 64, 1 << 20);
+  quantized.add_linear(7, 1);  // 1 >> shift == 0
+  int shift = 0;
+  const WeightMatrix w = quantized.build_scaled(&shift);
+  ASSERT_GT(shift, 0);
+  EXPECT_EQ(w.at(7, 7), 0);
+  EXPECT_EQ(w.stored_nonzeros(), 128u);
+  EXPECT_NE(w.csr(), nullptr);
+}
+
+TEST(WeightMatrix, SameContentSameStorageOnEveryPath) {
+  // One sparse and one dense content, each finished by the builder, by
+  // generate_symmetric and by a write/read round trip.
+  for (const double density : {0.01, 0.2}) {
+    const BitIndex n = 100;
+    Rng rng(41);
+    std::map<std::pair<BitIndex, BitIndex>, Weight> entries;
+    for (BitIndex i = 0; i < n; ++i) {
+      for (BitIndex j = i; j < n; ++j) {
+        if (rng.chance(density)) {
+          entries[{i, j}] = static_cast<Weight>(rng.range(1, 50));
+        }
+      }
+    }
+    WeightMatrixBuilder b(n);
+    for (const auto& [ij, v] : entries) {
+      b.add(ij.first, ij.second, ij.first == ij.second ? v : 2 * v);
+    }
+    const WeightMatrix built = b.build();
+    const WeightMatrix generated = WeightMatrix::generate_symmetric(
+        n, [&entries](BitIndex i, BitIndex j) {
+          const auto it = entries.find({i, j});
+          return it == entries.end() ? Weight{0} : it->second;
+        });
+    std::stringstream text;
+    write_qubo(text, built);
+    const WeightMatrix parsed = read_qubo(text);
+
+    EXPECT_EQ(built.csr() != nullptr, density < 0.03) << density;
+    EXPECT_EQ(generated, built) << density;
+    EXPECT_EQ(parsed, built) << density;
+    EXPECT_EQ(generated.csr() != nullptr, built.csr() != nullptr) << density;
+    EXPECT_EQ(parsed.csr() != nullptr, built.csr() != nullptr) << density;
+  }
+}
+
+TEST(WeightMatrix, EqualityComparesContentsOnCsrStorage) {
+  const WeightMatrix a = with_entries(200, 50, 10);
+  ASSERT_NE(a.csr(), nullptr);
+  EXPECT_EQ(a, with_entries(200, 50, 10));
+  EXPECT_NE(a, with_entries(200, 50, 11));
+  EXPECT_NE(a, with_entries(200, 51, 10));
+  EXPECT_NE(a, WeightMatrix(200));
+}
+
+TEST(WeightMatrix, CsrAccessorsMatchAnOracle) {
+  const BitIndex n = 150;
+  Rng rng(43);
+  std::map<std::pair<BitIndex, BitIndex>, Weight> oracle;  // i ≤ j
+  WeightMatrixBuilder b(n);
+  for (int t = 0; t < 120; ++t) {
+    auto i = static_cast<BitIndex>(rng.below(n));
+    auto j = static_cast<BitIndex>(rng.below(n));
+    if (i > j) std::swap(i, j);
+    if (oracle.contains({i, j})) continue;
+    const auto v = static_cast<Weight>(rng.range(-30, 30));
+    if (v == 0) continue;
+    oracle[{i, j}] = v;
+    b.add(i, j, i == j ? v : 2 * v);
+  }
+  const WeightMatrix w = b.build();
+  ASSERT_NE(w.csr(), nullptr);
+
+  std::size_t stored = 0;
+  for (BitIndex i = 0; i < n; ++i) {
+    for (BitIndex j = 0; j < n; ++j) {
+      const auto it = oracle.find({std::min(i, j), std::max(i, j)});
+      const Weight expected = it == oracle.end() ? Weight{0} : it->second;
+      ASSERT_EQ(w.at(i, j), expected) << "(" << i << ", " << j << ")";
+      if (expected != 0) ++stored;
+    }
+  }
+  EXPECT_EQ(w.nonzeros(), oracle.size());
+  EXPECT_EQ(w.stored_nonzeros(), stored);
+  EXPECT_TRUE(w.is_symmetric());
+  std::vector<Weight> diagonal(n, 0);
+  for (const auto& [ij, v] : oracle) {
+    if (ij.first == ij.second) diagonal[ij.first] = v;
+  }
+  EXPECT_EQ(w.diagonal(), diagonal);
+
+  // for_each_upper visits the oracle's entries in row-major order.
+  std::vector<std::pair<std::pair<BitIndex, BitIndex>, Weight>> visited;
+  w.for_each_upper([&visited](BitIndex i, BitIndex j, Weight v) {
+    visited.push_back({{i, j}, v});
+  });
+  EXPECT_EQ(visited, (std::vector<std::pair<std::pair<BitIndex, BitIndex>,
+                                            Weight>>(oracle.begin(),
+                                                     oracle.end())));
+}
+
+TEST(WeightMatrixBuilder, CsrBuildMatchesTermOracle) {
+  // An odd off-diagonal coefficient doubles every coefficient on the CSR
+  // path exactly as on the dense one.
+  WeightMatrixBuilder b(96);
+  b.add(0, 1, 7);  // odd → doubles every coefficient
+  b.add(2, 40, -6);
+  b.add_linear(3, 11);
+  b.add(95, 95, -2);
+  b.add(1, 0, 2);  // accumulates onto (0, 1): 9 stays odd
+  const WeightMatrix w = b.build();
+  ASSERT_NE(w.csr(), nullptr);
+  EXPECT_EQ(b.energy_scale(), 2);
+  for (BitIndex i = 0; i < 96; ++i) {
+    for (BitIndex j = 0; j < 96; ++j) {
+      Weight expected = 0;
+      const std::pair<BitIndex, BitIndex> ij{std::min(i, j), std::max(i, j)};
+      if (ij == std::pair<BitIndex, BitIndex>{0, 1}) expected = 9;   // 18/2
+      if (ij == std::pair<BitIndex, BitIndex>{2, 40}) expected = -6;  // −12/2
+      if (ij == std::pair<BitIndex, BitIndex>{3, 3}) expected = 22;
+      if (ij == std::pair<BitIndex, BitIndex>{95, 95}) expected = -4;
+      ASSERT_EQ(w.at(i, j), expected) << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(DenseRows, BorrowsDenseStorageAndCopiesCsr) {
+  const WeightMatrix dense = WeightMatrix::generate_symmetric(
+      8, [](BitIndex i, BitIndex j) { return static_cast<Weight>(i * j + 1); });
+  const DenseRows borrowed(dense);
+  EXPECT_EQ(borrowed.row(5).data(), dense.row(5).data());
+
+  const WeightMatrix sparse = with_entries(128, 40, 7);
+  ASSERT_NE(sparse.csr(), nullptr);
+  const DenseRows copied(sparse);
+  const DenseRows shared = copied;
+  ASSERT_EQ(copied.size(), 128u);
+  EXPECT_EQ(shared.row(0).data(), copied.row(0).data());
+  for (BitIndex i = 0; i < 128; ++i) {
+    ASSERT_EQ(copied.row(i).size(), 128u);
+    for (BitIndex j = 0; j < 128; ++j) {
+      ASSERT_EQ(copied.row(i)[j], sparse.at(i, j));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// No n² for sparse instances: at kMaxBits a dense copy would be 2 GiB, so
+// every step below finishing in tier-1 time and memory is the guard.
+// ---------------------------------------------------------------------------
+
+long peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss / 1024;
+}
+
+void expect_no_quadratic_step(const WeightMatrix& w) {
+  const BitIndex n = w.size();
+  ASSERT_EQ(n, kMaxBits);
+  ASSERT_NE(w.csr(), nullptr);
+  EXPECT_LT(w.bytes(), std::size_t{1} << 20);
+
+  const QuboKernel kernel(w);
+  EXPECT_EQ(kernel.form(), KernelForm::kSparse);
+  EXPECT_EQ(kernel.sparse(), w.csr());
+
+  AbsConfig config;
+  config.device.block_limit = 2;
+  config.device.local_steps = 64;
+  config.pool_capacity = 8;
+  SyncAbsRunner runner(w, config);
+  const AbsResult result = runner.run_rounds(1);
+  ASSERT_EQ(result.best.size(), n);
+  EXPECT_EQ(result.best_energy, full_energy(w, result.best));
+
+  std::stringstream text;
+  write_qubo(text, w);
+  EXPECT_EQ(read_qubo(text), w);
+
+  // A 2 GiB dense matrix anywhere above would show here.
+  EXPECT_LT(peak_rss_mb(), 512);
+}
+
+TEST(WeightMatrixScale, RingMaxCutAtMaxBitsStaysSparse) {
+  WeightedGraph ring(kMaxBits);
+  for (BitIndex v = 0; v < kMaxBits; ++v) {
+    ring.add_edge(v, (v + 1) % kMaxBits, 1);
+  }
+  expect_no_quadratic_step(maxcut_to_qubo(ring));
+}
+
+TEST(WeightMatrixScale, SeventeenByteQuboAtMaxBitsStaysSparse) {
+  const std::string text = "qubo 32768\n0 0 1\n";
+  ASSERT_EQ(text.size(), 17u);
+  std::istringstream in(text);
+  expect_no_quadratic_step(read_qubo(in));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 //
 //   absq_info instance.qubo
 //   absq_info instance.qubo --verify best.sol
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -26,16 +27,16 @@ int run(int argc, char** argv) {
   const absq::WeightMatrix w = absq::read_qubo_file(cli.positional()[0]);
   const absq::BitIndex n = w.size();
 
+  // Zero entries sit inside [min, max] already, so the stored entries are
+  // all the scan needs.
   absq::Weight min_weight = 0;
   absq::Weight max_weight = 0;
   std::int64_t diagonal_nonzeros = 0;
-  for (absq::BitIndex i = 0; i < n; ++i) {
-    if (w.at(i, i) != 0) ++diagonal_nonzeros;
-    for (absq::BitIndex j = i; j < n; ++j) {
-      min_weight = std::min(min_weight, w.at(i, j));
-      max_weight = std::max(max_weight, w.at(i, j));
-    }
-  }
+  w.for_each_upper([&](absq::BitIndex i, absq::BitIndex j, absq::Weight v) {
+    if (i == j) ++diagonal_nonzeros;
+    min_weight = std::min(min_weight, v);
+    max_weight = std::max(max_weight, v);
+  });
   const std::size_t nonzeros = w.nonzeros();
   const double density =
       static_cast<double>(nonzeros) /
@@ -46,8 +47,9 @@ int run(int argc, char** argv) {
               100.0 * density);
   std::printf("diagonal:      %" PRId64 " nonzero\n", diagonal_nonzeros);
   std::printf("weight range:  [%d, %d]\n", min_weight, max_weight);
-  std::printf("memory:        %.1f MiB dense int16\n",
-              static_cast<double>(w.bytes()) / (1 << 20));
+  std::printf("memory:        %.3f MiB, %s storage\n",
+              static_cast<double>(w.bytes()) / (1 << 20),
+              w.csr() != nullptr ? "CSR" : "dense int16");
 
   const absq::sim::DeviceSpec spec;
   std::printf("\nRTX 2080 Ti kernel geometry (100%% occupancy configs):\n");

@@ -180,9 +180,10 @@ int run(int argc, char** argv) {
   } else {
     ABSQ_CHECK(false, "unknown --format '" << format << "'");
   }
-  std::printf("instance: %s — %u bits, %zu nonzeros, %.1f MiB\n",
+  std::printf("instance: %s — %u bits, %zu nonzeros, %.3f MiB %s\n",
               path.c_str(), w.size(), w.nonzeros(),
-              static_cast<double>(w.bytes()) / (1 << 20));
+              static_cast<double>(w.bytes()) / (1 << 20),
+              w.csr() != nullptr ? "CSR" : "dense int16");
 
   absq::AbsConfig config;
   config.num_devices = static_cast<std::uint32_t>(devices);
