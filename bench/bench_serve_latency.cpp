@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json_text.hpp"
 #include "problems/random.hpp"
 #include "qubo/io.hpp"
 #include "serve/client.hpp"
@@ -31,6 +30,7 @@
 #include "serve/job_server.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/json_text.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -145,12 +145,12 @@ int main(int argc, char** argv) {
     out << "{\"type\":\"serve\",\"bench\":\"bench_serve_latency\","
         << "\"row\":\"clients=" << clients << ",jobs=" << jobs_per_client
         << ",bits=" << bits << "\",\"admissions\":" << total
-        << ",\"p50_ms\":" << absq::obs::json_number(p50)
-        << ",\"p99_ms\":" << absq::obs::json_number(p99)
-        << ",\"max_ms\":" << absq::obs::json_number(all_ms.back())
+        << ",\"p50_ms\":" << absq::json_number(p50)
+        << ",\"p99_ms\":" << absq::json_number(p99)
+        << ",\"max_ms\":" << absq::json_number(all_ms.back())
         << ",\"admissions_per_second\":"
-        << absq::obs::json_number(throughput)
-        << ",\"drain_seconds\":" << absq::obs::json_number(drain_wall)
+        << absq::json_number(throughput)
+        << ",\"drain_seconds\":" << absq::json_number(drain_wall)
         << "}\n";
   }
   return 0;

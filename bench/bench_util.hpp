@@ -20,9 +20,9 @@
 #include "abs/solver.hpp"
 #include "baselines/solvers.hpp"
 #include "abs/report.hpp"
-#include "obs/json_text.hpp"
 #include "qubo/weight_matrix.hpp"
 #include "util/check.hpp"
+#include "util/json_text.hpp"
 #include "util/stopwatch.hpp"
 
 namespace absq::bench {
@@ -78,16 +78,16 @@ class BenchReport {
     std::ofstream out(path_, first_ ? std::ios::trunc : std::ios::app);
     ABSQ_CHECK(out.good(), "cannot open bench report '" << path_ << "'");
     first_ = false;
-    out << "{\"type\":\"tts\",\"bench\":\"" << obs::json_escape(bench_)
-        << "\",\"row\":\"" << obs::json_escape(row) << "\",\"seed\":" << seed
+    out << "{\"type\":\"tts\",\"bench\":\"" << json_escape(bench_)
+        << "\",\"row\":\"" << json_escape(row) << "\",\"seed\":" << seed
         << ",\"trials\":" << summary.trials
         << ",\"reached\":" << summary.reached
-        << ",\"mean_seconds\":" << obs::json_number(summary.mean_seconds)
+        << ",\"mean_seconds\":" << json_number(summary.mean_seconds)
         << ",\"best_achieved\":" << summary.best_achieved
         << ",\"target\":" << target
-        << ",\"cap_seconds\":" << obs::json_number(cap_seconds);
+        << ",\"cap_seconds\":" << json_number(cap_seconds);
     if (!config.empty()) {
-      out << ",\"config\":\"" << obs::json_escape(config) << "\"";
+      out << ",\"config\":\"" << json_escape(config) << "\"";
     }
     out << "}\n";
   }

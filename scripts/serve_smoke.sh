@@ -84,6 +84,47 @@ http_get() {
 
 "$CLIENT" ping --port "$PORT" | grep -q pong || fail "server does not ping"
 
+# --- transport: one I/O thread per port, bounded lines ------------------------
+# Idle connections cost the server no threads: hold 63 through bash
+# /dev/tcp (one short of the 64-connection cap, so a client still fits),
+# compare Threads: in /proc, and run a submit round trip beside them.
+threads_of_server() {
+  sed -n 's/^Threads:[[:space:]]*//p' "/proc/$SERVER_PID/status"
+}
+THREADS_BEFORE="$(threads_of_server)"
+IDLE_FDS=()
+for _ in $(seq 1 63); do
+  exec {idle}<> "/dev/tcp/127.0.0.1/$PORT"
+  IDLE_FDS+=("$idle")
+done
+sleep 0.3
+THREADS_IDLE="$(threads_of_server)"
+[[ "$THREADS_IDLE" == "$THREADS_BEFORE" ]] \
+  || fail "63 idle clients moved the server from $THREADS_BEFORE to $THREADS_IDLE threads"
+"$CLIENT" submit "$WORK/i.qubo" --port "$PORT" --max-flips 2000 \
+  --name beside-idle --wait --timeout 60 > "$WORK/idle.out" 2>&1 \
+  || fail "submit beside idle clients failed ($(cat "$WORK/idle.out"))"
+# At the cap, the next connection gets one `busy` line and is closed.
+exec {idle}<> "/dev/tcp/127.0.0.1/$PORT"
+IDLE_FDS+=("$idle")
+exec {extra}<> "/dev/tcp/127.0.0.1/$PORT"
+IFS= read -r -t 10 BUSY <&"$extra" || true
+exec {extra}<&-
+grep -q '"code":"busy"' <<< "$BUSY" \
+  || fail "connection past the cap was not refused as busy: '$BUSY'"
+for idle in "${IDLE_FDS[@]}"; do exec {idle}<&-; done
+
+# A request line past the 64 MiB bound gets one bad_request reply naming
+# the bound, then the connection closes.
+exec {big}<> "/dev/tcp/127.0.0.1/$PORT"
+head -c $((64 * 1024 * 1024 + 1)) /dev/zero | tr '\0' x >&"$big"
+IFS= read -r -t 30 OVERSIZED <&"$big" || true
+exec {big}<&-
+grep -q '"code":"bad_request".*67108864' <<< "$OVERSIZED" \
+  || fail "over-bound line was not refused: '${OVERSIZED:0:200}'"
+"$CLIENT" ping --port "$PORT" | grep -q pong \
+  || fail "server does not ping after the over-bound line"
+
 # --- 8 concurrent submissions, all must reach the reference energy -----------
 for i in $(seq 1 8); do
   "$CLIENT" submit "$WORK/i.qubo" --port "$PORT" --target "$TARGET" \
@@ -183,8 +224,8 @@ SERVER_PID=""
 grep -q "clean shutdown" "$WORK/serve.log" \
   || fail "server log lacks the clean-shutdown line"
 
-# Telemetry written at shutdown: 19 submissions, 1 typed rejection.
-grep -q "absq_jobs_submitted 19" "$WORK/serve.prom" \
+# Telemetry written at shutdown: 20 submissions, 1 typed rejection.
+grep -q "absq_jobs_submitted 20" "$WORK/serve.prom" \
   || fail "metrics file lacks the submitted count"
 grep -q "absq_jobs_rejected 1" "$WORK/serve.prom" \
   || fail "metrics file lacks the rejected count"
@@ -194,8 +235,8 @@ grep -q "absq_jobs_recovered_total 0" "$WORK/serve.prom" \
   || fail "metrics file lacks the recovered-jobs series"
 grep -q "absq_jobs_lost_total 0" "$WORK/serve.prom" \
   || fail "metrics file lacks the lost-jobs series"
-[[ "$(grep -c '"type":"job"' "$WORK/serve.jsonl")" == "19" ]] \
-  || fail "report file does not list all 19 jobs"
+[[ "$(grep -c '"type":"job"' "$WORK/serve.jsonl")" == "20" ]] \
+  || fail "report file does not list all 20 jobs"
 
 # Per-job checkpoints were written for completed jobs.
 ls "$WORK"/ck/job-*.ck > /dev/null 2>&1 || fail "no per-job checkpoints"

@@ -3,22 +3,12 @@
 #include <fstream>
 
 #include "ga/solution_pool.hpp"
-#include "obs/json_text.hpp"
 #include "util/check.hpp"
+#include "util/json_text.hpp"
 
 namespace absq {
 
-using obs::json_escape;
-using obs::json_number;
-
 namespace {
-
-std::string quoted(const std::string& text) {
-  std::string out = "\"";
-  out += json_escape(text);
-  out += '"';
-  return out;
-}
 
 /// kUnevaluated means "no evaluated solution yet" — exported as null.
 std::string energy_json(Energy energy) {
@@ -31,11 +21,11 @@ std::string energy_json(Energy energy) {
 void write_run_report(std::ostream& out, const RunReportMeta& meta,
                       const AbsResult& result,
                       const obs::MetricsRegistry* metrics) {
-  out << "{\"type\":\"meta\",\"tool\":" << quoted(meta.tool)
-      << ",\"instance\":" << quoted(meta.instance)
+  out << "{\"type\":\"meta\",\"tool\":" << json_quote(meta.tool)
+      << ",\"instance\":" << json_quote(meta.instance)
       << ",\"seed\":" << meta.seed;
   for (const auto& [key, value] : meta.extra) {
-    out << "," << quoted(key) << ":" << quoted(value);
+    out << "," << json_quote(key) << ":" << json_quote(value);
   }
   out << "}\n";
 
@@ -76,9 +66,9 @@ void write_run_report(std::ostream& out, const RunReportMeta& meta,
         << ",\"targets_dropped\":" << device.targets_dropped
         << ",\"solutions_dropped\":" << device.solutions_dropped
         << ",\"algorithm_switches\":" << device.algorithm_switches
-        << ",\"health\":" << quoted(to_string(device.health))
+        << ",\"health\":" << json_quote(to_string(device.health))
         << ",\"restarts\":" << device.restarts
-        << ",\"failure\":" << quoted(device.failure) << "}\n";
+        << ",\"failure\":" << json_quote(device.failure) << "}\n";
   }
 
   // One line per island pool (a classic run has exactly one).
@@ -109,13 +99,13 @@ void write_run_report(std::ostream& out, const RunReportMeta& meta,
     const obs::MetricsSnapshot scrape = metrics->scrape();
     for (const auto& family : scrape.families) {
       for (const auto& series : family.series) {
-        out << "{\"type\":\"metric\",\"name\":" << quoted(family.name)
+        out << "{\"type\":\"metric\",\"name\":" << json_quote(family.name)
             << ",\"labels\":{";
         bool first = true;
         for (const auto& [key, value] : series.labels.pairs()) {
           if (!first) out << ",";
           first = false;
-          out << quoted(key) << ":" << quoted(value);
+          out << json_quote(key) << ":" << json_quote(value);
         }
         out << "}";
         switch (family.kind) {

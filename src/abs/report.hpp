@@ -17,7 +17,7 @@
 // Lives in abs/ (not obs/): the report serializes AbsResult, so the sink
 // belongs to the layer that owns that type — obs/ must stay below abs/ in
 // the module DAG (lint_layers.toml). The JSON text primitives it uses are
-// in obs/json_text.hpp.
+// in util/json_text.hpp.
 #pragma once
 
 #include <ostream>

@@ -1,45 +1,16 @@
 #include "obs/http_exporter.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "obs/log.hpp"
-#include "obs/json_text.hpp"
-#include "util/check.hpp"
+#include "util/json_text.hpp"
 
 namespace absq::obs {
 namespace {
 
-/// Poll granularity: how often the loop re-checks the stop flag and the
-/// idle-timeout sweep runs.
-constexpr int kPollMs = 50;
-
 constexpr const char* kComponent = "http";
-
-void close_quietly(int fd) {
-  if (fd >= 0) ::close(fd);
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 const char* reason_phrase(int code) {
   switch (code) {
@@ -91,7 +62,15 @@ std::string tracer_prometheus(const EventTracer& tracer) {
 }
 
 HttpExporter::HttpExporter(HttpExporterConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      reactor_({[this](net::Connection& c) { return serve_request(c); },
+                [this] {
+                  if (m_rejected_ != nullptr) m_rejected_->add();
+                  return std::string(
+                      "HTTP/1.1 503 Service Unavailable\r\n"
+                      "Content-Type: text/plain\r\nContent-Length: 5\r\n"
+                      "Connection: close\r\n\r\nbusy\n");
+                }}) {
   if (config_.metrics != nullptr) {
     m_requests_ = &config_.metrics->counter("absq_http_requests_total");
     m_not_found_ =
@@ -103,58 +82,11 @@ HttpExporter::HttpExporter(HttpExporterConfig config)
 HttpExporter::~HttpExporter() { stop(); }
 
 void HttpExporter::start() {
-  ABSQ_CHECK(listen_fd_ < 0, "HttpExporter::start called twice");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ABSQ_CHECK(fd >= 0, "socket(): " << std::strerror(errno));
-
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr =
-      htonl(config_.listen_any ? INADDR_ANY : INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string reason = std::strerror(errno);
-    close_quietly(fd);
-    ABSQ_CHECK(false, "cannot bind http port " << config_.port << ": "
-                                               << reason);
-  }
-  if (::listen(fd, 64) != 0) {
-    const std::string reason = std::strerror(errno);
-    close_quietly(fd);
-    ABSQ_CHECK(false, "listen(): " << reason);
-  }
-
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ABSQ_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
-                           &bound_len) == 0,
-             "getsockname(): " << std::strerror(errno));
-  port_ = static_cast<int>(ntohs(bound.sin_port));
-
-  set_nonblocking(fd);
-  listen_fd_ = fd;
-  started_monotonic_ = monotonic_seconds();
-  stopping_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { loop(); });
+  uptime_.reset();
+  port_ = reactor_.start(config_.port, config_.idle_timeout_seconds);
   log_info(kComponent, "http exporter listening",
            {{"port", static_cast<std::int64_t>(port_)},
-            {"bind", config_.listen_any ? "0.0.0.0" : "127.0.0.1"}});
-}
-
-void HttpExporter::stop() {
-  if (stopping_.exchange(true)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  if (thread_.joinable()) thread_.join();
-  close_quietly(listen_fd_);
-  listen_fd_ = -1;
-  for (Connection& connection : connections_) close_quietly(connection.fd);
-  connections_.clear();
+            {"bind", "127.0.0.1"}});
 }
 
 std::string HttpExporter::metrics_body() const {
@@ -167,18 +99,17 @@ std::string HttpExporter::metrics_body() const {
 
 std::string HttpExporter::default_status_body() const {
   std::string body = "{\"uptime_seconds\":";
-  body += json_number(monotonic_seconds() - started_monotonic_);
+  body += json_number(uptime_.seconds());
   body += ",\"requests_served\":";
   // absq-lint: allow(atomic-audit) status snapshot read of a stat counter
   body += std::to_string(requests_.load(std::memory_order_relaxed));
   body += ",\"connections_accepted\":";
-  // absq-lint: allow(atomic-audit) status snapshot read of a stat counter
-  body += std::to_string(accepted_.load(std::memory_order_relaxed));
+  body += std::to_string(connections_accepted());
   body += "}";
   return body;
 }
 
-void HttpExporter::enqueue_response(Connection& connection, int code,
+void HttpExporter::enqueue_response(net::Connection& connection, int code,
                                     const std::string& content_type,
                                     const std::string& body,
                                     bool keep_alive) {
@@ -194,7 +125,8 @@ void HttpExporter::enqueue_response(Connection& connection, int code,
   if (!keep_alive) connection.close_after_flush = true;
 }
 
-void HttpExporter::respond(Connection& connection, const std::string& method,
+void HttpExporter::respond(net::Connection& connection,
+                           const std::string& method,
                            const std::string& target, bool keep_alive) {
   // absq-lint: allow(atomic-audit) single-writer stat on the exporter thread
   requests_.fetch_add(1, std::memory_order_relaxed);
@@ -268,201 +200,69 @@ void HttpExporter::respond(Connection& connection, const std::string& method,
                    "unknown path\n", keep_alive);
 }
 
-void HttpExporter::handle_buffered_requests(Connection& connection,
-                                            double now) {
-  while (connection.fd >= 0 && !connection.close_after_flush) {
-    // A request head ends at the first blank line; tolerate bare-LF
-    // clients (nc, test harnesses).
-    std::size_t head_end = connection.inbox.find("\r\n\r\n");
-    std::size_t terminator = 4;
-    if (head_end == std::string::npos) {
-      head_end = connection.inbox.find("\n\n");
-      terminator = 2;
-    }
-    if (head_end == std::string::npos) {
-      if (connection.inbox.size() > config_.max_request_bytes) {
-        if (m_rejected_ != nullptr) m_rejected_->add();
-        // absq-lint: allow(atomic-audit) single-writer stat, exporter thread
-        requests_.fetch_add(1, std::memory_order_relaxed);
-        enqueue_response(connection, 431, "text/plain; charset=utf-8",
-                         "request head too large\n", /*keep_alive=*/false);
-      }
-      return;
-    }
-    const std::string head = connection.inbox.substr(0, head_end);
-    connection.inbox.erase(0, head_end + terminator);
-    connection.last_activity = now;
-
-    // Request line: METHOD SP target SP version.
-    const std::size_t line_end = head.find_first_of("\r\n");
-    std::string request_line =
-        line_end == std::string::npos ? head : head.substr(0, line_end);
-    const std::size_t sp1 = request_line.find(' ');
-    const std::size_t sp2 =
-        sp1 == std::string::npos ? std::string::npos
-                                 : request_line.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos) {
-      // absq-lint: allow(atomic-audit) single-writer stat, exporter thread
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      enqueue_response(connection, 400, "text/plain; charset=utf-8",
-                       "malformed request line\n", /*keep_alive=*/false);
-      return;
-    }
-    const std::string method = request_line.substr(0, sp1);
-    const std::string target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::string version = request_line.substr(sp2 + 1);
-
-    // Keep-alive: HTTP/1.1 default-on unless "Connection: close";
-    // anything older is one-shot.
-    bool keep_alive = version.rfind("HTTP/1.1", 0) == 0;
-    std::size_t cursor = line_end;
-    while (cursor != std::string::npos && cursor < head.size()) {
-      const std::size_t start = head.find_first_not_of("\r\n", cursor);
-      if (start == std::string::npos) break;
-      std::size_t end = head.find_first_of("\r\n", start);
-      if (end == std::string::npos) end = head.size();
-      const std::string line = head.substr(start, end - start);
-      if (header_is(line, "connection")) {
-        if (header_value_contains(line, "close")) keep_alive = false;
-        if (header_value_contains(line, "keep-alive")) keep_alive = true;
-      }
-      cursor = end;
-    }
-
-    respond(connection, method, target, keep_alive);
+bool HttpExporter::serve_request(net::Connection& connection) {
+  // A request head ends at the first blank line; tolerate bare-LF
+  // clients (nc, test harnesses).
+  const std::string& inbox = connection.inbox;
+  std::size_t head_end = inbox.find("\r\n\r\n", connection.consumed);
+  std::size_t terminator = 4;
+  if (head_end == std::string::npos) {
+    head_end = inbox.find("\n\n", connection.consumed);
+    terminator = 2;
   }
-}
-
-void HttpExporter::loop() {
-  std::vector<pollfd> waiters;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    waiters.clear();
-    waiters.push_back({listen_fd_, POLLIN, 0});
-    for (const Connection& connection : connections_) {
-      short events = POLLIN;
-      if (!connection.outbox.empty()) events |= POLLOUT;
-      waiters.push_back({connection.fd, events, 0});
+  if (head_end == std::string::npos) {
+    if (inbox.size() - connection.consumed <= kMaxRequestHeadBytes) {
+      return false;
     }
-
-    const int ready =
-        ::poll(waiters.data(), waiters.size(), kPollMs);
-    if (stopping_.load(std::memory_order_acquire)) break;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    const double now = monotonic_seconds();
-    // Connections in *this* poll set; the accept block below may append
-    // to connections_, and those have no waiters entry until next round.
-    const std::size_t polled = waiters.size() - 1;
-
-    // New connections (drain the backlog; the listener is non-blocking).
-    if ((waiters[0].revents & POLLIN) != 0) {
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        // absq-lint: allow(atomic-audit) single-writer stat, exporter thread
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        set_nonblocking(fd);
-        if (connections_.size() >= config_.max_connections) {
-          if (m_rejected_ != nullptr) m_rejected_->add();
-          const char kBusy[] =
-              "HTTP/1.1 503 Service Unavailable\r\n"
-              "Content-Type: text/plain\r\nContent-Length: 5\r\n"
-              "Connection: close\r\n\r\nbusy\n";
-          // absq-lint: allow(hot-path-blocking) not a hot path — exporter
-          // thread, best-effort single write on a fresh socket.
-          (void)::send(fd, kBusy, sizeof(kBusy) - 1, MSG_NOSIGNAL);
-          close_quietly(fd);
-          continue;
-        }
-        Connection connection;
-        connection.fd = fd;
-        connection.last_activity = now;
-        connections_.push_back(std::move(connection));
-      }
-    }
-
-    // Connection I/O. `waiters[i + 1]` pairs with `connections_[i]` for
-    // the first `polled` entries; connections accepted above are not
-    // touched until they appear in the next round's poll set.
-    for (std::size_t i = 0; i < polled; ++i) {
-      Connection& connection = connections_[i];
-      const short revents = waiters[i + 1].revents;
-      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
-          (revents & POLLIN) == 0) {
-        close_quietly(connection.fd);
-        connection.fd = -1;
-        continue;
-      }
-      if ((revents & POLLIN) != 0) {
-        char chunk[4096];
-        while (connection.fd >= 0) {
-          const ssize_t n = ::recv(connection.fd, chunk, sizeof(chunk), 0);
-          if (n > 0) {
-            connection.inbox.append(chunk, static_cast<std::size_t>(n));
-            connection.last_activity = now;
-            continue;
-          }
-          if (n == 0) {  // peer closed
-            close_quietly(connection.fd);
-            connection.fd = -1;
-            break;
-          }
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN
-#if EWOULDBLOCK != EAGAIN
-              || errno == EWOULDBLOCK
-#endif
-          ) {
-            break;
-          }
-          close_quietly(connection.fd);
-          connection.fd = -1;
-          break;
-        }
-        if (connection.fd >= 0) handle_buffered_requests(connection, now);
-      }
-      // Drain the outbox (also right after new responses were queued).
-      while (connection.fd >= 0 && !connection.outbox.empty()) {
-        const ssize_t n =
-            ::send(connection.fd, connection.outbox.data(),
-                   connection.outbox.size(), MSG_NOSIGNAL);
-        if (n > 0) {
-          connection.outbox.erase(0, static_cast<std::size_t>(n));
-          connection.last_activity = now;
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN
-#if EWOULDBLOCK != EAGAIN
-                      || errno == EWOULDBLOCK
-#endif
-                      )) {
-          break;  // wait for POLLOUT
-        }
-        close_quietly(connection.fd);
-        connection.fd = -1;
-      }
-      if (connection.fd >= 0 && connection.close_after_flush &&
-          connection.outbox.empty()) {
-        close_quietly(connection.fd);
-        connection.fd = -1;
-      }
-      // Slow-loris sweep: no complete request and no progress for too
-      // long — drop the connection.
-      if (connection.fd >= 0 &&
-          now - connection.last_activity > config_.idle_timeout_seconds) {
-        close_quietly(connection.fd);
-        connection.fd = -1;
-      }
-    }
-
-    connections_.erase(
-        std::remove_if(connections_.begin(), connections_.end(),
-                       [](const Connection& c) { return c.fd < 0; }),
-        connections_.end());
+    if (m_rejected_ != nullptr) m_rejected_->add();
+    // absq-lint: allow(atomic-audit) single-writer stat, exporter thread
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    enqueue_response(connection, 431, "text/plain; charset=utf-8",
+                     "request head too large\n", /*keep_alive=*/false);
+    return true;
   }
+  const std::string head =
+      inbox.substr(connection.consumed, head_end - connection.consumed);
+  connection.consumed = head_end + terminator;
+
+  // Request line: METHOD SP target SP version.
+  const std::size_t line_end = head.find_first_of("\r\n");
+  std::string request_line =
+      line_end == std::string::npos ? head : head.substr(0, line_end);
+  const std::size_t sp1 = request_line.find(' ');
+  const std::size_t sp2 = sp1 == std::string::npos
+                              ? std::string::npos
+                              : request_line.find(' ', sp1 + 1);
+  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+    // absq-lint: allow(atomic-audit) single-writer stat, exporter thread
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    enqueue_response(connection, 400, "text/plain; charset=utf-8",
+                     "malformed request line\n", /*keep_alive=*/false);
+    return true;
+  }
+  const std::string method = request_line.substr(0, sp1);
+  const std::string target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::string version = request_line.substr(sp2 + 1);
+
+  // Keep-alive: HTTP/1.1 default-on unless "Connection: close";
+  // anything older is one-shot.
+  bool keep_alive = version.rfind("HTTP/1.1", 0) == 0;
+  std::size_t cursor = line_end;
+  while (cursor != std::string::npos && cursor < head.size()) {
+    const std::size_t start = head.find_first_not_of("\r\n", cursor);
+    if (start == std::string::npos) break;
+    std::size_t end = head.find_first_of("\r\n", start);
+    if (end == std::string::npos) end = head.size();
+    const std::string line = head.substr(start, end - start);
+    if (header_is(line, "connection")) {
+      if (header_value_contains(line, "close")) keep_alive = false;
+      if (header_value_contains(line, "keep-alive")) keep_alive = true;
+    }
+    cursor = end;
+  }
+
+  respond(connection, method, target, keep_alive);
+  return true;
 }
 
 }  // namespace absq::obs

@@ -13,19 +13,19 @@
 //                  default: uptime + request counters)
 //   GET /          text index of the endpoints
 //
-// Transport model: one event-loop thread, non-blocking sockets, a single
-// poll() set covering the listener and every connection. Responses are
-// queued per connection and drained on POLLOUT, so a slow scraper can
-// never stall the loop (or the solver — scrapes read relaxed-atomic
-// shards). Keep-alive is honoured for HTTP/1.1; connections are bounded
-// (`max_connections`, excess gets 503+close), request heads are bounded
-// (`max_request_bytes`, excess gets 431+close), and an idle connection is
-// closed after `idle_timeout_seconds` (slow-loris defence).
+// Transport model: the shared net::Reactor (util/reactor.hpp), the same
+// single-thread poll() loop that serves the job port — non-blocking
+// sockets, responses queued per connection and sent on POLLOUT, so a slow
+// scraper can never stall the loop (or the solver — scrapes read
+// relaxed-atomic shards). This file keeps only HTTP head parsing and
+// routing. Keep-alive is honoured for HTTP/1.1; connections are bounded
+// (net::kMaxConnections, excess gets 503+close), request heads are
+// bounded (kMaxRequestHeadBytes, excess gets 431+close), and an idle
+// connection is closed after `idle_timeout_seconds` (slow-loris defence).
 //
-// Security posture: binds 127.0.0.1 by default (`listen_any` opts into
-// 0.0.0.0 for scraping across a network you trust); GET-only, no request
-// bodies, nothing a client sends reaches the solver. A failing /status
-// handler becomes a 500 reply, never a crash.
+// Security posture: binds 127.0.0.1 only; GET-only, no request bodies,
+// nothing a client sends reaches the solver. A failing /status handler
+// becomes a 500 reply, never a crash.
 //
 // Every sink is optional: a null registry turns /metrics into 503, a null
 // tracer does the same for /trace — the exporter itself keeps serving
@@ -33,28 +33,26 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/reactor.hpp"
+#include "util/stopwatch.hpp"
 
 namespace absq::obs {
 
+/// Request-head bound (request line + headers); excess gets 431 + close.
+inline constexpr std::size_t kMaxRequestHeadBytes = 8192;
+
 struct HttpExporterConfig {
-  /// Port to bind; 0 picks an ephemeral port (see port()).
+  /// Port to bind on loopback; 0 picks an ephemeral port (see port()).
   int port = 0;
-  /// Bind 0.0.0.0 instead of loopback (off by default on purpose).
-  bool listen_any = false;
-  /// Close a connection with no complete request for this long.
+  /// Close a connection with no I/O for this long.
   double idle_timeout_seconds = 60.0;
-  /// Concurrent connection bound; excess connections get 503 + close.
-  std::size_t max_connections = 64;
-  /// Request-head bound (request line + headers); excess gets 431 + close.
-  std::size_t max_request_bytes = 8192;
   /// Metrics source for /metrics; also receives the exporter's own
   /// absq_http_requests_total series. Null = /metrics replies 503.
   MetricsRegistry* metrics = nullptr;
@@ -80,8 +78,8 @@ class HttpExporter {
   /// when the port cannot be bound.
   void start();
   /// Closes the listener and every connection, joins the loop thread.
-  /// Idempotent.
-  void stop();
+  /// Idempotent; start() may follow.
+  void stop() { reactor_.stop(); }
 
   /// The actual bound port (resolves port 0 requests).
   [[nodiscard]] int port() const { return port_; }
@@ -93,45 +91,32 @@ class HttpExporter {
   }
   /// Connections ever accepted (including 503-rejected ones).
   [[nodiscard]] std::uint64_t connections_accepted() const {
-    // absq-lint: allow(atomic-audit) cold read of a monotonic stat counter
-    return accepted_.load(std::memory_order_relaxed);
+    return reactor_.connections_accepted();
   }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::string inbox;   ///< bytes read, searched for a complete head
-    std::string outbox;  ///< bytes queued, drained on POLLOUT
-    double last_activity = 0.0;
-    bool close_after_flush = false;
-  };
-
-  void loop();
-  /// Parses and answers every complete request in `connection.inbox`.
-  void handle_buffered_requests(Connection& connection, double now);
+  /// The reactor's protocol: parses and answers the next complete head.
+  bool serve_request(net::Connection& connection);
   /// Routes one parsed GET to its endpoint body.
-  void respond(Connection& connection, const std::string& method,
+  void respond(net::Connection& connection, const std::string& method,
                const std::string& target, bool keep_alive);
-  void enqueue_response(Connection& connection, int code,
+  void enqueue_response(net::Connection& connection, int code,
                         const std::string& content_type,
                         const std::string& body, bool keep_alive);
   [[nodiscard]] std::string metrics_body() const;
   [[nodiscard]] std::string default_status_body() const;
 
   HttpExporterConfig config_;
-  int listen_fd_ = -1;
   int port_ = 0;
-  std::thread thread_;
-  std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  double started_monotonic_ = 0.0;
-  std::vector<Connection> connections_;
+  Stopwatch uptime_;
 
   // Exporter self-observation (registered when a registry is attached).
   Counter* m_requests_ = nullptr;
   Counter* m_not_found_ = nullptr;
   Counter* m_rejected_ = nullptr;
+
+  net::Reactor reactor_;  // last: its thread stops before the rest dies
 };
 
 /// Prometheus text for the tracer's own health counters

@@ -3,8 +3,8 @@
 #include <chrono>
 #include <cstring>
 
-#include "obs/json_text.hpp"
 #include "util/check.hpp"
+#include "util/json_text.hpp"
 
 namespace absq::obs {
 namespace {

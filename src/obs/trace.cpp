@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/json_text.hpp"
+
 namespace absq::obs {
 
 EventTracer::EventTracer(std::size_t capacity)
@@ -89,19 +91,6 @@ std::vector<TraceEvent> EventTracer::snapshot() const {
 
 namespace {
 
-void append_json_string(std::string& out, const char* text) {
-  out += '"';
-  for (const char* p = text; *p != '\0'; ++p) {
-    switch (*p) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += *p; break;
-    }
-  }
-  out += '"';
-}
-
 /// Microseconds with nanosecond precision, e.g. 1234 ns -> "1.234".
 std::string micros(std::uint64_t ns) {
   char buffer[40];
@@ -117,9 +106,9 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
     out += "{\"name\":";
-    append_json_string(out, e.name);
+    out += json_quote(e.name);
     out += ",\"cat\":";
-    append_json_string(out, *e.category == '\0' ? "absq" : e.category);
+    out += json_quote(*e.category == '\0' ? "absq" : e.category);
     out += ",\"ph\":\"";
     out += e.phase;
     out += "\",\"ts\":" + micros(e.ts_ns);
@@ -129,7 +118,7 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
     if (e.phase == 'i') out += ",\"s\":\"t\"";  // thread-scoped instant
     if (e.arg_name != nullptr) {
       out += ",\"args\":{";
-      append_json_string(out, e.arg_name);
+      out += json_quote(e.arg_name);
       // Built up piecewise: `"x" + std::to_string(...)` trips a GCC 12
       // -Wrestrict false positive (PR105651) under -Werror.
       out += ':';

@@ -138,23 +138,28 @@ void Client::reconnect() {
     fd_ = -1;
   }
   buffer_.clear();  // a half-read reply from the old connection is garbage
+  scanned_ = 0;
   connect();
 }
 
 std::string Client::read_line() {
   while (true) {
-    const std::size_t newline = buffer_.find('\n');
+    // Resume the search where the previous read ended: a long reply
+    // costs one scan however many reads deliver it.
+    const std::size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return line;
     }
+    scanned_ = buffer_.size();
     if (!poll_fd(fd_, POLLIN, config_.read_timeout_seconds)) {
       throw TimeoutError("no reply from server within " +
                          std::to_string(config_.read_timeout_seconds) +
                          "s");
     }
-    char chunk[4096];
+    char chunk[65536];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) throw ConnectionError("server closed the connection");
@@ -177,7 +182,13 @@ void Client::send_line(const std::string& line) {
 }
 
 Json Client::request(const Json& request) {
-  send_line(request.dump() + "\n");
+  try {
+    send_line(request.dump() + "\n");
+  } catch (const ConnectionError&) {
+    // A server that refuses a line mid-send (past its length bound)
+    // replies before it closes: read that reason rather than the reset.
+    // With no reply buffered, read_line() throws ConnectionError too.
+  }
   return Json::parse(read_line());
 }
 

@@ -133,6 +133,7 @@ class Client {
   Rng jitter_;
   int fd_ = -1;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'
 };
 
 }  // namespace absq::serve

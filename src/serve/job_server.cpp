@@ -1,86 +1,32 @@
 #include "serve/job_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "serve/protocol.hpp"
-#include "util/check.hpp"
-#include "util/failpoint.hpp"
 
 namespace absq::serve {
 namespace {
 
-/// Poll granularity: how often blocked reads/accepts re-check stop flags.
-constexpr int kPollMs = 100;
-
-void close_quietly(int fd) {
-  if (fd >= 0) ::close(fd);
-}
-
-/// Writes the whole buffer; returns false when the peer went away.
-bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+std::string reply_line(const Json& reply) { return reply.dump() + "\n"; }
 
 }  // namespace
 
 JobServer::JobServer(JobManager& manager, JobServerConfig config)
-    : manager_(manager), config_(std::move(config)) {}
+    : manager_(manager),
+      config_(std::move(config)),
+      reactor_({[this](net::Connection& c) { return serve_line(c); },
+                [] {
+                  return reply_line(error_reply(
+                      "busy", "connection limit reached; retry later"));
+                },
+                "serve.accept", "serve.read", "serve.write"}) {}
 
 JobServer::~JobServer() { stop(); }
 
 void JobServer::start() {
-  ABSQ_CHECK(listen_fd_ < 0, "JobServer::start called twice");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ABSQ_CHECK(fd >= 0, "socket(): " << std::strerror(errno));
-
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string reason = std::strerror(errno);
-    close_quietly(fd);
-    ABSQ_CHECK(false, "cannot bind 127.0.0.1:" << config_.port << ": "
-                                               << reason);
-  }
-  if (::listen(fd, 64) != 0) {
-    const std::string reason = std::strerror(errno);
-    close_quietly(fd);
-    ABSQ_CHECK(false, "listen(): " << reason);
-  }
-
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ABSQ_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
-                           &bound_len) == 0,
-             "getsockname(): " << std::strerror(errno));
-  port_ = static_cast<int>(ntohs(bound.sin_port));
-
-  listen_fd_ = fd;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  port_ = reactor_.start(config_.port, config_.idle_timeout_seconds);
 }
 
 void JobServer::request_shutdown() {
@@ -98,137 +44,30 @@ void JobServer::wait_shutdown() {
   });
 }
 
-void JobServer::stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
+bool JobServer::serve_line(net::Connection& connection) {
+  std::optional<std::string> line = connection.take_line();
+  const std::size_t length = line ? line->size()
+                                  : connection.inbox.size() -
+                                        connection.consumed;
+  if (length > kMaxRequestLineBytes) {
+    connection.outbox = reply_line(error_reply(
+        "bad_request",
+        "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+            " bytes; send a large problem as a server-local \"file\" "
+            "path (absq_client --by-path)"));
+    connection.close_after_flush = true;
+    return true;
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  close_quietly(listen_fd_);
-  listen_fd_ = -1;
-
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  for (auto& connection : connections_) {
-    // Wake any blocked read so the thread observes stopping_ and exits.
-    ::shutdown(connection->fd, SHUT_RDWR);
-  }
-  for (auto& connection : connections_) {
-    if (connection->thread.joinable()) connection->thread.join();
-    close_quietly(connection->fd);
-  }
-  connections_.clear();
-}
-
-void JobServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd waiter{};
-    waiter.fd = listen_fd_;
-    waiter.events = POLLIN;
-    const int ready = ::poll(&waiter, 1, kPollMs);
-    if (stopping_.load(std::memory_order_acquire)) break;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener is gone; stop() will clean up
-    }
-    if (ready == 0) {
-      const std::lock_guard<std::mutex> lock(connections_mutex_);
-      reap_finished_locked();
-      continue;
-    }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    // Fault-injection site: a flaky accept path drops the fresh
-    // connection on the floor — the client sees a reset, exactly like an
-    // accept interrupted by a crash.
-    if (fail::triggered("serve.accept")) {
-      close_quietly(fd);
-      continue;
-    }
-    // absq-lint: allow(relaxed-order) — monotonic statistic, no ordering.
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-
-    timeval timeout{};
-    timeout.tv_usec = kPollMs * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    reap_finished_locked();
-    connections_.push_back(std::make_unique<Connection>());
-    Connection* connection = connections_.back().get();
-    connection->fd = fd;
-    connection->thread =
-        std::thread([this, connection] { serve_connection(connection); });
-  }
-}
-
-void JobServer::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      close_quietly((*it)->fd);
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void JobServer::serve_connection(Connection* connection) {
-  const int fd = connection->fd;
-  std::string buffer;
-  double idle_seconds = 0.0;
-  bool open = true;
-  while (open && !stopping_.load(std::memory_order_acquire)) {
-    char chunk[4096];
-    // Fault-injection site: a read that dies mid-request (peer reset from
-    // the client's point of view).
-    if (fail::triggered("serve.read")) break;
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // EWOULDBLOCK aliases EAGAIN on Linux; comparing both trips
-      // -Wlogical-op, so only check the alias where it is distinct.
-      const bool would_block = errno == EAGAIN
-#if EWOULDBLOCK != EAGAIN
-                               || errno == EWOULDBLOCK
-#endif
-          ;
-      if (would_block) {
-        idle_seconds += kPollMs / 1000.0;
-        if (idle_seconds >= config_.idle_timeout_seconds) break;
-        continue;
-      }
-      break;
-    }
-    idle_seconds = 0.0;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-
-    std::size_t newline;
-    while (open && (newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      const ProtocolReply outcome =
-          handle_request_line(manager_, line, config_.metrics);
-      // Fault-injection site: the reply is dropped after the request took
-      // effect — the ambiguous-outcome case idempotent retries exist for.
-      if (fail::triggered("serve.write") ||
-          !send_all(fd, outcome.reply.dump() + "\n")) {
-        open = false;
-      }
-      if (outcome.shutdown) request_shutdown();
-    }
-  }
-  // The accept thread (or stop()) joins and closes; just mark finished.
-  connection->done.store(true, std::memory_order_release);
+  if (!line) return false;
+  if (!line->empty() && line->back() == '\r') line->pop_back();
+  if (line->empty()) return true;
+  const ProtocolReply outcome =
+      handle_request_line(manager_, *line, config_.metrics);
+  connection.outbox = reply_line(outcome.reply);
+  // The latch lets the owner's stop() close this socket, so it waits
+  // until the reply is out (or the connection is gone).
+  if (outcome.shutdown) connection.after_flush = [this] { request_shutdown(); };
+  return true;
 }
 
 }  // namespace absq::serve

@@ -1,39 +1,48 @@
 // JobServer — the TCP transport of the serving layer.
 //
-// Listens on a loopback POSIX socket and speaks the line-delimited JSON
-// protocol (serve/protocol.hpp): one accept thread, one reader thread per
-// connection. Reads poll with short timeouts so every thread notices a
-// stop request promptly; an idle connection past `idle_timeout_seconds`
-// is closed rather than holding a thread forever.
+// Speaks the line-delimited JSON protocol (serve/protocol.hpp) on a
+// loopback port served by one net::Reactor (util/reactor.hpp): one I/O
+// thread for every connection, however many clients connect. This file
+// keeps only the newline framing. The reactor owns the socket, the
+// connection cap (net::kMaxConnections; one more client gets a `busy`
+// line and is closed), the idle sweep, and backpressure (a client that
+// does not read its replies is not read either).
 //
 // The server itself never schedules work — every request line is handed to
-// handle_request_line against the shared JobManager, and every failure
-// (malformed JSON, unknown command, queue backpressure) is a one-line
+// handle_request_line against the shared JobManager on the reactor
+// thread, and every failure (malformed JSON, unknown command, queue
+// backpressure, a line past kMaxRequestLineBytes) is a one-line
 // `ok:false` reply. Nothing a client sends can kill the process.
 //
 // Shutdown choreography (shared by the `shutdown` command and SIGTERM in
 // absq_serve): request_shutdown() flips a latch that wait_shutdown()
-// observers see; the owner then calls stop() to close the listener and
-// join connection threads, and finally drains the JobManager itself.
+// observers see — for the command, only once its reply is sent; the owner
+// then calls stop() to close the listener and every connection, and
+// finally drains the JobManager itself.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <mutex>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "serve/job_manager.hpp"
+#include "util/reactor.hpp"
 
 namespace absq::serve {
+
+/// Longest request line the job port accepts: 64 MiB, ~140× the 0.47 MB
+/// submit of a dense 256-bit instance. A longer line gets one
+/// `bad_request` reply and the connection closes; larger problems travel
+/// by server-local path (`"file"`, absq_client --by-path).
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{64} << 20;
 
 struct JobServerConfig {
   /// Port to bind on loopback; 0 picks an ephemeral port (see port()).
   int port = 0;
-  /// Close a connection after this long with no complete request line.
+  /// Close a connection after this long with no I/O.
   double idle_timeout_seconds = 300.0;
   /// Backs the `metrics` command (null = command replies `unavailable`).
   const obs::MetricsRegistry* metrics = nullptr;
@@ -49,8 +58,8 @@ class JobServer {
   JobServer(const JobServer&) = delete;
   JobServer& operator=(const JobServer&) = delete;
 
-  /// Binds, listens, and starts the accept thread. Throws CheckError when
-  /// the port cannot be bound.
+  /// Binds, listens, and starts the reactor thread. Throws CheckError
+  /// when the port cannot be bound.
   void start();
 
   /// The actual bound port (resolves port 0 requests).
@@ -65,46 +74,27 @@ class JobServer {
   /// Blocks until request_shutdown() is called.
   void wait_shutdown();
 
-  /// Closes the listener, wakes and joins every connection thread. Safe to
-  /// call twice; does NOT drain the JobManager — the owner does that after
-  /// the transport is quiet.
-  void stop();
+  /// Closes the listener and every connection and joins the reactor
+  /// thread. Safe to call twice; does NOT drain the JobManager — the
+  /// owner does that after the transport is quiet.
+  void stop() { reactor_.stop(); }
 
   /// Connections served so far (accepted, including already-closed ones).
   [[nodiscard]] std::uint64_t connections_accepted() const {
-    // absq-lint: allow(relaxed-order) — monotonic statistic, no ordering.
-    return connections_accepted_.load(std::memory_order_relaxed);
+    return reactor_.connections_accepted();
   }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  void serve_connection(Connection* connection);
-  /// Joins connections whose reader thread has finished (accept thread
-  /// housekeeping, so a long-lived server does not accumulate dead
-  /// threads).
-  void reap_finished_locked();
+  /// The reactor's protocol: answers the next complete line, if any.
+  bool serve_line(net::Connection& connection);
 
   JobManager& manager_;
   JobServerConfig config_;
-
-  int listen_fd_ = -1;
   int port_ = 0;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_requested_{false};
-  std::atomic<std::uint64_t> connections_accepted_{0};
-
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
-
-  std::mutex connections_mutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
+  net::Reactor reactor_;  // last: its thread stops before the rest dies
 };
 
 }  // namespace absq::serve

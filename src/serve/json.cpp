@@ -1,8 +1,9 @@
 #include "serve/json.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+
+#include "util/json_text.hpp"
 
 namespace absq::serve {
 namespace {
@@ -261,20 +262,8 @@ void dump_value(const Json& value, std::string& out) {
     case Json::Kind::kNull: out += "null"; return;
     case Json::Kind::kBool: out += value.as_bool() ? "true" : "false"; return;
     case Json::Kind::kInt: out += std::to_string(value.as_int()); return;
-    case Json::Kind::kDouble: {
-      const double d = value.as_double();
-      if (!std::isfinite(d)) {
-        out += "null";  // JSON has no NaN/Inf — match the run-report sink
-        return;
-      }
-      char buffer[32];
-      std::snprintf(buffer, sizeof buffer, "%.17g", d);
-      out += buffer;
-      return;
-    }
-    case Json::Kind::kString:
-      out += json_escape_string(value.as_string());
-      return;
+    case Json::Kind::kDouble: out += json_number(value.as_double()); return;
+    case Json::Kind::kString: out += json_quote(value.as_string()); return;
     case Json::Kind::kArray: {
       out.push_back('[');
       bool first = true;
@@ -292,7 +281,7 @@ void dump_value(const Json& value, std::string& out) {
       for (const auto& [key, member] : value.members()) {
         if (!first) out.push_back(',');
         first = false;
-        out += json_escape_string(key);
+        out += json_quote(key);
         out.push_back(':');
         dump_value(member, out);
       }
@@ -303,34 +292,6 @@ void dump_value(const Json& value, std::string& out) {
 }
 
 }  // namespace
-
-std::string json_escape_string(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char raw : text) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(raw);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 bool Json::as_bool() const {
   if (kind_ != Kind::kBool) throw JsonError("json: not a bool");

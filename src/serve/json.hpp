@@ -127,7 +127,4 @@ class Json {
   std::map<std::string, Json> object_;
 };
 
-/// JSON string escaping for the dump path (shared with tests).
-[[nodiscard]] std::string json_escape_string(const std::string& text);
-
 }  // namespace absq::serve

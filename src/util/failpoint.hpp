@@ -34,12 +34,13 @@
 //                         files (simulates a crash during a write)
 //   journal.append        thrown before a job-journal record is written —
 //                         the submission must NOT be acknowledged
-//   serve.accept          drops a freshly accepted connection (client
-//                         sees a reset before any request)
-//   serve.read            kills the connection before a recv (request
-//                         lost mid-flight)
+//   serve.accept          drops a freshly accepted job-port connection
+//                         (client sees a reset before any request)
+//   serve.read            kills a job-port connection before a recv
+//                         (request lost mid-flight)
 //   serve.write           drops the reply after the request took effect —
 //                         the ambiguous outcome idempotent retries solve
+//                         (all three fire inside net::Reactor)
 #pragma once
 
 #include <atomic>

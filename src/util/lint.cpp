@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/json_text.hpp"
+
 namespace absq::lint {
 
 namespace {
@@ -585,36 +587,6 @@ std::vector<std::pair<std::string, std::size_t>> count_by_rule(
   }
   return out;
 }
-
-namespace {
-
-/// Minimal JSON string escape for the SARIF writer (util cannot depend on
-/// serve::Json — see to_sarif's declaration).
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 std::string to_sarif(const std::vector<Diagnostic>& diagnostics) {
   std::ostringstream os;

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -231,13 +232,11 @@ TEST(HttpExporter, MalformedRequestLineIs400) {
 }
 
 TEST(HttpExporter, OversizedRequestHeadIs431) {
-  HttpExporterConfig config;
-  config.max_request_bytes = 256;
-  HttpExporter exporter(std::move(config));
+  HttpExporter exporter({});
   exporter.start();
   HttpClient client(exporter.port());
   // A request line that never ends — longer than the head bound.
-  client.send_raw("GET /" + std::string(512, 'a'));
+  client.send_raw("GET /" + std::string(kMaxRequestHeadBytes, 'a'));
   const auto response = client.read_response();
   EXPECT_EQ(response.code, 431);
   EXPECT_TRUE(client.closed_by_peer());
@@ -285,25 +284,26 @@ TEST(HttpExporter, Http10ClosesAfterResponse) {
 }
 
 TEST(HttpExporter, ConnectionFloodBeyondBoundGets503) {
-  HttpExporterConfig config;
-  config.max_connections = 2;
-  HttpExporter exporter(std::move(config));
+  HttpExporter exporter({});
   exporter.start();
-  // Two idle keep-alive connections occupy the bound...
-  HttpClient first(exporter.port());
-  HttpClient second(exporter.port());
-  first.send_raw("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
-  second.send_raw("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
-  EXPECT_EQ(first.read_response().code, 200);
-  EXPECT_EQ(second.read_response().code, 200);
-  // ...so the third is turned away at the door — the 503 is sent at
+  // Cap-many keep-alive connections occupy the bound...
+  std::vector<std::unique_ptr<HttpClient>> held;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    held.push_back(std::make_unique<HttpClient>(exporter.port()));
+    held.back()->send_raw("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    EXPECT_EQ(held.back()->read_response().code, 200);
+  }
+  // ...so the next is turned away at the door — the 503 is sent at
   // accept time, before any request bytes. (Sending a request here
   // would race the server's close into an RST: it never reads the
   // inbox of a rejected connection.)
-  HttpClient third(exporter.port());
-  const auto response = third.read_response();
+  HttpClient extra(exporter.port());
+  const auto response = extra.read_response();
   EXPECT_EQ(response.code, 503);
-  EXPECT_TRUE(third.closed_by_peer());
+  EXPECT_TRUE(extra.closed_by_peer());
+  // The held connections are still served.
+  held.front()->send_raw("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+  EXPECT_EQ(held.front()->read_response().code, 200);
 }
 
 TEST(HttpExporter, StopIsIdempotentAndRestartable) {
@@ -312,6 +312,8 @@ TEST(HttpExporter, StopIsIdempotentAndRestartable) {
   EXPECT_EQ(get(exporter.port(), "/healthz").code, 200);
   exporter.stop();
   exporter.stop();  // second stop is a no-op
+  exporter.start();  // and a stopped exporter starts again
+  EXPECT_EQ(get(exporter.port(), "/healthz").code, 200);
 }
 
 // The acceptance case: concurrent scrapes against a registry that a live

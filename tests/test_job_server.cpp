@@ -3,19 +3,25 @@
 // JobManager on the other. TSan tier-1 target (scripts/check.sh).
 #include "serve/job_server.hpp"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/http_exporter.hpp"
 #include "obs/metrics.hpp"
 #include "problems/random.hpp"
 #include "qubo/io.hpp"
@@ -81,6 +87,10 @@ class RawConnection {
         ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
         0)
         << std::strerror(errno);
+    // A server that never answers fails the test instead of hanging it.
+    timeval timeout{};
+    timeout.tv_sec = 30;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   }
   ~RawConnection() {
     if (fd_ >= 0) ::close(fd_);
@@ -90,6 +100,20 @@ class RawConnection {
     ASSERT_EQ(::send(fd_, text.data(), text.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(text.size()));
   }
+
+  /// Sends everything; false once the peer has closed or reset.
+  bool try_send(const std::string& text) {
+    return ::send(fd_, text.data(), text.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(text.size());
+  }
+
+  /// True when the peer closes with nothing more to read.
+  bool at_eof() {
+    char byte = 0;
+    return buffer_.empty() && ::recv(fd_, &byte, 1, 0) == 0;
+  }
+
+  [[nodiscard]] int fd() const { return fd_; }
 
   std::string read_line() {
     while (buffer_.find('\n') == std::string::npos) {
@@ -393,6 +417,220 @@ TEST(JobServer, DeadlineTravelsTheWire) {
   EXPECT_EQ(status.state, JobState::kDeadlineExceeded);
   EXPECT_DOUBLE_EQ(status.deadline_seconds, 0.2);
   EXPECT_TRUE(client.cancel(blocker_id));
+}
+
+// --- the shared reactor: framing, bounds, threads, backpressure ---------
+
+/// Threads of this process, from /proc/self/status.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+/// Polls every 5 ms until `done` holds or ~10 s pass.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  for (int i = 0; i < 2000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
+
+// A line is found by one scan, however many reads deliver it: the newline
+// search resumes where the previous read ended. Deterministic stand-in
+// for counting bytes scanned — a newline planted in the already-scanned
+// prefix is never seen, which a framer that rescans from the start of
+// the line would report as a line.
+TEST(JobServerFraming, NewlineScanResumesWhereTheLastReadEnded) {
+  net::Connection connection;
+  const std::string chunk(4096, 'x');
+  for (int read = 0; read < 256; ++read) {
+    connection.inbox += chunk;
+    EXPECT_FALSE(connection.take_line().has_value());
+    EXPECT_EQ(connection.scanned, connection.inbox.size());
+    connection.inbox[connection.scanned - 1] = '\n';  // planted, never seen
+  }
+  connection.inbox += "tail\nnext";
+  const std::optional<std::string> line = connection.take_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->size(), 256 * chunk.size() + 4);
+  EXPECT_EQ(line->substr(line->size() - 4), "tail");
+  EXPECT_EQ(connection.consumed, line->size() + 1);
+  EXPECT_FALSE(connection.take_line().has_value());  // "next" is partial
+}
+
+TEST(JobServer, OverBoundLineIsRefusedWhileAnotherClientIsServed) {
+  Fixture fixture;
+  const int port = fixture.server.port();
+  std::atomic<bool> hog_done{false};
+  std::string reply;
+  std::thread hog([&] {
+    RawConnection raw(port);
+    // One byte past the bound and no newline: the server reads every
+    // byte before it refuses, so its close carries no reset.
+    const std::string chunk(std::size_t{1} << 20, 'x');
+    for (std::size_t sent = 0; sent < kMaxRequestLineBytes;
+         sent += chunk.size()) {
+      if (!raw.try_send(chunk)) break;
+    }
+    (void)raw.try_send("x");
+    reply = raw.read_line();
+    hog_done.store(true);
+  });
+  Client client("127.0.0.1", port);
+  int pings = 0;
+  while (!hog_done.load()) {
+    EXPECT_TRUE(client.ping());
+    ++pings;
+  }
+  hog.join();
+  EXPECT_GT(pings, 0);
+  ASSERT_FALSE(reply.empty());
+  const Json parsed = Json::parse(reply);
+  EXPECT_FALSE(parsed.get_bool("ok", true));
+  EXPECT_EQ(parsed.get_string("code", ""), "bad_request");
+  const std::string error = parsed.get_string("error", "");
+  EXPECT_NE(error.find(std::to_string(kMaxRequestLineBytes)),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("--by-path"), std::string::npos) << error;
+  EXPECT_TRUE(client.ping());
+}
+
+TEST(JobServer, IdleClientsCostNoThreads) {
+  Fixture fixture;
+  const int before = thread_count();
+  std::vector<std::unique_ptr<RawConnection>> idle;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    idle.push_back(std::make_unique<RawConnection>(fixture.server.port()));
+  }
+  ASSERT_TRUE(eventually([&] {
+    return fixture.server.connections_accepted() >= net::kMaxConnections;
+  }));
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(JobServer, ConnectionPastTheCapGetsOneBusyLine) {
+  Fixture fixture;
+  std::vector<std::unique_ptr<RawConnection>> held;
+  for (std::size_t i = 0; i < net::kMaxConnections; ++i) {
+    held.push_back(std::make_unique<RawConnection>(fixture.server.port()));
+    held.back()->send_text("{\"cmd\":\"ping\"}\n");
+    EXPECT_TRUE(Json::parse(held.back()->read_line()).get_bool("pong", false));
+  }
+  // Refused at accept time, before any request bytes (a request sent
+  // now would race the server's close into a reset).
+  RawConnection extra(fixture.server.port());
+  const Json refusal = Json::parse(extra.read_line());
+  EXPECT_FALSE(refusal.get_bool("ok", true));
+  EXPECT_EQ(refusal.get_string("code", ""), "busy");
+  EXPECT_TRUE(extra.at_eof());
+  // The held connections are still served.
+  held.back()->send_text("{\"cmd\":\"ping\"}\n");
+  EXPECT_TRUE(Json::parse(held.back()->read_line()).get_bool("pong", false));
+}
+
+TEST(JobServer, PipelinedRequestsWithoutReadingAreAnsweredInOrder) {
+  Fixture fixture;
+  RawConnection raw(fixture.server.port());
+  // The whole batch fits the client's send buffer, so it goes out while
+  // the server, blocked on unread replies, stops reading.
+  const int buffer = 1 << 20;
+  ::setsockopt(raw.fd(), SOL_SOCKET, SO_SNDBUF, &buffer, sizeof(buffer));
+  constexpr int kRequests = 10000;
+  std::string batch;
+  for (int i = 1; i <= kRequests; ++i) {
+    batch += "{\"cmd\":\"status\",\"id\":" + std::to_string(i) + "}\n";
+  }
+  raw.send_text(batch);
+  for (int i = 1; i <= kRequests; ++i) {
+    const Json reply = Json::parse(raw.read_line());
+    ASSERT_EQ(reply.get_string("code", ""), "not_found");
+    ASSERT_EQ(reply.get_string("error", ""),
+              "no such job id " + std::to_string(i));
+  }
+}
+
+/// Lowers the soft RLIMIT_NOFILE for one scope.
+class FdLimit {
+ public:
+  explicit FdLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~FdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  FdLimit(const FdLimit&) = delete;
+  FdLimit& operator=(const FdLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
+/// One past the highest descriptor this process holds.
+int fd_ceiling() {
+  int highest = 2;
+  DIR* dir = ::opendir("/proc/self/fd");
+  while (const dirent* entry = ::readdir(dir)) {
+    highest = std::max(highest, std::atoi(entry->d_name));
+  }
+  ::closedir(dir);
+  return highest + 1;
+}
+
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                    usage.ru_stime.tv_usec);
+}
+
+// fd exhaustion: accept(2) fails with EMFILE on both ports while
+// connections wait in their backlogs. Neither loop may spin on the
+// readable listener, and once the burst closes both ports answer again.
+TEST(JobServer, AcceptErrorsNeitherKillThePortsNorSpinTheLoops) {
+  Fixture fixture;
+  obs::HttpExporter http({});
+  http.start();
+  {
+    FdLimit limit(static_cast<rlim_t>(fd_ceiling() + 32));
+    std::vector<int> burst;
+    for (int i = 0; i < 8; ++i) {
+      burst.push_back(::socket(AF_INET, SOCK_STREAM, 0));
+    }
+    // Fill every other descriptor slot, so no accept can succeed.
+    for (int fd; (fd = ::dup(burst[0])) >= 0;) burst.push_back(fd);
+    for (int i = 0; i < 8; ++i) {
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(static_cast<std::uint16_t>(
+          i % 2 == 0 ? fixture.server.port() : http.port()));
+      ASSERT_EQ(::connect(burst[static_cast<std::size_t>(i)],
+                          reinterpret_cast<const sockaddr*>(&addr),
+                          sizeof(addr)),
+                0)
+          << std::strerror(errno);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const double cpu_before = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    // Both loops idle at a back-off; a spinning one burns the window.
+    EXPECT_LT(process_cpu_seconds() - cpu_before, 0.2);
+    for (const int fd : burst) ::close(fd);
+
+    Client client("127.0.0.1", fixture.server.port(), quick_retry_config());
+    EXPECT_TRUE(client.ping());
+    RawConnection scrape(http.port());
+    scrape.send_text("GET /healthz HTTP/1.0\r\n\r\n");
+    EXPECT_EQ(scrape.read_line(), "HTTP/1.1 200 OK\r");
+  }
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "abs/report.hpp"
-#include "obs/json_text.hpp"
+#include "util/json_text.hpp"
 
 namespace absq::obs {
 namespace {

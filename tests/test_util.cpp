@@ -1,12 +1,58 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "serve/json.hpp"
 #include "sim/throughput_model.hpp"
+#include "util/json_text.hpp"
 #include "util/stopwatch.hpp"
 
 namespace absq {
 namespace {
+
+// The one JSON string escaper (util/json_text.hpp) behind the wire codec,
+// logs, reports, traces and SARIF: every control byte, the two quoted
+// characters, DEL and multi-byte UTF-8, each parsed back to the original.
+TEST(JsonText, EscapeTableParsesBackToTheOriginal) {
+  struct Row {
+    std::string raw;
+    std::string escaped;
+  };
+  std::vector<Row> rows;
+  const char* kShort[0x20] = {};
+  kShort[0x08] = "\\b";
+  kShort[0x09] = "\\t";
+  kShort[0x0A] = "\\n";
+  kShort[0x0C] = "\\f";
+  kShort[0x0D] = "\\r";
+  for (int c = 0; c < 0x20; ++c) {
+    char hex[8];
+    std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+    rows.push_back({std::string(1, static_cast<char>(c)),
+                    kShort[c] != nullptr ? kShort[c] : hex});
+  }
+  rows.push_back({"\"", "\\\""});
+  rows.push_back({"\\", "\\\\"});
+  rows.push_back({"\x7f", "\x7f"});                          // DEL
+  rows.push_back({"caf\xc3\xa9", "caf\xc3\xa9"});            // 2-byte UTF-8
+  rows.push_back({"\xe2\x82\xac", "\xe2\x82\xac"});          // 3-byte UTF-8
+  rows.push_back({"\xf0\x9d\x84\x9e", "\xf0\x9d\x84\x9e"});  // 4-byte UTF-8
+  rows.push_back(
+      {std::string("a\0b\x1f\"\\z", 7), "a\\u0000b\\u001f\\\"\\\\z"});
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.escaped);
+    EXPECT_EQ(json_escape(row.raw), row.escaped);
+    const std::string quoted = json_quote(row.raw);
+    EXPECT_EQ(quoted, "\"" + row.escaped + "\"");
+    // The wire codec writes the same bytes and reads them back.
+    EXPECT_EQ(serve::Json(row.raw).dump(), quoted);
+    EXPECT_EQ(serve::Json::parse(quoted).as_string(), row.raw);
+  }
+}
 
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch watch;
