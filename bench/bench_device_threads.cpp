@@ -10,6 +10,10 @@
 // hardware_concurrency in the header) or the workers run out of blocks.
 // Every row is the median of kRepeats fresh solver runs (seeds seed …
 // seed + kRepeats − 1), with the min–max spread of the flip rate beside it.
+// The `cores` column is the process CPU time of each run divided by its
+// wall time: the W workers plus whatever the host loop costs on top. A
+// host that parks between reports keeps it near W (for W up to the core
+// count); one that polled would add a whole core.
 //
 //   ./bench/bench_device_threads [--bits 1024] [--seconds 2] [--blocks 8]
 #include <algorithm>
@@ -19,8 +23,10 @@
 #include <vector>
 
 #include "abs/solver.hpp"
+#include "bench_util.hpp"
 #include "problems/random.hpp"
 #include "util/cli.hpp"
+#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -52,9 +58,10 @@ int main(int argc, char** argv) {
               "hardware_concurrency = %u\n",
               n, cli.get_int("blocks"), cli.get_double("seconds"), kRepeats,
               std::thread::hardware_concurrency());
-  std::printf("%8s | %12s %25s %14s | %8s | %s\n", "threads", "flips/s",
-              "min .. max", "solutions/s", "speedup", "misses / drops");
-  for (int i = 0; i < 100; ++i) std::putchar('-');
+  std::printf("%8s | %12s %25s %14s | %8s | %5s | %s\n", "threads",
+              "flips/s", "min .. max", "solutions/s", "speedup", "cores",
+              "misses / drops");
+  for (int i = 0; i < 108; ++i) std::putchar('-');
   std::putchar('\n');
 
   double baseline_flip_rate = 0.0;
@@ -64,6 +71,7 @@ int main(int argc, char** argv) {
     std::vector<double> search_rates;
     std::vector<double> misses;
     std::vector<double> drops;
+    std::vector<double> cores;
     for (int r = 0; r < kRepeats; ++r) {
       absq::AbsConfig config;
       config.device.block_limit =
@@ -73,7 +81,11 @@ int main(int argc, char** argv) {
       absq::AbsSolver solver(w, config);
       absq::StopCriteria stop;
       stop.time_limit_seconds = cli.get_double("seconds");
+      const double cpu_before = absq::bench::process_cpu_seconds();
+      const absq::Stopwatch wall;
       const absq::AbsResult result = solver.run(stop);
+      cores.push_back((absq::bench::process_cpu_seconds() - cpu_before) /
+                      wall.seconds());
       flip_rates.push_back(
           result.seconds > 0.0
               ? static_cast<double>(result.total_flips) / result.seconds
@@ -87,17 +99,18 @@ int main(int argc, char** argv) {
     if (threads == 1) baseline_flip_rate = flip_rate;
     const auto [lo, hi] =
         std::minmax_element(flip_rates.begin(), flip_rates.end());
-    std::printf("%8u | %12.4e %12.4e .. %10.4e %14.4e | %7.2fx | %.0f / "
-                "%.0f\n",
+    std::printf("%8u | %12.4e %12.4e .. %10.4e %14.4e | %7.2fx | %5.2f | "
+                "%.0f / %.0f\n",
                 threads, flip_rate, *lo, *hi, median(search_rates),
                 baseline_flip_rate > 0.0 ? flip_rate / baseline_flip_rate
                                          : 0.0,
-                median(misses), median(drops));
+                median(cores), median(misses), median(drops));
     std::fflush(stdout);
   }
   std::printf(
       "\nShape check: with W hardware cores the speedup column should\n"
       "approach min(W, blocks) for threads >= W; rows beyond the core\n"
-      "count only show what oversubscription costs.\n");
+      "count only show what oversubscription costs. `cores` should read\n"
+      "about min(threads, W): the parked host adds next to nothing.\n");
   return 0;
 }

@@ -7,6 +7,8 @@
 // reference run of every binary.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -200,6 +202,18 @@ inline std::string tts_cell(const TtsSummary& summary) {
             std::to_string(summary.trials) + ")";
   }
   return cell;
+}
+
+/// User + system CPU seconds of the whole process so far — divided by a
+/// run's wall time, the cores that run kept busy (workers plus host).
+inline double process_cpu_seconds() {
+  rusage usage{};
+  (void)getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           1e-6 * static_cast<double>(t.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 inline void print_rule(int width) {

@@ -111,6 +111,20 @@ code=$?
 set -e
 [[ "$code" == "2" ]] || fail "unreachable target exited $code, expected 2"
 
+# Workers that die before any report must end the run at once: their shard
+# loops wake the parked host, which surfaces the fault (non-zero exit)
+# long before the 30 s limit.
+set +e
+start=$SECONDS
+ABSQ_FAILPOINTS=device.iterate=every:1 "$BIN/tools/absq_solve" "$WORK/r.qubo" \
+  --seconds 30 > /dev/null 2>&1
+code=$?
+elapsed=$((SECONDS - start))
+set -e
+[[ "$code" != "0" ]] || fail "absq_solve with dead workers exited 0"
+(( elapsed < 10 )) \
+  || fail "absq_solve with dead workers took ${elapsed} s, expected < 10 s"
+
 # Out-of-range counts are usage errors (exit 2) that name the flag, caught
 # before absq_solve loads or solves anything and before absq_serve binds a
 # port — a negative count must not wrap into a huge allocation. The error

@@ -5,8 +5,10 @@
 // eventual visibility; none of them publish other memory.
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -129,12 +131,25 @@ Device::Device(const WeightMatrix& w, const DeviceConfig& config)
 
 Device::~Device() { stop(); }
 
+void Device::set_doorbell(sim::Doorbell* doorbell) {
+  ABSQ_CHECK(!running_, "attach the doorbell while the device is stopped");
+  doorbell_ = doorbell;
+  solutions_.set_doorbell(doorbell);
+}
+
 void Device::start() {
   if (running_) return;
   stop_requested_.store(false, std::memory_order_relaxed);
   // A fresh pool per start(): ThreadPool drains and joins on destruction,
-  // which is exactly the stop() contract.
-  worker_pool_ = std::make_unique<ThreadPool>(workers_);
+  // which is exactly the stop() contract. A shard loop that ends rings the
+  // doorbell from the pool's task-end hook — after the pool has captured
+  // what it threw, so the host it wakes finds failure() set.
+  std::function<void()> on_shard_end;
+  if (doorbell_ != nullptr) {
+    on_shard_end = [doorbell = doorbell_] { doorbell->ring(); };
+  }
+  worker_pool_ =
+      std::make_unique<ThreadPool>(workers_, std::move(on_shard_end));
   for (std::uint32_t worker = 0; worker < workers_; ++worker) {
     worker_pool_->submit(
         [this, worker] { run_shard(worker, &stop_requested_); });
@@ -171,7 +186,8 @@ std::exception_ptr Device::failure() const {
   return stopped_failure_;
 }
 
-void Device::iterate_block(std::size_t index, std::size_t worker) {
+void Device::iterate_block(std::size_t index, std::size_t worker,
+                           const std::atomic<bool>* stop) {
   // Fault-injection site (scope = device id): a throw here simulates a
   // kernel fault and escapes to the worker pool; a stall spec hangs this
   // worker. Disarmed cost: one relaxed load.
@@ -191,9 +207,11 @@ void Device::iterate_block(std::size_t index, std::size_t worker) {
   const std::uint64_t before = block.stats().flips;
   // With no fresh target the block continues from where it is: a
   // zero-distance straight search followed by the usual local search.
-  solutions_.push(block.iterate(maybe_target ? *maybe_target : block.current()),
-                  worker);
+  sim::ReportedSolution report =
+      block.iterate(maybe_target ? *maybe_target : block.current(), stop);
   const std::uint64_t iteration_flips = block.stats().flips - before;
+  // Counters first, report second: a host woken by the push must already
+  // see this iteration's flips (a max_flips crossing) and heartbeat.
   flips_.fetch_add(iteration_flips, std::memory_order_relaxed);
   iterations_.fetch_add(1, std::memory_order_relaxed);
   if (m_iterations_ != nullptr) {  // metrics attached
@@ -203,11 +221,14 @@ void Device::iterate_block(std::size_t index, std::size_t worker) {
     m_block_flips_[index]->add(iteration_flips);
     m_block_iterations_[index]->add(1);
   }
+  solutions_.push(std::move(report), worker);
 }
 
 void Device::step_all_blocks_once() {
   ABSQ_CHECK(!running_, "synchronous stepping while the device workers run");
-  for (std::size_t i = 0; i < blocks_.size(); ++i) iterate_block(i, i);
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    iterate_block(i, i, /*stop=*/nullptr);
+  }
 }
 
 std::uint64_t Device::total_evaluated() const {
@@ -228,7 +249,7 @@ void Device::run_shard(std::size_t worker, const std::atomic<bool>* stop_flag) {
   while (!stop_flag->load(std::memory_order_relaxed)) {
     for (std::size_t i = worker; i < blocks_.size(); i += workers_) {
       if (stop_flag->load(std::memory_order_relaxed)) return;
-      iterate_block(i, worker);
+      iterate_block(i, worker, stop_flag);
     }
   }
 }

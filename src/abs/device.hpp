@@ -23,6 +23,14 @@
 // The device also supports a synchronous mode (step_all_blocks_once) used by
 // the lockstep SyncAbsRunner, the deterministic tests and the throughput
 // benches, which measure the search kernel without scheduler noise.
+//
+// Stopping is prompt: the workers hand the device's stop flag to every
+// block iteration, whose search loops read it every 64 steps, so a raised
+// flag ends the in-flight iterations within microseconds. A stopped
+// iteration still reports its best so far. With a doorbell attached
+// (set_doorbell) every report that moves the solution counter rings it,
+// and so does every worker's shard loop as it ends — by return or by
+// throw — so a parked host learns of both without polling.
 #pragma once
 
 #include <atomic>
@@ -101,16 +109,23 @@ class Device {
   /// Launches the worker threads. Idempotent.
   void start();
 
-  /// Signals the workers to finish their current block visit, then joins
-  /// them. Idempotent.
+  /// Raises the stop flag, then joins the workers. Iterations in flight
+  /// end within 64 search steps and push their best so far, so the join
+  /// waits microseconds, not a block iteration. Idempotent.
   void stop();
 
-  /// Signals stop WITHOUT joining — the watchdog's quarantine primitive:
-  /// the host must never block on a possibly-hung device thread. A later
-  /// stop() (or the destructor) performs the join.
+  /// Raises the stop flag WITHOUT joining — the watchdog's quarantine
+  /// primitive (the host must never block on a possibly-hung device
+  /// thread), and the first half of a run's shutdown, so every device
+  /// stops at once. A later stop() (or the destructor) performs the join.
   void request_stop() {
     stop_requested_.store(true, std::memory_order_relaxed);
   }
+
+  /// Attaches the host's doorbell (not owned; null detaches): it rings on
+  /// every counter move of solutions() and whenever a worker's shard loop
+  /// ends. Call while the device is stopped.
+  void set_doorbell(sim::Doorbell* doorbell);
 
   /// First exception that escaped a worker, or nullptr while the device is
   /// healthy; still reported after stop(). A non-null failure means at
@@ -177,8 +192,9 @@ class Device {
   static std::uint32_t resolve_workers(const DeviceConfig& config);
 
   /// One Step 2–5 iteration of block `index`, attributed to `worker`'s
-  /// mailbox shards.
-  void iterate_block(std::size_t index, std::size_t worker);
+  /// mailbox shards and cut short once `stop` (null = never) is raised.
+  void iterate_block(std::size_t index, std::size_t worker,
+                     const std::atomic<bool>* stop);
   void run_shard(std::size_t worker, const std::atomic<bool>* stop_flag);
 
   const WeightMatrix* w_;
@@ -192,6 +208,7 @@ class Device {
 
   std::unique_ptr<ThreadPool> worker_pool_;  ///< while running
   std::atomic<bool> stop_requested_{false};
+  sim::Doorbell* doorbell_ = nullptr;  ///< host's wake-up; null = none
   bool running_ = false;
   /// The pool's captured worker failure, kept past stop() destroying it.
   std::exception_ptr stopped_failure_;

@@ -1,5 +1,6 @@
 #include "abs/search_block.hpp"
 
+#include "search/stop.hpp"
 #include "search/straight.hpp"
 #include "util/check.hpp"
 
@@ -94,7 +95,8 @@ void SearchBlock::adapt_on_stagnation(Energy reported_energy) {
       current_window_, staggered_offset()));
 }
 
-sim::ReportedSolution SearchBlock::iterate(const BitVector& target) {
+sim::ReportedSolution SearchBlock::iterate(const BitVector& target,
+                                           const std::atomic<bool>* stop) {
   ABSQ_CHECK(target.size() == state_.size(), "target size mismatch");
 
   // Apply a pending controller reallocation before this iteration starts,
@@ -120,7 +122,7 @@ sim::ReportedSolution SearchBlock::iterate(const BitVector& target) {
     obs::TraceSpan span(config_.tracer, "straight", "search", trace_pid,
                         config_.block_id);
     const std::uint64_t flips_before = stats_.flips;
-    stats_ += straight_search(state_, target, tracker_);
+    stats_ += straight_search(state_, target, tracker_, stop);
     span.set_arg("walk_flips",
                  static_cast<std::int64_t>(stats_.flips - flips_before));
   }
@@ -131,14 +133,20 @@ sim::ReportedSolution SearchBlock::iterate(const BitVector& target) {
     obs::TraceSpan span(config_.tracer, "local", "search", trace_pid,
                         config_.block_id);
     span.set_arg("flips", static_cast<std::int64_t>(config_.local_steps));
-    algorithm_->step(state_, tracker_, stats_, rng_, config_.local_steps);
+    algorithm_->step(state_, tracker_, stats_, rng_, config_.local_steps,
+                     stop);
   }
   ++iterations_;
 
-  // Step 5: report the iteration's best. A zero-distance straight search
-  // with zero local steps cannot happen (local_steps >= 1), so the tracker
-  // is always valid here.
-  adapt_on_stagnation(tracker_.energy());
+  // Step 5: report the iteration's best. A complete iteration flipped at
+  // least once (local_steps >= 1), so its tracker is valid; a stopped one
+  // may have flipped nothing and reports where it stands. Its truncated
+  // best says nothing about stagnation.
+  if (stop_raised(stop)) {
+    if (!tracker_.valid()) (void)tracker_.offer(state_.bits(), state_.energy());
+  } else {
+    adapt_on_stagnation(tracker_.energy());
+  }
   return sim::ReportedSolution{tracker_.best(), tracker_.energy(),
                                config_.device_id, config_.block_id};
 }

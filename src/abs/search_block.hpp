@@ -94,7 +94,15 @@ class SearchBlock {
 
   /// One full Step 2→5 iteration against `target`. Returns the report the
   /// block would store into the solution buffer.
-  [[nodiscard]] sim::ReportedSolution iterate(const BitVector& target);
+  ///
+  /// `stop` is the owning device's stop flag (null = never stopped). Once
+  /// it is raised the straight walk and the Step 4b loop each return
+  /// within 64 steps, and the iteration reports its best so far — an
+  /// exact energy, or the current solution when nothing was flipped — and
+  /// leaves the adaptive ladder alone. The block stays consistent for a
+  /// later iteration.
+  [[nodiscard]] sim::ReportedSolution iterate(
+      const BitVector& target, const std::atomic<bool>* stop = nullptr);
 
   /// Current solution C (the start of the next straight search).
   [[nodiscard]] const BitVector& current() const { return state_.bits(); }

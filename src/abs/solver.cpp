@@ -151,6 +151,9 @@ AbsSolver::AbsSolver(const WeightMatrix& w, AbsConfig config)
 
 AbsSolver::~AbsSolver() {
   for (auto& slot : devices_) {
+    if (slot.device != nullptr) slot.device->request_stop();
+  }
+  for (auto& slot : devices_) {
     if (slot.device != nullptr) slot.device->stop();
   }
 }
@@ -163,7 +166,9 @@ std::unique_ptr<Device> AbsSolver::make_device(std::size_t slot_index,
     device_config.seed =
         mix64(device_config.seed ^ (0x9e3779b97f4a7c15ULL * incarnation));
   }
-  return std::make_unique<Device>(*w_, device_config);
+  auto device = std::make_unique<Device>(*w_, device_config);
+  device->set_doorbell(&doorbell_);
+  return device;
 }
 
 void AbsSolver::rebuild_device(std::size_t slot_index) {
@@ -399,6 +404,36 @@ void AbsSolver::poll_device_health(double now) {
       }
     }
   }
+}
+
+double AbsSolver::next_deadline(const StopCriteria& stop,
+                                double next_snapshot,
+                                double next_checkpoint) const {
+  double deadline = std::numeric_limits<double>::infinity();
+  if (stop.time_limit_seconds > 0.0) {
+    deadline = std::min(deadline, stop.time_limit_seconds);
+  }
+  if (config_.snapshot_interval_seconds > 0.0) {
+    deadline = std::min(deadline, next_snapshot);
+  }
+  if (!config_.checkpoint_path.empty() &&
+      config_.checkpoint_interval_seconds > 0.0) {
+    deadline = std::min(deadline, next_checkpoint);
+  }
+  const WatchdogConfig& watchdog = config_.watchdog;
+  for (const DeviceSlot& slot : devices_) {
+    if (slot.health == DeviceHealth::kHealthy &&
+        watchdog.stall_grace_seconds > 0.0) {
+      // A stalled device rings nothing: its verdict is a deadline.
+      deadline = std::min(
+          deadline, slot.last_progress_time + watchdog.stall_grace_seconds);
+    } else if (slot.health == DeviceHealth::kFailed &&
+               slot.restarts < watchdog.max_restarts) {
+      deadline = std::min(
+          deadline, slot.quarantined_at + watchdog.restart_backoff_seconds);
+    }
+  }
+  return deadline;
 }
 
 void AbsSolver::write_run_checkpoint(AbsResult& result, double now) {
@@ -642,6 +677,9 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
   std::uint64_t last_snapshot_flips = 0;
   bool done = false;
   while (!done) {
+    // Read the doorbell before polling: whatever rings after this read
+    // cuts the park below short, so no report or failure is slept through.
+    const std::uint64_t rung = doorbell_.rings();
     bool any_news = false;
     for (std::size_t d = 0; d < devices_.size(); ++d) {
       any_news |= host_round(d, watch.seconds());
@@ -726,12 +764,17 @@ AbsResult AbsSolver::run(const StopCriteria& stop) {
     }
 
     if (!done && !any_news) {
-      // Nothing arrived: yield briefly instead of spinning on the counters
-      // (the cudaMemcpyAsync cadence of the paper's host).
-      std::this_thread::yield();
+      // Nothing arrived: park until a ring or the next deadline, leaving
+      // the core to the device workers.
+      const double deadline =
+          next_deadline(stop, next_snapshot, next_checkpoint);
+      doorbell_.park(rung, deadline - watch.seconds());
     }
   }
 
+  // Raise every stop flag before joining any device, so all of them cut
+  // their iterations short at once.
+  for (auto& slot : devices_) slot.device->request_stop();
   for (auto& slot : devices_) slot.device->stop();
   AbsResult result = finish_run(stop, watch.seconds(), run_start_flips_);
 

@@ -4,7 +4,12 @@
 //   Step 1: initialize the solution pool with random bit vectors (energies
 //           unknown — the host never evaluates E) and stock every device's
 //           target buffer.
-//   Step 2: poll the devices' solution counters.
+//   Step 2: poll the devices' solution counters. The paper's host spins
+//           on cudaMemcpyAsync from a CPU of its own; this host shares the
+//           cores with the device workers, so after a pass that found no
+//           news it parks on the counters' doorbell (sim::Doorbell) until
+//           a counter moves, a worker's shard loop ends, request_stop()
+//           rings, or the next host deadline falls due.
 //   Step 3: insert newly reported solutions into the sorted, duplicate-free
 //           pool.
 //   Step 4: breed and store as many new targets as solutions arrived, and
@@ -254,9 +259,12 @@ class AbsSolver {
   AbsResult run(const StopCriteria& stop);
 
   /// Thread-safe external cancellation: the current (or next) run() ends
-  /// at its next host-loop poll with result.cancelled = true. The flag is
-  /// consumed by that run.
-  void request_stop() { stop_requested_.store(true); }
+  /// with result.cancelled = true — a parked host is woken at once. The
+  /// flag is consumed by that run.
+  void request_stop() {
+    stop_requested_.store(true);
+    doorbell_.ring();
+  }
 
   /// The island pools and the (island, algorithm) controller — one island
   /// and one min-Δ arm on classic runs. Host-loop state: read between runs
@@ -357,6 +365,12 @@ class AbsSolver {
   /// Failure/stall detection plus the bounded restart policy; called from
   /// the host loop.
   void poll_device_health(double now);
+  /// The earliest run-clock time at which the host loop has work that no
+  /// ring announces: the time limit, the next snapshot or checkpoint, a
+  /// healthy slot's stall verdict, a failed slot's restart. +∞ when none.
+  [[nodiscard]] double next_deadline(const StopCriteria& stop,
+                                     double next_snapshot,
+                                     double next_checkpoint) const;
   /// Writes a run checkpoint (atomic) and counts it in `result`; failures
   /// are counted, not fatal.
   void write_run_checkpoint(AbsResult& result, double now);
@@ -374,6 +388,9 @@ class AbsSolver {
   /// carries the static block → arm striping the report router needs.
   portfolio::IslandSet islands_;
   portfolio::AdaptiveController controller_;
+  /// What the parked host loop waits on; every device incarnation rings
+  /// it. Declared before devices_, so it outlives them.
+  sim::Doorbell doorbell_;
   std::vector<DeviceSlot> devices_;
   std::atomic<bool> stop_requested_{false};
 

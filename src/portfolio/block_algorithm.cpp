@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "search/stop.hpp"
 #include "search/straight.hpp"
 #include "util/check.hpp"
 
@@ -102,11 +103,14 @@ void MinDeltaAlgorithm::set_policy(std::unique_ptr<SelectionPolicy> policy) {
 
 void MinDeltaAlgorithm::step(DeltaState& state, BestTracker& tracker,
                              SearchStats& stats, Rng& rng,
-                             std::uint64_t local_steps) {
+                             std::uint64_t local_steps,
+                             const std::atomic<bool>* stop) {
   // The historical SearchBlock Step 4b loop, verbatim: selection order,
   // flip accounting and incumbent offers are pinned bit-identical by the
-  // lockstep test — change nothing here without updating that pin.
+  // lockstep test — change nothing here without updating that pin. (The
+  // stop test reads nothing when the flag is null, as the pin passes it.)
   for (std::uint64_t s = 0; s < local_steps; ++s) {
+    if (stop_due(stop, s)) return;
     const BitIndex k = policy_->select(state, rng);
     commit_flip(state, tracker, stats, k);
   }
@@ -124,7 +128,8 @@ SaAlgorithm::SaAlgorithm(const AlgorithmOptions& options)
 
 void SaAlgorithm::step(DeltaState& state, BestTracker& tracker,
                        SearchStats& stats, Rng& rng,
-                       std::uint64_t local_steps) {
+                       std::uint64_t local_steps,
+                       const std::atomic<bool>* stop) {
   if (temperature_ <= 0.0) {
     // First phase: calibrate T0 against the instance's Δ scale so one
     // options struct serves every matrix.
@@ -140,6 +145,7 @@ void SaAlgorithm::step(DeltaState& state, BestTracker& tracker,
   const double floor = std::max(options_.sa_min_temperature, 1e-9);
 
   for (std::uint64_t s = 0; s < local_steps; ++s) {
+    if (stop_due(stop, s)) return;
     const BitIndex k = static_cast<BitIndex>(rng.below(state.size()));
     const Energy delta = state.delta(k);
     const bool accepted =
@@ -180,8 +186,9 @@ MultiStartAlgorithm::MultiStartAlgorithm(const AlgorithmOptions& options)
              "restart fractions must satisfy 0 <= min <= max <= 1");
 }
 
-void MultiStartAlgorithm::restart(DeltaState& state, BestTracker& tracker,
-                                  SearchStats& stats, Rng& rng) {
+bool MultiStartAlgorithm::restart(DeltaState& state, BestTracker& tracker,
+                                  SearchStats& stats, Rng& rng,
+                                  const std::atomic<bool>* stop) {
   ++restarts_;
   // Walk back to the iteration incumbent (Δ state stays valid — the same
   // straight search that reaches GA targets), then kick a randomized
@@ -189,8 +196,11 @@ void MultiStartAlgorithm::restart(DeltaState& state, BestTracker& tracker,
   // feeds this same tracker, so tracker.best() can move mid-walk;
   // straight_search reads its target once, at entry.
   if (tracker.valid()) {
-    stats += straight_search(state, tracker.best(), tracker);
+    stats += straight_search(state, tracker.best(), tracker, stop);
   }
+  // A stopped run has no descent left for the kick to diversify. The
+  // stall count stays, so the next phase restarts first thing.
+  if (stop_raised(stop)) return false;
   const BitIndex n = state.size();
   const double span =
       options_.restart_max_fraction - options_.restart_min_fraction;
@@ -209,11 +219,13 @@ void MultiStartAlgorithm::restart(DeltaState& state, BestTracker& tracker,
     last_flip_step_[k] = step_counter_;
   }
   since_improvement_ = 0;
+  return true;
 }
 
 void MultiStartAlgorithm::step(DeltaState& state, BestTracker& tracker,
                                SearchStats& stats, Rng& rng,
-                               std::uint64_t local_steps) {
+                               std::uint64_t local_steps,
+                               const std::atomic<bool>* stop) {
   const BitIndex n = state.size();
   if (last_flip_step_.size() != n) {
     last_flip_step_.assign(n, 0);
@@ -227,6 +239,7 @@ void MultiStartAlgorithm::step(DeltaState& state, BestTracker& tracker,
   }
 
   for (std::uint64_t s = 0; s < local_steps; ++s) {
+    if (stop_due(stop, s)) return;
     ++step_counter_;
     // Forced min-Δ flip over the non-tabu bits; aspiration lifts the tabu
     // when the flip would beat the incumbent outright.
@@ -253,8 +266,9 @@ void MultiStartAlgorithm::step(DeltaState& state, BestTracker& tracker,
     since_improvement_ = stats.improvements != improvements_before
                              ? 0
                              : since_improvement_ + 1;
-    if (since_improvement_ >= stall_limit_) {
-      restart(state, tracker, stats, rng);
+    if (since_improvement_ >= stall_limit_ &&
+        !restart(state, tracker, stats, rng, stop)) {
+      return;
     }
   }
 }

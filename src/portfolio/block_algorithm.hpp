@@ -21,9 +21,11 @@
 //
 // All three run on the device-worker hot path (absq_lint ABSQ003 covers
 // every step() implementation): no blocking calls, no I/O, no allocation
-// after warm-up.
+// after warm-up. Each step() loop honours its device's stop flag within 64
+// steps (search/stop.hpp), so a finished run does not wait out a phase.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -93,11 +95,13 @@ class BlockAlgorithm {
 
   /// One Step 4b local-search phase: `local_steps` selection steps against
   /// `state`, offering every evaluated solution to `tracker` and
-  /// accounting matrix reads / flips / evaluations into `stats`. Hot path:
-  /// must never block (ABSQ003).
+  /// accounting matrix reads / flips / evaluations into `stats`. A raised
+  /// `stop` flag ends the phase within 64 steps, leaving `state` and the
+  /// member's schedule consistent for a later phase. Hot path: must never
+  /// block (ABSQ003).
   virtual void step(DeltaState& state, BestTracker& tracker,
-                    SearchStats& stats, Rng& rng,
-                    std::uint64_t local_steps) = 0;
+                    SearchStats& stats, Rng& rng, std::uint64_t local_steps,
+                    const std::atomic<bool>* stop = nullptr) = 0;
 };
 
 /// The legacy windowed min-Δ member: runs SearchBlock's historical Step 4b
@@ -113,7 +117,8 @@ class MinDeltaAlgorithm final : public BlockAlgorithm {
   }
 
   void step(DeltaState& state, BestTracker& tracker, SearchStats& stats,
-            Rng& rng, std::uint64_t local_steps) override;
+            Rng& rng, std::uint64_t local_steps,
+            const std::atomic<bool>* stop = nullptr) override;
 
   /// Swaps the selection policy in place — the adaptive window ladder's
   /// hook (SearchBlock::adapt_on_stagnation).
@@ -136,7 +141,8 @@ class SaAlgorithm final : public BlockAlgorithm {
   }
 
   void step(DeltaState& state, BestTracker& tracker, SearchStats& stats,
-            Rng& rng, std::uint64_t local_steps) override;
+            Rng& rng, std::uint64_t local_steps,
+            const std::atomic<bool>* stop = nullptr) override;
 
   [[nodiscard]] double temperature() const { return temperature_; }
   [[nodiscard]] std::uint64_t reheats() const { return reheats_; }
@@ -162,13 +168,15 @@ class MultiStartAlgorithm final : public BlockAlgorithm {
   }
 
   void step(DeltaState& state, BestTracker& tracker, SearchStats& stats,
-            Rng& rng, std::uint64_t local_steps) override;
+            Rng& rng, std::uint64_t local_steps,
+            const std::atomic<bool>* stop = nullptr) override;
 
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
 
  private:
-  void restart(DeltaState& state, BestTracker& tracker, SearchStats& stats,
-               Rng& rng);
+  /// Returns false when a raised `stop` cut the walk back short.
+  bool restart(DeltaState& state, BestTracker& tracker, SearchStats& stats,
+               Rng& rng, const std::atomic<bool>* stop);
 
   AlgorithmOptions options_;
   /// step_counter_ value when bit i was last flipped; bits within

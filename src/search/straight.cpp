@@ -5,11 +5,15 @@
 namespace absq {
 
 SearchStats straight_search(DeltaState& state, const BitVector& target,
-                            BestTracker& tracker) {
+                            BestTracker& tracker,
+                            const std::atomic<bool>* stop) {
   SearchStats stats;
   // `target` is read once, here: the tracker fed below may alias it.
   const BitIndex distance = state.begin_walk(target);
   for (BitIndex step = 0; step < distance; ++step) {
+    // Abandoned walk: Δ is exact at every step, and the next begin_walk
+    // resets the bits still pending.
+    if (stop_due(stop, step)) return stats;
     // Greedy rule of Algorithm 5: minimum Δ_k among the bits still
     // differing from the target, leftmost on ties.
     const BitIndex k = state.argmin_pending();
@@ -26,6 +30,7 @@ SearchStats straight_search(DeltaState& state, const BitVector& target,
       ++stats.improvements;
     }
   }
+  // Completed walks only: an abandoned one returned above.
   ABSQ_DCHECK(state.argmin_pending() == state.size(),
               "straight search must end at target");
   return stats;

@@ -21,9 +21,12 @@
 //     neighbour is read off the Δ tree's root.
 #pragma once
 
+#include <atomic>
+
 #include "qubo/bit_vector.hpp"
 #include "qubo/delta_state.hpp"
 #include "search/stats.hpp"
+#include "search/stop.hpp"
 #include "search/tracker.hpp"
 
 namespace absq {
@@ -33,7 +36,12 @@ namespace absq {
 /// (going beyond the letter of Algorithm 5, at no extra asymptotic cost)
 /// every evaluated neighbour via the fused Δ-repair pass. `target` may
 /// alias `tracker.best()`: it is read once, before the first flip.
+///
+/// A raised `stop` flag (search/stop.hpp) abandons the walk within 64
+/// flips: `state` is then a valid Δ state short of the target, and the
+/// bits it left pending are reset by the next walk's begin_walk().
 SearchStats straight_search(DeltaState& state, const BitVector& target,
-                            BestTracker& tracker);
+                            BestTracker& tracker,
+                            const std::atomic<bool>* stop = nullptr);
 
 }  // namespace absq

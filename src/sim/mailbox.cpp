@@ -1,6 +1,7 @@
 #include "sim/mailbox.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "util/check.hpp"
@@ -27,7 +28,33 @@ std::vector<std::unique_ptr<Shard>> make_shards(std::size_t capacity,
   return result;
 }
 
+/// The longest single park: any finite timeout converts to the clock's
+/// ticks without overflow, and a host with no deadline re-polls daily.
+constexpr double kLongestParkSeconds = 86400.0;
+
 }  // namespace
+
+void Doorbell::ring() {
+  rings_.fetch_add(1);
+  // Only the host clears the flag. A ringer that cleared it could hit the
+  // host's *next* park with a notify meant for this one, leaving that park
+  // flagged unparked and deaf to every later ring.
+  if (!parked_.load()) return;
+  // Passing through the lock orders the notify after the parker's check of
+  // rings_: it either saw the increment or is already waiting. Notifying
+  // after the unlock lets the woken host run without blocking on it.
+  { std::lock_guard lock(mutex_); }
+  wake_.notify_one();
+}
+
+void Doorbell::park(std::uint64_t seen, double timeout_seconds) {
+  const std::chrono::duration<double> timeout(
+      std::clamp(timeout_seconds, 0.0, kLongestParkSeconds));
+  std::unique_lock lock(mutex_);
+  parked_.store(true);
+  (void)wake_.wait_for(lock, timeout, [&] { return rings_.load() != seen; });
+  parked_.store(false);
+}
 
 TargetBuffer::TargetBuffer(std::size_t capacity, std::size_t shards)
     : shards_(make_shards<Shard>(capacity, shards)) {}
@@ -112,6 +139,9 @@ void SolutionBuffer::push(ReportedSolution solution, std::size_t hint) {
     shard.queue.push_back(std::move(solution));
   }
   pushed_.fetch_add(1, std::memory_order_relaxed);
+  // The counter moved: wake a parked host. The ring is ordered after the
+  // increment, so the host it wakes reads the new counter.
+  if (doorbell_ != nullptr) doorbell_->ring();
   if (overwrote && tracer_ != nullptr) {
     tracer_->instant("solution_drop", "mailbox", trace_pid_,
                      static_cast<std::uint32_t>(index));

@@ -24,9 +24,15 @@
 // fetch/push happens once per block iteration (thousands of flips), so even
 // the single-shard lock is not a throughput factor — measured and
 // documented in bench_kernels.
+//
+// The paper's host spends a CPU of its own polling the counters. Here the
+// host shares the cores with the device workers, so it parks on a Doorbell
+// instead: every solution buffer rings its doorbell when its counter
+// moves, and the host sleeps until a ring or its next deadline.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -39,6 +45,39 @@
 #include "qubo/types.hpp"
 
 namespace absq::sim {
+
+/// Device → host wake-up, one per host. Anything the host must react to
+/// rings it: a solution counter moving (SolutionBuffer::push), a device
+/// worker's shard task ending, an external stop request. The host reads
+/// rings() *before* it polls, and after a pass that found nothing new
+/// parks until the count moves past that reading or its next deadline —
+/// so a ring between the read and the park is never lost.
+///
+/// Ringing never blocks the ringer: it is one atomic increment, plus a
+/// pass through the lock and a notify_one only while the host is parked.
+class Doorbell {
+ public:
+  /// Any thread. Never blocks beyond the short lock taken while parked.
+  void ring();
+
+  /// Rings so far (monotonic).
+  [[nodiscard]] std::uint64_t rings() const { return rings_.load(); }
+
+  /// Host side: returns once rings() != `seen` or `timeout_seconds` have
+  /// passed (at once when either already holds; +∞ waits for a ring). One
+  /// parking thread at a time.
+  void park(std::uint64_t seen, double timeout_seconds);
+
+ private:
+  std::atomic<std::uint64_t> rings_{0};
+  /// Set while a host is inside park(); written only by park().
+  /// Sequentially consistent with rings_: a ringer that reads false has
+  /// its increment seen by the parker's check, so the notify it skips was
+  /// not needed.
+  std::atomic<bool> parked_{false};
+  std::mutex mutex_;
+  std::condition_variable wake_;
+};
 
 /// Host → device: GA-bred target solutions.
 class TargetBuffer {
@@ -121,7 +160,9 @@ class SolutionBuffer {
   explicit SolutionBuffer(std::size_t capacity, std::size_t shards = 1);
 
   /// Device side; never blocks. Shards are filled round-robin; a full
-  /// shard drops its oldest entry.
+  /// shard drops its oldest entry. A push that moves the counter rings the
+  /// attached doorbell; one lost to the `mailbox.solution_push` fail point
+  /// does not.
   void push(ReportedSolution solution);
 
   /// Device side, contention-avoiding: pushes into shard
@@ -156,6 +197,10 @@ class SolutionBuffer {
     trace_pid_ = trace_pid;
   }
 
+  /// Attaches the doorbell every counter move rings (not owned; null
+  /// detaches). Call before the owning device starts.
+  void set_doorbell(Doorbell* doorbell) { doorbell_ = doorbell; }
+
  private:
   struct Shard {
     mutable std::mutex mutex;
@@ -169,6 +214,7 @@ class SolutionBuffer {
   std::atomic<std::uint64_t> dropped_{0};
   obs::EventTracer* tracer_ = nullptr;
   std::uint32_t trace_pid_ = 0;
+  Doorbell* doorbell_ = nullptr;
 };
 
 }  // namespace absq::sim

@@ -7,7 +7,9 @@
 
 namespace absq {
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads,
+                       std::function<void()> on_task_end)
+    : on_task_end_(std::move(on_task_end)) {
   ABSQ_CHECK(threads >= 1, "a thread pool needs at least one worker");
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -60,6 +62,8 @@ void ThreadPool::worker_loop() {
       if (failure_ == nullptr) failure_ = std::current_exception();
       failed_.store(true, std::memory_order_release);
     }
+    // Before the idle accounting, so wait_idle() also waits for it.
+    if (on_task_end_) on_task_end_();
     {
       std::lock_guard lock(mutex_);
       --active_;

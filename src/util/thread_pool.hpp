@@ -10,7 +10,9 @@
 // (Device::stop() destroys the pool, which drains and joins). failure()
 // is the fault-isolation hook: a task that throws kills neither the
 // worker nor the process — the first exception is captured for the owner
-// to surface as a device failure.
+// to surface as a device failure. An optional task-end callback tells an
+// owner that parks instead of polling when a task is over; it runs after
+// the capture, so whoever it wakes finds the failure already in place.
 #pragma once
 
 #include <atomic>
@@ -27,8 +29,11 @@ namespace absq {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (at least 1).
-  explicit ThreadPool(std::size_t threads);
+  /// Spawns `threads` workers (at least 1). `on_task_end`, when set, runs
+  /// on the worker after every task — returned or thrown, and after a
+  /// thrown exception is captured (see failure()). It must not throw.
+  explicit ThreadPool(std::size_t threads,
+                      std::function<void()> on_task_end = {});
 
   /// Drains outstanding work, then joins all workers.
   ~ThreadPool();
@@ -67,6 +72,7 @@ class ThreadPool {
   bool stopping_ = false;
   std::atomic<bool> failed_{false};
   std::exception_ptr failure_;  ///< first escaping task exception
+  std::function<void()> on_task_end_;
   std::vector<std::thread> workers_;
 };
 

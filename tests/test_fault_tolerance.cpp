@@ -5,7 +5,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -35,6 +37,25 @@ class FaultToleranceTest : public ::testing::Test {
  protected:
   void TearDown() override { fail::Registry::instance().disarm_all(); }
 };
+
+/// CPU time the calling thread has used so far, in seconds.
+double thread_cpu_seconds() {
+  timespec now{};
+  (void)clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+/// One device, one worker, and a warm-start pool holding one evaluated
+/// entry, so a run whose worker never reports still ends with a result.
+AbsConfig stalled_host_config(const WeightMatrix& w) {
+  AbsConfig config = small_config(1);
+  auto pool = std::make_shared<SolutionPool>(config.pool_capacity);
+  const BitVector zero(w.size());
+  (void)pool->insert(zero, full_energy(w, zero));
+  config.warm_start = std::move(pool);
+  return config;
+}
 
 TEST_F(FaultToleranceTest, ThrownDeviceIsQuarantinedAndRunContinues) {
   const WeightMatrix w = random_qubo(64, 11);
@@ -91,7 +112,53 @@ TEST_F(FaultToleranceTest, AllDevicesDeadBeforeAnyReportRethrows) {
   AbsSolver solver(w, small_config(2));
   StopCriteria stop;
   stop.time_limit_seconds = 30.0;  // never reached — the run ends early
+  // The dying workers wake the parked host: it must not sleep through
+  // their deaths to the time limit.
+  const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW((void)solver.run(stop), fail::FailPointError);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            5.0);
+}
+
+TEST_F(FaultToleranceTest, IdleHostParks) {
+  const WeightMatrix w = random_qubo(64, 17);
+  // The worker sleeps in its first iteration: it uses no CPU and never
+  // moves the counter, so the host has nothing to do until the limit.
+  fail::Registry::instance().arm_from_directives("device.iterate=stall:30");
+
+  AbsSolver solver(w, stalled_host_config(w));
+  StopCriteria stop;
+  stop.time_limit_seconds = 0.5;
+  const double cpu_before = thread_cpu_seconds();
+  const AbsResult result = solver.run(stop);
+  const double host_cpu = thread_cpu_seconds() - cpu_before;
+
+  // A host that polled (or yielded) would burn the whole 0.5 s.
+  EXPECT_LT(host_cpu, 0.05);
+  EXPECT_GE(result.seconds, 0.5);
+  EXPECT_EQ(result.best_energy, full_energy(w, result.best));
+}
+
+TEST_F(FaultToleranceTest, StopWakesAParkedHost) {
+  const WeightMatrix w = random_qubo(64, 18);
+  fail::Registry::instance().arm_from_directives("device.iterate=stall:30");
+
+  AbsSolver solver(w, stalled_host_config(w));
+  StopCriteria stop;
+  stop.time_limit_seconds = 30.0;
+  std::thread canceller([&solver] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    solver.request_stop();
+  });
+  const AbsResult result = solver.run(stop);
+  canceller.join();
+
+  // Nothing but the stop request could have woken the host this early.
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_LT(result.seconds, 2.0);
+  EXPECT_EQ(result.best_energy, full_energy(w, result.best));
 }
 
 TEST_F(FaultToleranceTest, StalledDeviceIsQuarantinedWithinGrace) {

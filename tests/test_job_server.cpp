@@ -369,8 +369,9 @@ TEST(JobServer, IdempotentSubmitRetriesAcrossADroppedConnection) {
 
 TEST(JobServer, UnkeyedSubmitFailsFastOnADroppedConnection) {
   Fixture fixture;
-  // Armed before the client connects: the connection's reader checks the
-  // failpoint before it blocks in recv, so arming later races that check.
+  // The server's reactor fires serve.read when request bytes arrive on a
+  // connection (Reactor::receive), and the client sends nothing before
+  // submit(), so the one fire lands on the submit.
   fail::Registry::instance().arm_from_directives("serve.read=once");
   Client client("127.0.0.1", fixture.server.port(), quick_retry_config());
   // No idempotency key, so no auto-retry: after an ambiguous failure the

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "util/check.hpp"
+#include "util/failpoint.hpp"
+#include "util/stopwatch.hpp"
 
 namespace absq::sim {
 namespace {
@@ -240,6 +246,83 @@ TEST(Mailboxes, ConcurrentTargetTraffic) {
   producer.join();
   EXPECT_LE(polled, kCount);
   EXPECT_GT(polled, 0);
+}
+
+TEST(Doorbell, ParkReturnsAtOnceAfterARingSinceTheReading) {
+  Doorbell bell;
+  const std::uint64_t seen = bell.rings();
+  bell.ring();
+  const Stopwatch watch;
+  bell.park(seen, 30.0);
+  EXPECT_LT(watch.seconds(), 5.0);
+  EXPECT_EQ(bell.rings(), seen + 1);
+}
+
+TEST(Doorbell, ParkWithoutARingWaitsOutItsTimeout) {
+  Doorbell bell;
+  const Stopwatch watch;
+  bell.park(bell.rings(), 0.05);
+  EXPECT_GE(watch.seconds(), 0.05);
+}
+
+TEST(Doorbell, RingWakesAParkedThread) {
+  Doorbell bell;
+  const std::uint64_t seen = bell.rings();
+  const Stopwatch watch;
+  std::thread ringer([&bell] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    bell.ring();
+  });
+  bell.park(seen, 30.0);
+  ringer.join();
+  EXPECT_LT(watch.seconds(), 5.0);
+}
+
+TEST(Doorbell, NoRingIsLostToConcurrentRingers) {
+  // A host parking over and over against more ringers than cores, each
+  // pausing at random between rings: every park must end at a ring (or
+  // soon after the next one), never at its 1 s timeout. A notify that
+  // reached the wrong park, or a flag left saying "not parked", would
+  // leave one park deaf to every later ring.
+  Doorbell bell;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> ringers;
+  for (unsigned r = 0; r < 8; ++r) {
+    ringers.emplace_back([&bell, &stop, r] {
+      std::uint64_t state = r + 1;
+      while (!stop.load()) {
+        bell.ring();
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        std::this_thread::sleep_for(std::chrono::microseconds(state >> 57));
+      }
+    });
+  }
+  double longest = 0.0;
+  const Stopwatch total;
+  for (int park = 0; park < 20000 && total.seconds() < 3.0; ++park) {
+    const std::uint64_t seen = bell.rings();
+    const Stopwatch watch;
+    bell.park(seen, 1.0);
+    longest = std::max(longest, watch.seconds());
+    if (longest >= 0.5) break;
+  }
+  stop.store(true);
+  for (auto& ringer : ringers) ringer.join();
+  EXPECT_LT(longest, 0.5);
+}
+
+TEST(Doorbell, OnlyACounterMoveRings) {
+  Doorbell bell;
+  SolutionBuffer buffer(2);
+  buffer.set_doorbell(&bell);
+  buffer.push({bits("01"), -1, 0, 0});
+  EXPECT_EQ(bell.rings(), 1u);
+  // A report lost to the fail point never moved the counter: no ring.
+  fail::Registry::instance().arm_from_directives("mailbox.solution_push=once");
+  buffer.push({bits("10"), -2, 0, 0});
+  fail::Registry::instance().disarm_all();
+  EXPECT_EQ(buffer.counter(), 1u);
+  EXPECT_EQ(bell.rings(), 1u);
 }
 
 }  // namespace

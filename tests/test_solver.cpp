@@ -268,6 +268,28 @@ TEST(AbsSolver, RunAgainAfterRequestStopWorks) {
   EXPECT_EQ(rerun.best_energy, full_energy(w, rerun.best));
 }
 
+TEST(AbsSolver, StopDoesNotWaitOutAnIteration) {
+  // One block iteration takes seconds: 5 000 000 local steps on 512 bits.
+  // The run must end at its limit, not when the iteration would, and the
+  // iteration cut short must still report an exact solution.
+  const WeightMatrix w = random_qubo(512, 23);
+  AbsConfig config = small_config();
+  config.device.threads_per_device = 1;
+  config.device.local_steps = 5'000'000;
+  AbsSolver solver(w, config);
+  StopCriteria stop;
+  stop.time_limit_seconds = 0.2;
+  const AbsResult first = solver.run(stop);
+  EXPECT_LT(first.seconds, 1.0);
+  EXPECT_EQ(first.best_energy, full_energy(w, first.best));
+
+  // The devices keep the blocks a stopped walk or step left behind; the
+  // next run must find them consistent.
+  const AbsResult second = solver.run(stop);
+  EXPECT_LT(second.seconds, 1.0);
+  EXPECT_EQ(second.best_energy, full_energy(w, second.best));
+}
+
 TEST(AbsSolver, RerunStartsFreshPoolButKeepsDevices) {
   const WeightMatrix w = random_qubo(32, 10);
   AbsSolver solver(w, small_config());

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "qubo/energy.hpp"
+#include "qubo/kernel.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -158,6 +161,59 @@ TEST(StraightSearch, ChainedWalksStayConsistent) {
     (void)straight_search(state, target, tracker);
     ASSERT_EQ(state.energy(), full_energy(w, state.bits())) << "leg " << leg;
   }
+}
+
+/// A walk stopped before its end, then a full walk to a new target: the
+/// state must match one built fresh at that target.
+void check_abandoned_walk(const WeightMatrix& w, const QuboKernel& kernel,
+                          std::uint64_t seed) {
+  const BitIndex n = w.size();
+  Rng rng(seed);
+  DeltaState state(kernel, BitVector::random(n, rng));
+  const BitVector target = BitVector::random(n, rng);
+  ASSERT_GT(state.bits().hamming_distance(target), kStopCheckInterval);
+
+  const std::atomic<bool> stop{true};
+  BestTracker tracker;
+  const SearchStats stopped = straight_search(state, target, tracker, &stop);
+  EXPECT_LE(stopped.flips, kStopCheckInterval);
+  EXPECT_NE(state.bits(), target);
+  EXPECT_EQ(state.energy(), full_energy(w, state.bits()));
+  const std::vector<Energy> deltas = all_deltas(w, state.bits());
+  for (BitIndex i = 0; i < n; ++i) {
+    ASSERT_EQ(state.delta(i), deltas[i]) << "bit " << i;
+  }
+
+  const BitVector next = BitVector::random(n, rng);
+  BestTracker next_tracker;
+  const BitIndex distance = state.bits().hamming_distance(next);
+  const SearchStats walked = straight_search(state, next, next_tracker);
+  EXPECT_EQ(walked.flips, distance);
+  const DeltaState fresh(w, next);
+  EXPECT_EQ(state.bits(), fresh.bits());
+  EXPECT_EQ(state.energy(), fresh.energy());
+  for (BitIndex i = 0; i < n; ++i) {
+    ASSERT_EQ(state.delta(i), fresh.delta(i)) << "bit " << i;
+  }
+}
+
+TEST(StraightSearch, RaisedStopAbandonsTheWalkConsistently) {
+  const WeightMatrix w = random_matrix(200, 18);
+  check_abandoned_walk(w, QuboKernel(w), 19);
+}
+
+TEST(StraightSearch, RaisedStopAbandonsASparseWalkConsistently) {
+  // The CSR form also keeps a pending tree, which the abandoned walk
+  // leaves over bits it never flipped, for the next begin_walk to rebuild.
+  Rng rng(20);
+  const WeightMatrix w = WeightMatrix::generate_symmetric(
+      256, [&rng](BitIndex, BitIndex) {
+        return static_cast<Weight>(rng.chance(0.01) ? rng.range(-100, 100)
+                                                    : 0);
+      });
+  const QuboKernel kernel(w);
+  ASSERT_EQ(kernel.form(), KernelForm::kSparse);
+  check_abandoned_walk(w, kernel, 21);
 }
 
 }  // namespace
