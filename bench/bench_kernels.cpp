@@ -3,11 +3,11 @@
 // each committed flip evaluates n neighbour solutions (Theorem 1), which
 // is where the paper's search-rate metric comes from.
 //
-// The flip benchmarks run per kernel form (dense scalar, dense SIMD, CSR
-// sparse) on both the dense random family and G-set-style Max-Cut
-// instances, making the sparse crossover measurable on one screen. The
-// straight-search legs time whole Algorithm 5 walks: dense random
-// instances, and the G55 stand-in on the sparse plan.
+// The flip benchmarks run per kernel form (dense SIMD, CSR sparse) on both
+// the dense random family and G-set-style Max-Cut instances, making the
+// sparse crossover measurable on one screen. The straight-search legs time
+// whole Algorithm 5 walks: dense random instances, and the G55 stand-in on
+// the sparse plan.
 //
 // Besides the interactive google-benchmark mode, `--report <path>` runs a
 // fixed deterministic sweep of the same kernel matrix and appends one
@@ -139,17 +139,12 @@ void flip_benchmark(benchmark::State& state, DeltaState delta_state,
 }
 
 void BM_Flip(benchmark::State& state) {
-  // Legacy ctor: dense scalar kernel.
+  // The untracked repair alone. The matrix constructor runs the storage's
+  // own form: dense-SIMD on these dense-stored instances.
   const auto n = static_cast<BitIndex>(state.range(0));
   flip_benchmark(state, DeltaState(cached_matrix(n)), /*tracked=*/false);
 }
 BENCHMARK(BM_Flip)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_FlipTracked(benchmark::State& state) {
-  const auto n = static_cast<BitIndex>(state.range(0));
-  flip_benchmark(state, DeltaState(cached_matrix(n)), /*tracked=*/true);
-}
-BENCHMARK(BM_FlipTracked)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_FlipTrackedSimd(benchmark::State& state) {
   const auto n = static_cast<BitIndex>(state.range(0));
@@ -195,7 +190,8 @@ void BM_BitVectorAccess(benchmark::State& state) {
 BENCHMARK(BM_BitVectorAccess);
 
 void BM_StraightSearchLeg(benchmark::State& state) {
-  // One full straight-search walk between random endpoints (~n/2 flips).
+  // One full straight-search walk between random endpoints (~n/2 flips),
+  // on dense-SIMD: the storage's own form of these dense instances.
   const auto n = static_cast<BitIndex>(state.range(0));
   const WeightMatrix& w = cached_matrix(n);
   Rng rng(5);
@@ -349,11 +345,9 @@ int run_report(const std::string& path) {
   std::printf("bench_kernels --report %s\n", path.c_str());
 
   const ReportCase kDenseCases[] = {
-      {"dense", KernelOptions::Form::kDense},
       {"dense-simd", KernelOptions::Form::kDenseSimd},
   };
   const ReportCase kSparseCases[] = {
-      {"dense", KernelOptions::Form::kDense},
       {"dense-simd", KernelOptions::Form::kDenseSimd},
       {"sparse", KernelOptions::Form::kSparse},
   };

@@ -125,10 +125,11 @@ set -e
 (( elapsed < 10 )) \
   || fail "absq_solve with dead workers took ${elapsed} s, expected < 10 s"
 
-# Out-of-range counts are usage errors (exit 2) that name the flag, caught
-# before absq_solve loads or solves anything and before absq_serve binds a
-# port — a negative count must not wrap into a huge allocation. The error
-# line starts with the flag, or with $USAGE_ERROR when that is set.
+# Out-of-range counts and unknown enum values are usage errors (exit 2)
+# that name the flag, caught before absq_solve loads or solves anything and
+# before absq_serve binds a port — a negative count must not wrap into a
+# huge allocation. The error line starts with the flag, or with
+# $USAGE_ERROR when that is set.
 expect_usage_error() {  # <tool> <flag> <value> [args...]
   local tool="$1" flag="$2" value="$3"
   shift 3
@@ -141,7 +142,7 @@ expect_usage_error() {  # <tool> <flag> <value> [args...]
     || fail "$tool $flag $value exited $code, expected 2"
   grep -q "^error: ${USAGE_ERROR:-$flag }" "$WORK/usage.err" \
     || fail "$tool $flag $value did not name the flag"
-  if grep -q "listening\|best energy" "$WORK/usage.out"; then
+  if grep -q "listening\|instance:\|best energy" "$WORK/usage.out"; then
     fail "$tool $flag $value started before rejecting the value"
   fi
 }
@@ -153,9 +154,14 @@ expect_usage_error absq_solve --threads -2 "$WORK/r.qubo" --seconds 0.1
 # The retired 32-bit Δ opt-in is an unknown flag now (every kernel is int32).
 USAGE_ERROR="unknown flag --delta32" \
   expect_usage_error absq_solve --delta32 true "$WORK/r.qubo" --seconds 0.1
+# `dense` names no kernel form: dense-simd is the one dense form.
+expect_usage_error absq_solve --kernel dense "$WORK/r.qubo" --seconds 0.1
+expect_usage_error absq_solve --format bogus "$WORK/r.qubo" --seconds 0.1
+expect_usage_error absq_solve --log-level bogus "$WORK/r.qubo" --seconds 0.1
 for flag in --devices --blocks --threads --pool --max-restarts; do
   expect_usage_error absq_serve "$flag" -1 --port 0
 done
 expect_usage_error absq_serve --threads 0 --port 0
+expect_usage_error absq_serve --log-level bogus --port 0
 
 echo "tools_smoke: OK"

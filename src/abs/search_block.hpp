@@ -84,8 +84,9 @@ class SearchBlock {
     /// the serving layer so concurrent jobs occupy disjoint pid ranges.
     std::uint32_t trace_pid_base = 0;
     /// Kernel plan shared by the device's blocks (not owned; must outlive
-    /// the block). Null = the legacy dense scalar kernel. Every plan is
-    /// bit-identical, so this only changes the block's throughput.
+    /// the block). Null = the storage's own form, as a kAuto plan runs it.
+    /// Every plan is bit-identical, so this only changes the block's
+    /// throughput.
     const QuboKernel* kernel = nullptr;
   };
 

@@ -1,10 +1,12 @@
 // Reference single-thread solvers used as baselines in the ablation benches
 // and as independent oracles in the tests.
 //
-// All run on top of the same DeltaState kernel as the ABS blocks, so
+// All run on top of the same DeltaState kernel as the ABS blocks, in the
+// storage's own form (sparse on CSR, dense-SIMD on dense rows), so
 // comparisons isolate the *search strategy* (GA + straight search + window
 // policy vs SA / greedy restarts / tabu / random sampling) rather than
-// implementation quality.
+// implementation quality. Simulated annealing is Algorithm 3 under a
+// cooling schedule.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,12 @@ struct BaselineResult {
   double seconds = 0.0;
 };
 
-/// Classic simulated annealing (Algorithm 3 kernel + Eq. (7) acceptance,
-/// geometric cooling t_start → t_end over `steps` proposals).
+/// Classic simulated annealing: Algorithm 3 (delta_vector_local_search in
+/// search/algorithms.hpp) from a random start vector, with Eq. (7)
+/// acceptance under geometric cooling t_start → t_end over `steps`
+/// proposals (annealing_acceptor in search/accept.hpp). `flips` counts
+/// Algorithm 3's warm-up walk from the zero vector to the start vector as
+/// well as the accepted proposals.
 [[nodiscard]] BaselineResult simulated_annealing(const WeightMatrix& w,
                                                  double t_start, double t_end,
                                                  std::uint64_t steps,
@@ -48,19 +54,5 @@ struct BaselineResult {
                                          std::uint64_t steps,
                                          std::uint32_t tenure,
                                          std::uint64_t seed);
-
-/// Ballistic simulated bifurcation (bSB) — the algorithm family of the
-/// paper's GPU/FPGA comparators (Goto et al., refs. [13]/[29]). Continuous
-/// positions x ∈ [−1, 1]ⁿ and momenta y evolve under symplectic Euler with
-/// a bifurcation parameter ramped over `steps`; inelastic walls clamp
-/// |x| ≤ 1. The QUBO instance is internally viewed as the equivalent Ising
-/// model (J = −2W off-diagonal, h from row sums), and the best sign
-/// configuration seen (sampled every few steps) is reported as a QUBO
-/// solution with its exact energy. `dt` ≈ 0.25–1.0; one step costs O(n²)
-/// (a matrix-vector product), like every SB implementation.
-[[nodiscard]] BaselineResult simulated_bifurcation(const WeightMatrix& w,
-                                                   std::uint64_t steps,
-                                                   double dt,
-                                                   std::uint64_t seed);
 
 }  // namespace absq

@@ -10,8 +10,8 @@ namespace absq {
 
 namespace {
 
-// Repair step d + adj of Eq. (16). The branchless dense loops also apply
-// the i ≠ k rule at i == k before they overwrite that slot with −Δ_k; that
+// Repair step d + adj of Eq. (16). The branchless dense loop also applies
+// the i ≠ k rule at i == k before it overwrites that slot with −Δ_k; that
 // one transient value can leave the int32 range (|Δ_k| + 2·|W_kk| may
 // exceed 2^31 − 1), so the addition runs on uint32: defined wraparound,
 // identical bits for every in-range value.
@@ -97,13 +97,14 @@ DeltaState::MinTree::Entry DeltaState::MinTree::query(BitIndex lo,
 // ---------------------------------------------------------------------------
 // Construction.
 
-DeltaState::DeltaState(const WeightMatrix& w)
-    : w_(&w), dense_(w), x_(w.size()) {
+DeltaState::DeltaState(const WeightMatrix& w) : w_(&w), x_(w.size()) {
+  use_storage_form();
   init_zero_state();
 }
 
 DeltaState::DeltaState(const WeightMatrix& w, const BitVector& x)
-    : w_(&w), dense_(w), x_(x) {
+    : w_(&w), x_(x) {
+  use_storage_form();
   init_from_bits(x);
 }
 
@@ -123,6 +124,18 @@ DeltaState::DeltaState(const QuboKernel& kernel, const BitVector& x)
       x_(x),
       form_(kernel.form()) {
   init_from_bits(x);
+}
+
+void DeltaState::use_storage_form() {
+  // What a kAuto plan runs: the sparse form on the matrix's own CSR, or
+  // dense-SIMD on its own dense rows — never a copy of either.
+  sparse_ = w_->csr();
+  if (sparse_ != nullptr) {
+    form_ = KernelForm::kSparse;
+    return;
+  }
+  dense_ = DenseRows(*w_);
+  form_ = KernelForm::kDenseSimd;
 }
 
 void DeltaState::init_zero_state() {
@@ -156,7 +169,7 @@ void DeltaState::init_from_bits(const BitVector& x) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense forms.
+// Dense-SIMD form.
 
 Energy DeltaState::flip_dense(BitIndex k) {
   const auto row = dense_.row(k);
@@ -166,17 +179,12 @@ Energy DeltaState::flip_dense(BitIndex k) {
   const std::int32_t old_delta_k = deltas[k];
   const BitIndex n = size();
   const std::int8_t* signs = signs_.data();
-  if (form_ == KernelForm::kDenseSimd) {
+  // Branchless repair: the argmin of flip_tracked runs as its own pass, so
+  // this loop vectorizes without a per-element compare.
 #pragma omp simd
-    for (BitIndex i = 0; i < n; ++i) {
-      deltas[i] =
-          add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
-    }
-  } else {
-    for (BitIndex i = 0; i < n; ++i) {
-      deltas[i] =
-          add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
-    }
+  for (BitIndex i = 0; i < n; ++i) {
+    deltas[i] =
+        add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
   }
   // The loop touched i == k with the i ≠ k rule; the k = i case of Eq. (6)
   // is Δ_k ← −Δ_k (pre-flip value), so overwrite it.
@@ -189,69 +197,16 @@ Energy DeltaState::flip_dense(BitIndex k) {
   return energy_;
 }
 
-DeltaState::FlipOutcome DeltaState::flip_tracked_dense_scalar(BitIndex k) {
-  const auto row = dense_.row(k);
-  const int two_phi_k = 2 * signs_[k];
-  std::int32_t* deltas = deltas_.data();
-  const std::int32_t old_delta_k = deltas[k];
-  const Energy new_energy = energy_ + old_delta_k;
-
-  // Single fused pass: repair Δ_i and track min_{i≠k} Δ_i(new X). Strict <
-  // keeps the leftmost minimum — the tie-break every form must match.
-  std::int32_t best_delta = 0;
-  BitIndex best_bit = k;
-  bool have_best = false;
-  const BitIndex n = size();
-  for (BitIndex i = 0; i < n; ++i) {
-    const std::int32_t d =
-        add_repair(deltas[i], two_phi_k * signs_[i] * static_cast<int>(row[i]));
-    deltas[i] = d;
-    if (i != k && (!have_best || d < best_delta)) {
-      best_delta = d;
-      best_bit = i;
-      have_best = true;
-    }
-  }
-  deltas[k] = -old_delta_k;
-  energy_ = new_energy;
-  signs_[k] = static_cast<std::int8_t>(-signs_[k]);
-  x_.flip(k);
-  ++flips_;
-  matrix_reads_ += n;
-
-  // n == 1 has no neighbour other than k itself; report flipping back.
-  if (!have_best) return FlipOutcome{new_energy, new_energy + deltas[k], k};
-  return FlipOutcome{new_energy, new_energy + best_delta, best_bit};
-}
-
 DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(BitIndex k) {
-  const auto row = dense_.row(k);
-  const int two_phi_k = 2 * signs_[k];
-  std::int32_t* deltas = deltas_.data();
-  const std::int32_t old_delta_k = deltas[k];
-  const Energy new_energy = energy_ + old_delta_k;
+  const Energy new_energy = flip_dense(k);
+  const std::int32_t* deltas = deltas_.data();
   const BitIndex n = size();
-  const std::int8_t* signs = signs_.data();
-
-  // Pass 1: branchless repair (the argmin is hoisted out so this loop
-  // vectorizes without the fused scalar loop's per-element compare).
-#pragma omp simd
-  for (BitIndex i = 0; i < n; ++i) {
-    deltas[i] =
-        add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
-  }
-  deltas[k] = -old_delta_k;
-  energy_ = new_energy;
-  signs_[k] = static_cast<std::int8_t>(-signs_[k]);
-  x_.flip(k);
-  ++flips_;
-  matrix_reads_ += n;
-
+  // n == 1 has no neighbour other than k itself; report flipping back.
   if (n == 1) return FlipOutcome{new_energy, new_energy + deltas[k], k};
 
-  // Pass 2: min value over i ≠ k (vectorizable reductions), then the
-  // leftmost index attaining it — integer min is order-independent, so the
-  // result is bit-identical to the fused scalar pass.
+  // The min value over i ≠ k (vectorizable reductions), then the leftmost
+  // index attaining it — integer min is order-independent, so this is the
+  // leftmost minimum a strict-< scan finds.
   std::int32_t best = std::numeric_limits<std::int32_t>::max();
 #pragma omp simd reduction(min : best)
   for (BitIndex i = 0; i < k; ++i) {
@@ -316,7 +271,7 @@ DeltaState::FlipOutcome DeltaState::flip_tracked_sparse(BitIndex k) {
   const Energy new_energy = flip_sparse(k);
   // The repair already refreshed the tournament tree. Its root is the
   // leftmost minimum over every i; unless that is k, it is also the
-  // leftmost minimum over i ≠ k — the fused argmin of the dense forms —
+  // leftmost minimum over i ≠ k — the argmin of the dense form —
   // read in O(1).
   MinTree::Entry best = tree_.root();
   if (best.idx == k) {
@@ -391,15 +346,8 @@ Energy DeltaState::flip(BitIndex k) {
 DeltaState::FlipOutcome DeltaState::flip_tracked(BitIndex k) {
   ABSQ_DCHECK(k < size(), "flip index out of range");
   settle(k);
-  switch (form_) {
-    case KernelForm::kSparse:
-      return flip_tracked_sparse(k);
-    case KernelForm::kDenseSimd:
-      return flip_tracked_dense_simd(k);
-    case KernelForm::kDenseScalar:
-      break;
-  }
-  return flip_tracked_dense_scalar(k);
+  if (form_ == KernelForm::kSparse) return flip_tracked_sparse(k);
+  return flip_tracked_dense_simd(k);
 }
 
 BitIndex DeltaState::argmin_window(BitIndex offset, BitIndex len) const {

@@ -11,10 +11,9 @@
 // which means every flip *re-evaluates all n neighbour energies* — the O(1)
 // amortized search efficiency of Theorem 1.
 //
-// The repair runs in one of three forms, planned per instance by QuboKernel
+// The repair runs in one of two forms, planned per instance by QuboKernel
 // (see qubo/kernel.hpp and docs/kernels.md):
 //
-//   * dense        — the original fused single-pass O(n) loop (reference);
 //   * dense-simd   — O(n) split into vectorizable repair + argmin passes;
 //   * sparse       — O(degree(k)) CSR repair, with a tournament tree over Δ
 //                    keeping the fused argmin exact in O(degree·log n),
@@ -24,10 +23,10 @@
 // Every form stores Δ as int32: the exact bound |Δ_k(X)| ≤ (2n − 1)·2^15
 // stays below INT32_MAX for every accepted instance (a static_assert in
 // qubo/types.hpp), so no value can overflow and no plan-time check runs.
-// Energies stay int64. All forms are pinned bit-identical — same energies,
-// same Δ, same FlipOutcome including tie-breaks — by lockstep property
-// tests against the int64 Eq. (4) reference, so which one runs is purely
-// a throughput decision.
+// Energies stay int64. Both forms are pinned to the int64 Eq. (4) oracle —
+// same energies, same Δ, same FlipOutcome including tie-breaks — at every
+// step of the lockstep property tests, so which one runs is purely a
+// throughput decision.
 //
 // The class deliberately exposes the Δ vector read-only: every search
 // algorithm in this library (Algorithms 3–5, the ABS SearchBlock, the
@@ -58,19 +57,20 @@ class DeltaState {
   };
 
   /// State for the all-zero vector: E(0) = 0 and Δ_i(0) = W_ii — the O(n)
-  /// initialization the paper performs in device Step 1. Uses the original
-  /// dense scalar kernel, on dense rows (DenseRows: a private copy when `w`
-  /// is CSR-stored).
+  /// initialization the paper performs in device Step 1. Runs the
+  /// storage's own form, as a kAuto plan does: sparse on the matrix's CSR,
+  /// dense-SIMD on its dense rows. Nothing is copied.
   explicit DeltaState(const WeightMatrix& w);
 
-  /// State for an arbitrary starting vector. Costs O(n²) (Eq. 4 per bit) on
-  /// dense storage, O(nnz) on CSR; used by baselines and tests, never by
-  /// the ABS hot path.
+  /// State for an arbitrary starting vector, in the storage's own form.
+  /// Costs O(n²) (Eq. 4 per bit) on dense storage, O(nnz) on CSR; used by
+  /// baselines and tests, never by the ABS hot path.
   DeltaState(const WeightMatrix& w, const BitVector& x);
 
   /// Same two constructors, but running the form the kernel plan
-  /// selected. The kernel (and the matrix it references) must outlive
-  /// the state; one plan is shared read-only by many states.
+  /// selected — a forced one included. The kernel (and the matrix it
+  /// references) must outlive the state; one plan is shared read-only by
+  /// many states.
   explicit DeltaState(const QuboKernel& kernel);
   DeltaState(const QuboKernel& kernel, const BitVector& x);
 
@@ -122,7 +122,7 @@ class DeltaState {
   /// improvement, materializes the neighbour as bits().with_flip(bit).
   ///
   /// The reported bit is the *leftmost* (lowest-index) argmin over i ≠ k,
-  /// in every kernel form — pinned by tests so dense, SIMD and sparse
+  /// in every kernel form — pinned by tests so the dense-SIMD and sparse
   /// kernels are interchangeable mid-run. For n == 1 the new solution has
   /// no neighbour other than flipping k back, so that flip-back (bit k,
   /// the pre-flip energy) is reported.
@@ -177,11 +177,11 @@ class DeltaState {
     [[nodiscard]] const Entry& root() const { return nodes[1]; }
   };
 
+  void use_storage_form();
   void init_zero_state();
   void init_from_bits(const BitVector& x);
 
   Energy flip_dense(BitIndex k);
-  FlipOutcome flip_tracked_dense_scalar(BitIndex k);
   FlipOutcome flip_tracked_dense_simd(BitIndex k);
   void repair_sparse(BitIndex k);
   Energy flip_sparse(BitIndex k);
@@ -206,7 +206,7 @@ class DeltaState {
   Energy energy_ = 0;
   std::uint64_t flips_ = 0;
   std::uint64_t matrix_reads_ = 0;
-  KernelForm form_ = KernelForm::kDenseScalar;
+  KernelForm form_ = KernelForm::kDenseSimd;
 };
 
 }  // namespace absq

@@ -12,8 +12,8 @@
 //                  scale (always 4) and offset are carried in the model, and
 //                  minimizers are preserved.
 //
-// The conversions are used by the Max-Cut pipeline, the examples, and the
-// tests that cross-check energies through a round trip.
+// No solver in src/ calls the conversions: they serve the partition
+// example and the tests that cross-check energies through a round trip.
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,6 @@ namespace absq {
 
 const char* to_string(KernelForm form) {
   switch (form) {
-    case KernelForm::kDenseScalar:
-      return "dense";
     case KernelForm::kDenseSimd:
       return "dense-simd";
     case KernelForm::kSparse:
@@ -21,20 +19,16 @@ const char* to_string(KernelForm form) {
 
 KernelOptions::Form parse_kernel_form(const std::string& name) {
   if (name == "auto") return KernelOptions::Form::kAuto;
-  if (name == "dense") return KernelOptions::Form::kDense;
   if (name == "dense-simd") return KernelOptions::Form::kDenseSimd;
   if (name == "sparse") return KernelOptions::Form::kSparse;
   ABSQ_CHECK(false, "unknown kernel form '"
-                        << name << "' (expected auto|dense|dense-simd|sparse)");
+                        << name << "' (expected auto|dense-simd|sparse)");
   return KernelOptions::Form::kAuto;  // unreachable
 }
 
 QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
     : w_(&w) {
   switch (options.form) {
-    case KernelOptions::Form::kDense:
-      form_ = KernelForm::kDenseScalar;
-      break;
     case KernelOptions::Form::kDenseSimd:
       form_ = KernelForm::kDenseSimd;
       break;

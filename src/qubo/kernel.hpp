@@ -3,25 +3,24 @@
 // The Δ-update of Eq. (16) is the hot loop of the whole system, and the
 // cheapest correct implementation depends on the instance:
 //
-//   * kSparse      — CSR rows, O(degree) matrix reads per flip plus an
-//                    O(degree·log n) tournament-tree repair that keeps the
-//                    fused best-neighbour argmin exact. Wins whenever the
-//                    matrix is sparse (G-set-style graphs).
-//   * kDenseSimd   — contiguous dense row, repair and argmin as separate
-//                    vectorizable passes (#pragma omp simd). Wins on dense
-//                    instances (synthetic random, TSP permutation QUBOs).
-//   * kDenseScalar — the original fused single-pass loop.
+//   * kSparse    — CSR rows, O(degree) matrix reads per flip plus an
+//                  O(degree·log n) tournament-tree repair that keeps the
+//                  fused best-neighbour argmin exact. Wins whenever the
+//                  matrix is sparse (G-set-style graphs).
+//   * kDenseSimd — contiguous dense row, repair and argmin as separate
+//                  vectorizable passes (#pragma omp simd). Wins on dense
+//                  instances (synthetic random, TSP permutation QUBOs).
 //
 // Every form stores Δ as int32. QUBO++'s ABS3 omits overflow checks on its
 // 32-bit coefficients "for performance"; here no check is needed, because
 // the exact worst case |Δ_k(X)| ≤ (2n − 1)·2^15 of every accepted instance
 // is proved below INT32_MAX by a static_assert in qubo/types.hpp. Every
-// form produces bit-identical energies, Δ vectors and flip outcomes —
-// pinned by the lockstep property tests — so kernel selection is purely a
-// performance decision. Which form kAuto runs is not decided here: the
-// matrix's storage already is the density rule's verdict (qubo/
-// weight_matrix.hpp), so the plan reads it in O(1). docs/kernels.md records
-// the rule and the measured crossover.
+// form produces the energies, Δ vectors and flip outcomes of the int64
+// Eq. (4) oracle — pinned step by step by the lockstep property tests — so
+// kernel selection is purely a performance decision. Which form kAuto runs
+// is not decided here: the matrix's storage already is the density rule's
+// verdict (qubo/weight_matrix.hpp), so the plan reads it in O(1).
+// docs/kernels.md records the rule and the measured crossover.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +35,8 @@ namespace absq {
 
 /// Implementation form of the Δ-repair loop.
 enum class KernelForm : std::uint8_t {
-  kDenseScalar = 0,  ///< original fused single-pass dense loop
-  kDenseSimd = 1,    ///< dense two-pass, vectorizable repair + argmin
-  kSparse = 2,       ///< CSR rows + tournament tree for the argmin
+  kDenseSimd = 0,  ///< dense two-pass, vectorizable repair + argmin
+  kSparse = 1,     ///< CSR rows + tournament tree for the argmin
 };
 
 /// Storage width of the Δ vector. Every plan stores int32; kWide64 names
@@ -53,10 +51,9 @@ enum class DeltaWidth : std::uint8_t {
 
 struct KernelOptions {
   enum class Form : std::uint8_t {
-    kAuto = 0,    ///< the storage's form: CSR → sparse, dense → dense-SIMD
-    kDense = 1,   ///< force the scalar dense kernel
-    kDenseSimd = 2,
-    kSparse = 3,
+    kAuto = 0,  ///< the storage's form: CSR → sparse, dense → dense-SIMD
+    kDenseSimd = 1,
+    kSparse = 2,
   };
   Form form = Form::kAuto;
 };
@@ -78,7 +75,7 @@ class QuboKernel {
   [[nodiscard]] const WeightMatrix& matrix() const { return *w_; }
   /// Non-null exactly when form() == KernelForm::kSparse.
   [[nodiscard]] const SparseWeightMatrix* sparse() const { return sparse_; }
-  /// The rows the dense forms read; empty when form() is kSparse.
+  /// The rows the dense-SIMD form reads; empty when form() is kSparse.
   [[nodiscard]] const DenseRows& dense_rows() const { return dense_; }
 
   [[nodiscard]] KernelForm form() const { return form_; }
@@ -98,7 +95,7 @@ class QuboKernel {
   const SparseWeightMatrix* sparse_ = nullptr;
   std::shared_ptr<const SparseWeightMatrix> converted_;  // forced sparse
   DenseRows dense_;
-  KernelForm form_ = KernelForm::kDenseScalar;
+  KernelForm form_ = KernelForm::kDenseSimd;
 };
 
 }  // namespace absq

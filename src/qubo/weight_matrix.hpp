@@ -193,10 +193,11 @@ class WeightMatrix {
   std::shared_ptr<const SparseWeightMatrix> csr_;  // CSR storage, or null
 };
 
-/// Dense rows of a matrix for the dense reference loops (the scalar and
-/// SIMD kernels, Algorithms 1–3, simulated bifurcation). Borrows the rows
-/// of a dense-stored matrix — which must then outlive the view — or owns a
-/// private dense copy built from CSR storage; copies of a view share it.
+/// Dense rows of a matrix for the dense-SIMD kernel and the instrumented
+/// Algorithms 1–2. Borrows the rows of a dense-stored matrix — which must
+/// then outlive the view — or owns a private dense copy built from CSR
+/// storage, which only a forced dense-SIMD plan and Algorithms 1–2 ask
+/// for; copies of a view share it.
 class DenseRows {
  public:
   DenseRows() = default;

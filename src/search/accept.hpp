@@ -3,8 +3,9 @@
 // The paper leaves Accept() open ("depending on metaheuristics") and gives
 // simulated annealing, Eq. (7), as the canonical instance. The proposed
 // Algorithm 4 / ABS search does not use acceptance at all (it force-flips),
-// so these policies only drive the baseline algorithms and the reference SA
-// solver.
+// so these policies only drive Algorithms 1–3. Algorithm 3 under
+// annealing_acceptor is the simulated-annealing baseline
+// (baselines/solvers.hpp).
 #pragma once
 
 #include <cmath>

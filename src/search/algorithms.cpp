@@ -126,7 +126,6 @@ SearchOutcome delta_vector_local_search(const WeightMatrix& w,
 
   // Zero-vector initialization: E(0) = 0, Δ_i = W_ii (n diagonal reads).
   DeltaState state(w);
-  stats.ops += state.size();
   ++stats.evaluated_solutions;
   BitVector best = state.bits();
   Energy e_best = state.energy();
@@ -135,7 +134,6 @@ SearchOutcome delta_vector_local_search(const WeightMatrix& w,
   // the "select k with x'_k = 1" rule admits any order.
   for (const BitIndex k : start.ones()) {
     state.flip(k);
-    stats.ops += state.size();
     ++stats.evaluated_solutions;
     ++stats.flips;
     if (state.energy() < e_best) {
@@ -152,7 +150,6 @@ SearchOutcome delta_vector_local_search(const WeightMatrix& w,
     ++stats.evaluated_solutions;
     if (accept(delta, step, rng)) {
       state.flip(k);
-      stats.ops += state.size();
       ++stats.accepted;
       ++stats.flips;
       if (state.energy() < e_best) {
@@ -162,6 +159,8 @@ SearchOutcome delta_vector_local_search(const WeightMatrix& w,
       }
     }
   }
+  // The reads the kernel made: n per dense flip, degree(k) per sparse one.
+  stats.ops = state.matrix_reads();
   return make_outcome(std::move(best), e_best, state.bits(), state.energy(),
                       stats);
 }
@@ -176,14 +175,12 @@ SearchOutcome proposed_local_search(const WeightMatrix& w,
 
   // Zero-vector initialization knows E(0) and all n neighbour energies.
   DeltaState state(w);
-  stats.ops += state.size();
   stats.evaluated_solutions += state.size() + 1;
   BestTracker tracker(state.bits(), state.energy());
 
   const auto track = [&](const DeltaState::FlipOutcome& outcome) {
     ++stats.flips;
     ++stats.accepted;
-    stats.ops += state.size();
     stats.evaluated_solutions += state.size();
     if (tracker.offer(state.bits(), outcome.energy)) ++stats.improvements;
     if (tracker.offer_neighbor(state.bits(), outcome.best_neighbor_bit,
@@ -202,6 +199,7 @@ SearchOutcome proposed_local_search(const WeightMatrix& w,
     const BitIndex k = opts.policy->select(state, rng);
     track(state.flip_tracked(k));
   }
+  stats.ops = state.matrix_reads();
   return make_outcome(tracker.best(), tracker.energy(), state.bits(),
                       state.energy(), stats);
 }

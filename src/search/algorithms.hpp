@@ -7,6 +7,8 @@
 // count their work in SearchStats so bench_search_efficiency can regenerate
 // the Lemma 1–3 / Theorem 1 comparison, and the unit tests can assert each
 // algorithm finds identical best solutions when run with the same decisions.
+// Algorithms 3 and 4 run DeltaState in the storage's own form and report
+// the matrix reads it made: n per dense flip, degree(k) per sparse flip.
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,7 @@
 // and each step reads the next one off DeltaState::argmin_pending, so one
 // loop serves every kernel form. A walk of d flips costs, per flip:
 //
-//   * dense forms — O(d) word-mask scan for the selection beside the O(n)
+//   * dense form — O(d) word-mask scan for the selection beside the O(n)
 //     Δ repair that dominates it;
 //   * sparse form — O(degree · log n): the repair also updates a tournament
 //     tree over the pending bits, whose root is the next step, and the best

@@ -164,6 +164,20 @@ std::int64_t CliParser::get_int(const std::string& name, std::int64_t min,
   return value;
 }
 
+std::string CliParser::get_choice(
+    const std::string& name,
+    std::initializer_list<std::string_view> choices) const {
+  std::string value = get_string(name);
+  std::string expected;
+  for (const std::string_view choice : choices) {
+    if (value == choice) return value;
+    if (!expected.empty()) expected += '|';
+    expected += choice;
+  }
+  fail_usage("--" + name + " must be one of " + expected + ", got '" + value +
+             "'");
+}
+
 double CliParser::get_double(const std::string& name) const {
   return std::stod(find(name, Kind::kDouble).value);
 }

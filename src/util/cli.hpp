@@ -12,9 +12,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
@@ -64,6 +66,12 @@ class CliParser {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t min,
                                      std::int64_t max) const;
+  /// get_string() for a flag whose value must be one of `choices`: any
+  /// other value is a usage error naming the flag and the choices, so a
+  /// bad enum value fails before the tool loads anything.
+  [[nodiscard]] std::string get_choice(
+      const std::string& name,
+      std::initializer_list<std::string_view> choices) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 

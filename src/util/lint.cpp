@@ -410,9 +410,8 @@ const std::vector<HotPathRoot>& hot_path_roots() {
       {"src/qubo/delta_state.cpp",
        "DeltaState",
        {"flip", "flip_tracked", "flip_dense", "flip_sparse",
-        "flip_tracked_dense_scalar", "flip_tracked_dense_simd",
-        "flip_tracked_sparse", "repair_sparse", "argmin_window",
-        "begin_walk", "settle", "argmin_pending"}},
+        "flip_tracked_dense_simd", "flip_tracked_sparse", "repair_sparse",
+        "argmin_window", "begin_walk", "settle", "argmin_pending"}},
       // Every BlockAlgorithm::step is a Step-4b inner loop — one call per
       // iteration, flips per call — and inherits SearchBlock's constraints.
       {"src/portfolio/block_algorithm.cpp", "MinDeltaAlgorithm", {"step"}},

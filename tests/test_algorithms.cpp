@@ -146,6 +146,32 @@ TEST(ProposedLocalSearch, ConstantSearchEfficiency) {
   }
 }
 
+TEST(ProposedLocalSearch, CountsTheReadsOfTheSparseKernel) {
+  // A CSR-stored instance runs the sparse form, which reads degree(k)
+  // entries per flip instead of n, and the ops count must say so.
+  const BitIndex n = 256;
+  Rng rng(40);
+  const WeightMatrix w =
+      WeightMatrix::generate_symmetric(n, [&rng](BitIndex, BitIndex) {
+        if (!rng.chance(0.01)) return static_cast<Weight>(0);
+        return static_cast<Weight>(rng.range(-100, 100));
+      });
+  ASSERT_NE(w.csr(), nullptr);
+  const BitVector start = BitVector::random(n, rng);
+
+  WindowMinDeltaPolicy policy(8);
+  ProposedSearchOptions opts;
+  opts.steps = 500;
+  opts.policy = &policy;
+  const auto proposed = proposed_local_search(w, start, opts, rng);
+  EXPECT_LT(proposed.stats.ops, proposed.stats.flips * n);
+  EXPECT_EQ(proposed.best_energy, full_energy(w, proposed.best));
+
+  const auto delta_vector =
+      delta_vector_local_search(w, start, greedy_options(500), rng);
+  EXPECT_LT(delta_vector.stats.ops, delta_vector.stats.flips * n);
+}
+
 TEST(ProposedLocalSearch, BestEnergyIsExact) {
   Rng rng(22);
   const WeightMatrix w = random_matrix(48, 23);

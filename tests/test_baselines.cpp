@@ -97,41 +97,6 @@ TEST(TabuSearch, LongerRunsNeverWorse) {
   EXPECT_LT(long_run.best_energy, 0);
 }
 
-TEST(SimulatedBifurcation, ReportsExactEnergy) {
-  const WeightMatrix w = random_qubo(64, 27);
-  const BaselineResult r = simulated_bifurcation(w, 400, 0.5, 28);
-  EXPECT_EQ(r.best_energy, full_energy(w, r.best));
-  EXPECT_EQ(r.best.size(), 64u);
-}
-
-TEST(SimulatedBifurcation, BeatsRandomSampling) {
-  const WeightMatrix w = random_qubo(96, 29);
-  const BaselineResult sb = simulated_bifurcation(w, 600, 0.5, 30);
-  EXPECT_LT(sb.best_energy, random_floor(w, 1000, 31));
-}
-
-TEST(SimulatedBifurcation, DeterministicPerSeed) {
-  const WeightMatrix w = random_qubo(48, 32);
-  const BaselineResult a = simulated_bifurcation(w, 200, 0.5, 33);
-  const BaselineResult b = simulated_bifurcation(w, 200, 0.5, 33);
-  EXPECT_EQ(a.best, b.best);
-  EXPECT_EQ(a.best_energy, b.best_energy);
-}
-
-TEST(SimulatedBifurcation, ValidatesParameters) {
-  const WeightMatrix w = random_qubo(16, 34);
-  EXPECT_THROW((void)simulated_bifurcation(w, 0, 0.5, 1), CheckError);
-  EXPECT_THROW((void)simulated_bifurcation(w, 100, 0.0, 1), CheckError);
-}
-
-TEST(SimulatedBifurcation, HandlesTrivialInstances) {
-  // All-zero couplings: any sign state has energy 0; must not divide by a
-  // zero σ_J.
-  const WeightMatrix w(8);
-  const BaselineResult r = simulated_bifurcation(w, 50, 0.5, 35);
-  EXPECT_EQ(r.best_energy, 0);
-}
-
 TEST(Baselines, DeterministicPerSeed) {
   const WeightMatrix w = random_qubo(32, 26);
   const BaselineResult a = tabu_search(w, 500, 8, 42);

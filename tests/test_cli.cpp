@@ -135,6 +135,24 @@ TEST(CliParser, UsageErrorsAreTyped) {
   EXPECT_EQ(kUsageExitCode, 2);
 }
 
+TEST(CliParser, ChoiceOutsideItsListIsAUsageError) {
+  CliParser parser("test");
+  parser.add_flag("kernel", std::string("auto"), "");
+  ASSERT_TRUE(parse(parser, {"--kernel", "sparse"}));
+  EXPECT_EQ(parser.get_choice("kernel", {"auto", "sparse"}), "sparse");
+
+  CliParser bad("test");
+  bad.add_flag("kernel", std::string("auto"), "");
+  ASSERT_TRUE(parse(bad, {"--kernel", "dense"}));
+  try {
+    (void)bad.get_choice("kernel", {"auto", "sparse"});
+    FAIL() << "an unlisted value was accepted";
+  } catch (const CliUsageError& error) {
+    EXPECT_STREQ(error.what(),
+                 "--kernel must be one of auto|sparse, got 'dense'");
+  }
+}
+
 TEST(CliParser, WrongTypeAccessorThrows) {
   CliParser parser("test");
   parser.add_flag("n", std::int64_t{0}, "");

@@ -74,11 +74,10 @@ TEST_P(DeltaStateRandomWalk, MaintainsInvariantOverLongWalks) {
   const BitIndex n = GetParam();
   const WeightMatrix w = random_matrix(n, 100 + n);
 
-  // The invariant must hold in *every* kernel form, not just the dense
-  // scalar one — the same walk is replayed through each plan.
+  // The invariant must hold in *every* kernel form — the same walk is
+  // replayed through each plan.
   for (const auto& [form, plan_name] :
        std::vector<std::pair<KernelOptions::Form, const char*>>{
-           {KernelOptions::Form::kDense, "dense"},
            {KernelOptions::Form::kDenseSimd, "dense-simd"},
            {KernelOptions::Form::kSparse, "sparse"}}) {
     KernelOptions options;

@@ -1,18 +1,17 @@
 // Tests for the per-instance kernel plan (QuboKernel), the int32 Δ bound,
 // the CSR SparseWeightMatrix, and — the load-bearing part — the lockstep
-// contract: every kernel form must be bit-identical to the dense scalar one
-// on energies, Δ vectors, argmin windows, FlipOutcomes (including
-// tie-breaks) and straight-search walks, and all of them must match the
-// int64 Eq. (4) oracle (full_energy/all_deltas), so kernel selection is
-// purely a throughput choice.
+// contract: every kernel form must match the int64 Eq. (4) oracle
+// (full_energy/all_deltas) step by step on energies, Δ vectors, argmin
+// windows, FlipOutcomes (including tie-breaks) and straight-search walks,
+// so kernel selection is purely a throughput choice.
 #include "qubo/kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qubo/delta_state.hpp"
@@ -146,18 +145,15 @@ TEST(QuboKernel, AutoKeepsTinyInstancesDense) {
 TEST(QuboKernel, ForcedDenseFormsOnCsrStorageOwnTheirRows) {
   const WeightMatrix w = random_sparse(128, 0.01, 35);
   ASSERT_NE(w.csr(), nullptr);
-  for (const auto form :
-       {KernelOptions::Form::kDense, KernelOptions::Form::kDenseSimd}) {
-    KernelOptions options;
-    options.form = form;
-    const QuboKernel kernel(w, options);
-    EXPECT_EQ(kernel.sparse(), nullptr);
-    ASSERT_EQ(kernel.dense_rows().size(), w.size());
-    for (BitIndex i = 0; i < w.size(); ++i) {
-      for (BitIndex j = 0; j < w.size(); ++j) {
-        ASSERT_EQ(kernel.dense_rows().row(i)[j], w.at(i, j))
-            << "(" << i << ", " << j << ")";
-      }
+  KernelOptions options;
+  options.form = KernelOptions::Form::kDenseSimd;
+  const QuboKernel kernel(w, options);
+  EXPECT_EQ(kernel.sparse(), nullptr);
+  ASSERT_EQ(kernel.dense_rows().size(), w.size());
+  for (BitIndex i = 0; i < w.size(); ++i) {
+    for (BitIndex j = 0; j < w.size(); ++j) {
+      ASSERT_EQ(kernel.dense_rows().row(i)[j], w.at(i, j))
+          << "(" << i << ", " << j << ")";
     }
   }
 }
@@ -166,7 +162,6 @@ TEST(QuboKernel, ForcedFormsAreRespected) {
   const WeightMatrix w = random_sparse(70, 0.05, 34);
   for (const auto& [requested, planned] :
        std::vector<std::pair<KernelOptions::Form, KernelForm>>{
-           {KernelOptions::Form::kDense, KernelForm::kDenseScalar},
            {KernelOptions::Form::kDenseSimd, KernelForm::kDenseSimd},
            {KernelOptions::Form::kSparse, KernelForm::kSparse}}) {
     KernelOptions options;
@@ -179,10 +174,11 @@ TEST(QuboKernel, ForcedFormsAreRespected) {
 
 TEST(QuboKernel, ParseKernelFormRoundTrips) {
   EXPECT_EQ(parse_kernel_form("auto"), KernelOptions::Form::kAuto);
-  EXPECT_EQ(parse_kernel_form("dense"), KernelOptions::Form::kDense);
   EXPECT_EQ(parse_kernel_form("dense-simd"), KernelOptions::Form::kDenseSimd);
   EXPECT_EQ(parse_kernel_form("sparse"), KernelOptions::Form::kSparse);
   EXPECT_THROW((void)parse_kernel_form("cuda"), CheckError);
+  // `dense` names no form: dense-simd is the one dense form.
+  EXPECT_THROW((void)parse_kernel_form("dense"), CheckError);
 }
 
 TEST(QuboKernel, ExtremeInstancesReachTheInt32DeltaBound) {
@@ -216,8 +212,7 @@ TEST(QuboKernel, ExtremeInstancesReachTheInt32DeltaBound) {
 
       const std::vector<Energy> expected = all_deltas(w, argmax);
       for (const auto form :
-           {KernelOptions::Form::kDense, KernelOptions::Form::kDenseSimd,
-            KernelOptions::Form::kSparse}) {
+           {KernelOptions::Form::kDenseSimd, KernelOptions::Form::kSparse}) {
         KernelOptions options;
         options.form = form;
         const QuboKernel kernel(w, options);
@@ -249,10 +244,11 @@ TEST(QuboKernel, DescriptionNamesFormAndWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// Lockstep: every form is bit-identical to the dense scalar reference over
-// long random mixed flip/flip_tracked/argmin sequences, and every 16 steps
-// all of them match the int64 Eq. (4) oracle, which shares no code with
-// DeltaState.
+// Lockstep: every form, each on a forced plan, is held to the int64 Eq. (4)
+// oracle — which shares no code with DeltaState — at every step of long
+// random mixed flip/flip_tracked sequences: energy, every Δ, and the
+// FlipOutcome including its tie-break. Windowed argmins are checked every
+// 16 steps.
 // ---------------------------------------------------------------------------
 
 struct KernelCase {
@@ -264,7 +260,6 @@ std::vector<KernelCase> all_kernel_cases() {
   std::vector<KernelCase> cases;
   for (const auto& [form, form_name] :
        std::vector<std::pair<KernelOptions::Form, const char*>>{
-           {KernelOptions::Form::kDense, "dense"},
            {KernelOptions::Form::kDenseSimd, "dense-simd"},
            {KernelOptions::Form::kSparse, "sparse"}}) {
     KernelOptions options;
@@ -274,25 +269,129 @@ std::vector<KernelCase> all_kernel_cases() {
   return cases;
 }
 
-/// First-in-traversal-order (strict <) wrapping-window argmin oracle.
-BitIndex argmin_window_oracle(const DeltaState& s, BitIndex offset,
-                              BitIndex len) {
-  const BitIndex n = s.size();
-  BitIndex best = offset % n;
-  Energy best_value = s.delta(best);
-  for (BitIndex t = 1; t < len; ++t) {
-    const BitIndex i = (offset + t) % n;
-    if (s.delta(i) < best_value) {
-      best_value = s.delta(i);
-      best = i;
+/// The int64 Eq. (4) oracle: the solution X, with E(X) and every Δ_i(X)
+/// recomputed from scratch after each flip.
+struct Oracle {
+  Oracle(const WeightMatrix& matrix, BitVector start) : w(&matrix) {
+    reset(std::move(start));
+  }
+
+  void reset(BitVector to) {
+    x = std::move(to);
+    recompute();
+  }
+  void flip(BitIndex k) {
+    x.flip(k);
+    recompute();
+  }
+  void recompute() {
+    energy = full_energy(*w, x);
+    deltas = all_deltas(*w, x);
+  }
+
+  /// The leftmost minimum Δ over i ≠ k: the best neighbour after flipping
+  /// k. For n == 1 that is flipping k back.
+  [[nodiscard]] BitIndex best_neighbor(BitIndex k) const {
+    BitIndex best = k;
+    for (BitIndex i = 0; i < x.size(); ++i) {
+      if (i != k && (best == k || deltas[i] < deltas[best])) best = i;
+    }
+    return best;
+  }
+
+  /// First-in-traversal-order (strict <) argmin of the wrapping window.
+  [[nodiscard]] BitIndex argmin_window(BitIndex offset, BitIndex len) const {
+    const BitIndex n = x.size();
+    BitIndex best = offset % n;
+    for (BitIndex t = 1; t < len; ++t) {
+      const BitIndex i = (offset + t) % n;
+      if (deltas[i] < deltas[best]) best = i;
+    }
+    return best;
+  }
+
+  /// The next walk bit as an ascending strict-< scan of the bits still
+  /// differing from `target` finds it; size() when none differs.
+  [[nodiscard]] BitIndex walk_step(const BitVector& target) const {
+    BitIndex best = x.size();
+    for (BitIndex i = 0; i < x.size(); ++i) {
+      if (x.get(i) != target.get(i) &&
+          (best == x.size() || deltas[i] < deltas[best])) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  const WeightMatrix* w;
+  BitVector x;
+  Energy energy = 0;
+  std::vector<Energy> deltas;
+};
+
+struct Lane {
+  std::string name;
+  std::unique_ptr<QuboKernel> kernel;
+  std::unique_ptr<DeltaState> state;
+  BestTracker tracker;
+};
+
+/// One lane per form, on a forced plan, from `start` (null: the zero-vector
+/// constructor).
+std::vector<Lane> make_lanes(const WeightMatrix& w, const BitVector* start) {
+  std::vector<Lane> lanes;
+  for (const auto& c : all_kernel_cases()) {
+    auto kernel = std::make_unique<QuboKernel>(w, c.options);
+    auto state = start != nullptr
+                     ? std::make_unique<DeltaState>(*kernel, *start)
+                     : std::make_unique<DeltaState>(*kernel);
+    lanes.push_back(
+        Lane{c.name, std::move(kernel), std::move(state), BestTracker()});
+  }
+  return lanes;
+}
+
+/// Two lanes of one form would agree whatever that form did, so no
+/// lockstep may pair a form with itself.
+void assert_distinct_forms(const std::vector<Lane>& lanes) {
+  ASSERT_GE(lanes.size(), 2u);
+  for (std::size_t a = 0; a < lanes.size(); ++a) {
+    for (std::size_t b = a + 1; b < lanes.size(); ++b) {
+      ASSERT_NE(lanes[a].state->form(), lanes[b].state->form())
+          << lanes[a].name << " and " << lanes[b].name;
     }
   }
-  return best;
+}
+
+void assert_at_oracle(const Lane& lane, const Oracle& oracle,
+                      const std::string& where) {
+  ASSERT_EQ(lane.state->bits(), oracle.x) << lane.name << where;
+  ASSERT_EQ(lane.state->energy(), oracle.energy) << lane.name << where;
+  for (BitIndex i = 0; i < oracle.x.size(); ++i) {
+    ASSERT_EQ(lane.state->delta(i), oracle.deltas[i])
+        << lane.name << where << " Δ_" << i;
+  }
+}
+
+/// flip_tracked(k) in every lane; each outcome and resulting state must be
+/// the oracle's.
+void tracked_flip(std::vector<Lane>& lanes, Oracle& oracle, BitIndex k,
+                  const std::string& where) {
+  oracle.flip(k);
+  const BitIndex best = oracle.best_neighbor(k);
+  for (auto& lane : lanes) {
+    const auto got = lane.state->flip_tracked(k);
+    ASSERT_EQ(got.energy, oracle.energy) << lane.name << where;
+    ASSERT_EQ(got.best_neighbor_bit, best) << lane.name << where;
+    ASSERT_EQ(got.best_neighbor_energy, oracle.energy + oracle.deltas[best])
+        << lane.name << where;
+    ASSERT_NO_FATAL_FAILURE(assert_at_oracle(lane, oracle, where));
+  }
 }
 
 /// Which storage a lockstep instance must have: with one instance of each
 /// per suite, every suite runs both storages and both forced-form
-/// conversions (the sparse lane on dense storage, the dense lanes on CSR).
+/// conversions (the sparse lane on dense storage, the dense lane on CSR).
 enum class Storage { kDense, kCsr };
 
 void run_lockstep(const WeightMatrix& w, Storage storage, std::uint64_t seed,
@@ -300,93 +399,44 @@ void run_lockstep(const WeightMatrix& w, Storage storage, std::uint64_t seed,
   ASSERT_EQ(w.csr() != nullptr, storage == Storage::kCsr);
   const BitIndex n = w.size();
   Rng rng(seed);
-  const BitVector start =
-      random_start ? BitVector::random(n, rng) : BitVector(n);
-
-  const DeltaState reference_seed(w, start);  // legacy ctor: dense scalar
-  ASSERT_EQ(reference_seed.form(), KernelForm::kDenseScalar);
-  DeltaState reference = reference_seed;
-
-  struct Lane {
-    std::string name;
-    std::unique_ptr<QuboKernel> kernel;
-    std::unique_ptr<DeltaState> state;
-  };
-  std::vector<Lane> lanes;
-  for (const auto& c : all_kernel_cases()) {
-    auto kernel = std::make_unique<QuboKernel>(w, c.options);
-    auto state = std::make_unique<DeltaState>(*kernel, start);
-    lanes.push_back({c.name, std::move(kernel), std::move(state)});
+  Oracle oracle(w, random_start ? BitVector::random(n, rng) : BitVector(n));
+  std::vector<Lane> lanes = make_lanes(w, &oracle.x);
+  ASSERT_NO_FATAL_FAILURE(assert_distinct_forms(lanes));
+  for (const auto& lane : lanes) {
+    ASSERT_NO_FATAL_FAILURE(assert_at_oracle(lane, oracle, " at start"));
   }
 
   for (int step = 0; step < steps; ++step) {
     const auto k = static_cast<BitIndex>(rng.below(n));
+    const std::string where = " step " + std::to_string(step);
     if (rng.chance(0.5)) {
-      const auto expected = reference.flip_tracked(k);
-      for (auto& lane : lanes) {
-        const auto got = lane.state->flip_tracked(k);
-        ASSERT_EQ(got.energy, expected.energy)
-            << lane.name << " step " << step;
-        ASSERT_EQ(got.best_neighbor_energy, expected.best_neighbor_energy)
-            << lane.name << " step " << step;
-        ASSERT_EQ(got.best_neighbor_bit, expected.best_neighbor_bit)
-            << lane.name << " step " << step;
-      }
+      ASSERT_NO_FATAL_FAILURE(tracked_flip(lanes, oracle, k, where));
     } else {
-      const Energy expected = reference.flip(k);
+      oracle.flip(k);
       for (auto& lane : lanes) {
-        ASSERT_EQ(lane.state->flip(k), expected)
-            << lane.name << " step " << step;
+        ASSERT_EQ(lane.state->flip(k), oracle.energy) << lane.name << where;
+        ASSERT_NO_FATAL_FAILURE(assert_at_oracle(lane, oracle, where));
       }
     }
 
     if (step % 16 == 0) {
-      // The reference is int32 like the lanes, so hold all of them to the
-      // independent Eq. (4) oracle, not only to each other.
-      const Energy expected_energy = full_energy(w, reference.bits());
-      const std::vector<Energy> expected_deltas =
-          all_deltas(w, reference.bits());
-      ASSERT_EQ(reference.energy(), expected_energy) << "step " << step;
-      for (BitIndex i = 0; i < n; ++i) {
-        ASSERT_EQ(reference.delta(i), expected_deltas[i])
-            << "step " << step << " Δ_" << i;
-      }
-      for (auto& lane : lanes) {
-        ASSERT_EQ(lane.state->bits(), reference.bits()) << lane.name;
-        ASSERT_EQ(lane.state->energy(), expected_energy)
-            << lane.name << " step " << step;
-        for (BitIndex i = 0; i < n; ++i) {
-          ASSERT_EQ(lane.state->delta(i), expected_deltas[i])
-              << lane.name << " step " << step << " Δ_" << i;
-        }
-      }
-
       const auto offset = static_cast<BitIndex>(rng.below(n));
       const auto len = static_cast<BitIndex>(1 + rng.below(n));
-      const BitIndex expected = argmin_window_oracle(reference, offset, len);
-      ASSERT_EQ(reference.argmin_window(offset, len), expected);
+      const BitIndex expected = oracle.argmin_window(offset, len);
       for (auto& lane : lanes) {
         ASSERT_EQ(lane.state->argmin_window(offset, len), expected)
-            << lane.name << " step " << step << " window (" << offset << ", "
-            << len << ")";
+            << lane.name << where << " window (" << offset << ", " << len
+            << ")";
       }
     }
   }
 
-  // Final deep cross-check: bits, energy and every Δ against both the
-  // reference lane and the from-scratch Eq. (4) computation.
-  ASSERT_EQ(reference.energy(), full_energy(w, reference.bits()));
-  const auto expected_deltas = all_deltas(w, reference.bits());
+  // Theorem 1's accounting: n evaluated solutions per flip, plus the n of
+  // initialization, in every form.
   for (auto& lane : lanes) {
-    ASSERT_EQ(lane.state->bits(), reference.bits()) << lane.name;
-    ASSERT_EQ(lane.state->energy(), reference.energy()) << lane.name;
     ASSERT_EQ(lane.state->evaluated_solutions(),
-              reference.evaluated_solutions())
+              (static_cast<std::uint64_t>(steps) + 1) * n)
         << lane.name;
-    for (BitIndex i = 0; i < n; ++i) {
-      ASSERT_EQ(lane.state->delta(i), expected_deltas[i])
-          << lane.name << " Δ_" << i;
-    }
   }
 }
 
@@ -413,8 +463,8 @@ TEST(KernelLockstep, GsetStyleSparseInstance) {
 }
 
 TEST(KernelLockstep, CsrStoredSparseInstance) {
-  // ~2 nonzeros per row out of 128: CSR-stored, so the dense lanes run
-  // kernel-owned dense copies and the reference a private one.
+  // ~2 nonzeros per row out of 128: CSR-stored, so the dense lane runs a
+  // kernel-owned dense copy.
   run_lockstep(random_sparse(128, 0.015, 905), Storage::kCsr, 906, 500, true);
 }
 
@@ -424,142 +474,103 @@ TEST(KernelLockstep, SaturatedWeightExtremes) {
       WeightMatrix::generate_symmetric(48, [&rng](BitIndex, BitIndex) {
         return rng.chance(0.5) ? kMinWeight : kMaxWeight;
       });
-  // |Δ| reaches ~48·2·32768 ≈ 3.1M, and the dense loops' transient i == k
+  // |Δ| reaches ~48·2·32768 ≈ 3.1M, and the dense loop's transient i == k
   // repair adds up to 2·32768 more: every form must stay exact here.
   run_lockstep(w, Storage::kDense, 904, 400, true);
 }
 
 // ---------------------------------------------------------------------------
 // Straight-search lockstep: Algorithm 5 selects the leftmost minimum-Δ
-// pending bit in every form — a word-mask scan in the dense forms, the
+// pending bit in every form — a word-mask scan in the dense form, the
 // pending tree's root in the sparse one. Chained walks to random targets,
-// interleaved with window local search, must match the reference walk for
-// walk.
+// interleaved with window local search, are held to the oracle step by
+// step; a whole straight_search call is held to the oracle's end state, and
+// its statistics and tracker to the dense-SIMD lane's.
 // ---------------------------------------------------------------------------
-
-/// The next walk bit as an ascending strict-< scan of the bits still
-/// differing from `target` finds it; size() when none differs.
-BitIndex walk_step_oracle(const DeltaState& s, const BitVector& target) {
-  BitIndex best = s.size();
-  Energy best_value = std::numeric_limits<Energy>::max();
-  for (BitIndex i = 0; i < s.size(); ++i) {
-    if (s.bits().get(i) != target.get(i) && s.delta(i) < best_value) {
-      best_value = s.delta(i);
-      best = i;
-    }
-  }
-  return best;
-}
 
 void run_walk_lockstep(const WeightMatrix& w, Storage storage,
                        std::uint64_t seed, int walks) {
   ASSERT_EQ(w.csr() != nullptr, storage == Storage::kCsr);
   const BitIndex n = w.size();
   Rng rng(seed);
-  DeltaState reference(w);  // legacy ctor: dense scalar
-  BestTracker reference_tracker;
-
-  struct Lane {
-    std::string name;
-    std::unique_ptr<QuboKernel> kernel;
-    std::unique_ptr<DeltaState> state;
-    BestTracker tracker;
-  };
-  std::vector<Lane> lanes;
-  for (const auto& c : all_kernel_cases()) {
-    auto kernel = std::make_unique<QuboKernel>(w, c.options);
-    auto state = std::make_unique<DeltaState>(*kernel);
-    lanes.push_back(
-        Lane{c.name, std::move(kernel), std::move(state), BestTracker()});
-  }
+  Oracle oracle(w, BitVector(n));
+  std::vector<Lane> lanes = make_lanes(w, nullptr);
+  ASSERT_NO_FATAL_FAILURE(assert_distinct_forms(lanes));
+  const Lane& reference = lanes.front();
+  ASSERT_EQ(reference.state->form(), KernelForm::kDenseSimd);
 
   for (int walk = 0; walk < walks; ++walk) {
     // A target 10–50 % of the bits away from the current solution.
     const double fraction = 0.1 + 0.4 * rng.uniform01();
-    BitVector target = reference.bits();
+    BitVector target = oracle.x;
     for (BitIndex i = 0; i < n; ++i) {
       if (rng.chance(fraction)) target.flip(i);
     }
+    const BitIndex distance = oracle.x.hamming_distance(target);
+    const std::string where = " walk " + std::to_string(walk);
 
     // Step 3 resets the incumbent, so each walk's tracker shows its own
     // walk (on the zero matrix: the state after the first, leftmost step).
-    reference_tracker.reset();
     for (auto& lane : lanes) lane.tracker.reset();
 
     if (walk % 2 == 0) {
-      // Through straight_search: identical stats, tracker and end state.
-      const SearchStats expected =
-          straight_search(reference, target, reference_tracker);
+      // Through straight_search: one flip per differing bit, each costing
+      // the reads of its form — n dense, the bit's degree sparse.
+      std::vector<SearchStats> stats;
       for (auto& lane : lanes) {
-        std::uint64_t expected_ops = expected.ops;
-        if (lane.state->form() == KernelForm::kSparse) {
-          // Sparse ops are the degrees of the flipped (= differing) bits.
-          expected_ops = 0;
-          const BitVector& before = lane.state->bits();
-          for (const BitIndex k : before.differing_bits(target)) {
-            expected_ops += lane.kernel->sparse()->degree(k);
-          }
+        std::uint64_t expected_ops = 0;
+        for (const BitIndex k : lane.state->bits().differing_bits(target)) {
+          expected_ops += lane.state->form() == KernelForm::kSparse
+                              ? lane.kernel->sparse()->degree(k)
+                              : n;
         }
         const SearchStats got =
             straight_search(*lane.state, target, lane.tracker);
-        ASSERT_EQ(got.flips, expected.flips) << lane.name << " walk " << walk;
-        ASSERT_EQ(got.accepted, expected.accepted) << lane.name;
-        ASSERT_EQ(got.ops, expected_ops) << lane.name << " walk " << walk;
-        ASSERT_EQ(got.evaluated_solutions, expected.evaluated_solutions)
-            << lane.name;
-        ASSERT_EQ(got.improvements, expected.improvements)
-            << lane.name << " walk " << walk;
-        ASSERT_EQ(lane.tracker.valid(), reference_tracker.valid())
-            << lane.name;
-        ASSERT_EQ(lane.tracker.energy(), reference_tracker.energy())
-            << lane.name << " walk " << walk;
-        if (reference_tracker.valid()) {
-          ASSERT_EQ(lane.tracker.best(), reference_tracker.best())
-              << lane.name << " walk " << walk;
+        ASSERT_EQ(got.flips, distance) << lane.name << where;
+        ASSERT_EQ(got.accepted, distance) << lane.name << where;
+        ASSERT_EQ(got.ops, expected_ops) << lane.name << where;
+        ASSERT_EQ(got.evaluated_solutions,
+                  static_cast<std::uint64_t>(distance) * n)
+            << lane.name << where;
+        ASSERT_EQ(lane.tracker.valid(), distance > 0) << lane.name << where;
+        if (lane.tracker.valid()) {
+          ASSERT_EQ(lane.tracker.energy(), full_energy(w, lane.tracker.best()))
+              << lane.name << where;
+        }
+        stats.push_back(got);
+      }
+      for (std::size_t l = 1; l < lanes.size(); ++l) {
+        const Lane& lane = lanes[l];
+        ASSERT_EQ(stats[l].improvements, stats.front().improvements)
+            << lane.name << where;
+        if (reference.tracker.valid()) {
+          ASSERT_EQ(lane.tracker.energy(), reference.tracker.energy())
+              << lane.name << where;
+          ASSERT_EQ(lane.tracker.best(), reference.tracker.best())
+              << lane.name << where;
         }
       }
+      oracle.reset(target);
+      for (const auto& lane : lanes) {
+        ASSERT_NO_FATAL_FAILURE(assert_at_oracle(lane, oracle, where));
+      }
     } else {
-      // Step by step through the DeltaState walk API: every selection is
-      // the oracle scan's, in every lane.
-      const BitIndex distance = reference.begin_walk(target);
-      ASSERT_EQ(distance, reference.bits().hamming_distance(target));
+      // Step by step through the DeltaState walk API: every selection and
+      // every flip is the oracle's, in every lane.
       for (auto& lane : lanes) {
         ASSERT_EQ(lane.state->begin_walk(target), distance) << lane.name;
       }
       for (BitIndex step = 0; step < distance; ++step) {
-        const BitIndex k = walk_step_oracle(reference, target);
-        ASSERT_EQ(reference.argmin_pending(), k) << "walk " << walk;
-        const auto expected = reference.flip_tracked(k);
+        const BitIndex k = oracle.walk_step(target);
+        const std::string at = where + " step " + std::to_string(step);
         for (auto& lane : lanes) {
-          ASSERT_EQ(lane.state->argmin_pending(), k)
-              << lane.name << " walk " << walk << " step " << step;
-          const auto got = lane.state->flip_tracked(k);
-          ASSERT_EQ(got.energy, expected.energy) << lane.name;
-          ASSERT_EQ(got.best_neighbor_bit, expected.best_neighbor_bit)
-              << lane.name << " walk " << walk << " step " << step;
-          ASSERT_EQ(got.best_neighbor_energy, expected.best_neighbor_energy)
-              << lane.name;
+          ASSERT_EQ(lane.state->argmin_pending(), k) << lane.name << at;
         }
+        ASSERT_NO_FATAL_FAILURE(tracked_flip(lanes, oracle, k, at));
       }
-      ASSERT_EQ(reference.argmin_pending(), n);
+      ASSERT_EQ(oracle.x, target) << where;
       for (auto& lane : lanes) {
-        ASSERT_EQ(lane.state->argmin_pending(), n) << lane.name;
-      }
-    }
-
-    ASSERT_EQ(reference.bits(), target) << "walk " << walk;
-    ASSERT_EQ(reference.energy(), full_energy(w, target));
-    const std::vector<Energy> expected_deltas = all_deltas(w, target);
-    for (BitIndex i = 0; i < n; ++i) {
-      ASSERT_EQ(reference.delta(i), expected_deltas[i])
-          << "walk " << walk << " Δ_" << i;
-    }
-    for (auto& lane : lanes) {
-      ASSERT_EQ(lane.state->bits(), target) << lane.name << " walk " << walk;
-      ASSERT_EQ(lane.state->energy(), reference.energy()) << lane.name;
-      for (BitIndex i = 0; i < n; ++i) {
-        ASSERT_EQ(lane.state->delta(i), reference.delta(i))
-            << lane.name << " walk " << walk << " Δ_" << i;
+        ASSERT_EQ(lane.state->argmin_pending(), n) << lane.name << where;
       }
     }
 
@@ -568,16 +579,13 @@ void run_walk_lockstep(const WeightMatrix& w, Storage storage,
     auto offset = static_cast<BitIndex>(rng.below(n));
     const auto steps = 1 + rng.below(n);
     for (std::uint64_t step = 0; step < steps; ++step) {
-      const BitIndex k = reference.argmin_window(offset, window);
-      const auto expected = reference.flip_tracked(k);
+      const BitIndex k = oracle.argmin_window(offset, window);
+      const std::string at = where + " local step " + std::to_string(step);
       for (auto& lane : lanes) {
-        ASSERT_EQ(lane.state->argmin_window(offset, window), k) << lane.name;
-        const auto got = lane.state->flip_tracked(k);
-        ASSERT_EQ(got.best_neighbor_bit, expected.best_neighbor_bit)
-            << lane.name << " walk " << walk << " local step " << step;
-        ASSERT_EQ(got.best_neighbor_energy, expected.best_neighbor_energy)
-            << lane.name;
+        ASSERT_EQ(lane.state->argmin_window(offset, window), k)
+            << lane.name << at;
       }
+      ASSERT_NO_FATAL_FAILURE(tracked_flip(lanes, oracle, k, at));
       offset = (offset + window) % n;
     }
   }

@@ -147,22 +147,29 @@ TEST(SearchBlock, DistinctBlocksDiverge) {
 class SearchBlockLockstep
     : public ::testing::TestWithParam<portfolio::BlockAlgorithmKind> {};
 
-/// A block on the sparse kernel and a block on the legacy dense scalar
-/// kernel, fed the same targets — fresh random ones and the blocks' own
-/// reports, as the GA would — must walk, search and report identically,
-/// whichever portfolio member runs Step 4b (multistart also walks back to
-/// its incumbent on restart).
+/// A block on a forced sparse plan and a block on a forced dense-SIMD plan,
+/// fed the same targets — fresh random ones and the blocks' own reports, as
+/// the GA would — must walk, search and report identically, whichever
+/// portfolio member runs Step 4b (multistart also walks back to its
+/// incumbent on restart). Both plans are forced: a plan-less block runs the
+/// storage's own form, which on CSR storage is the sparse one again.
 void run_block_lockstep(const WeightMatrix& w,
                         portfolio::BlockAlgorithmKind algorithm) {
   const BitIndex n = w.size();
   KernelOptions sparse_options;
   sparse_options.form = KernelOptions::Form::kSparse;
   const QuboKernel sparse_kernel(w, sparse_options);
+  KernelOptions dense_options;
+  dense_options.form = KernelOptions::Form::kDenseSimd;
+  const QuboKernel dense_kernel(w, dense_options);
+  // Two blocks of one form would agree whatever that form did.
   ASSERT_EQ(sparse_kernel.form(), KernelForm::kSparse);
+  ASSERT_EQ(dense_kernel.form(), KernelForm::kDenseSimd);
 
   auto config = block_config(96, 8);
   config.algorithm = algorithm;
   config.algorithm_options.restart_stall_limit = 8;
+  config.kernel = &dense_kernel;
   SearchBlock dense_block(w, config);
   config.kernel = &sparse_kernel;
   SearchBlock sparse_block(w, config);
@@ -178,6 +185,8 @@ void run_block_lockstep(const WeightMatrix& w,
     ASSERT_EQ(got.block_id, expected.block_id);
     ASSERT_EQ(got.energy, full_energy(w, got.bits));
     ASSERT_EQ(sparse_block.current(), dense_block.current());
+    ASSERT_EQ(sparse_block.current_energy(),
+              full_energy(w, sparse_block.current()));
     ASSERT_EQ(sparse_block.stats().flips, dense_block.stats().flips);
     ASSERT_EQ(sparse_block.stats().improvements,
               dense_block.stats().improvements);
@@ -197,7 +206,8 @@ WeightMatrix gset_style(double density) {
 
 TEST_P(SearchBlockLockstep, SparseKernelBlockMatchesDenseScalarBlock) {
   // ~5 nonzeros per row: CSR-stored, so the sparse block runs the matrix's
-  // own CSR and the dense scalar block a private dense copy.
+  // own CSR and the dense block, on dense-SIMD (the one dense form), a
+  // kernel-owned dense copy.
   const WeightMatrix w = gset_style(0.03);
   ASSERT_TRUE(w.csr() != nullptr);
   run_block_lockstep(w, GetParam());

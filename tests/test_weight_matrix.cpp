@@ -8,8 +8,10 @@
 #include <utility>
 
 #include "abs/sync_runner.hpp"
+#include "baselines/solvers.hpp"
 #include "problems/maxcut.hpp"
 #include "qubo/bit_vector.hpp"
+#include "qubo/delta_state.hpp"
 #include "qubo/energy.hpp"
 #include "qubo/io.hpp"
 #include "qubo/kernel.hpp"
@@ -458,6 +460,21 @@ void expect_no_quadratic_step(const WeightMatrix& w) {
   std::stringstream text;
   write_qubo(text, w);
   EXPECT_EQ(read_qubo(text), w);
+
+  // The matrix constructors run the storage's own form, and so do the
+  // baselines built on them (small budgets: each touches every bit).
+  const DeltaState zero(w);
+  EXPECT_EQ(zero.form(), KernelForm::kSparse);
+  Rng rng(5);
+  const BitVector x = BitVector::random(n, rng);
+  const DeltaState seeded(w, x);
+  EXPECT_EQ(seeded.form(), KernelForm::kSparse);
+  EXPECT_EQ(seeded.energy(), full_energy(w, x));
+  for (const BaselineResult& baseline :
+       {greedy_descent(w, 64, 1), simulated_annealing(w, 10.0, 1.0, 256, 2),
+        tabu_search(w, 4, 8, 3)}) {
+    EXPECT_EQ(baseline.best_energy, full_energy(w, baseline.best));
+  }
 
   // A 2 GiB dense matrix anywhere above would show here.
   EXPECT_LT(peak_rss_mb(), 512);

@@ -114,18 +114,20 @@ int run(int argc, char** argv) {
   const std::int64_t http_port = cli.get_int("http-port");
   ABSQ_CHECK(http_port >= -1 && http_port <= 65535,
              "--http-port must be in [0, 65535], or -1 for off");
-  // Per-job solver counts are range-checked before any port is bound: a
-  // negative value must be a usage error, not a wrapped cast that fails
-  // every job later.
+  // Per-job solver counts and the log level are checked before any port
+  // is bound: a negative count must be a usage error, not a wrapped cast
+  // that fails every job later.
   constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   const std::int64_t devices = cli.get_int("devices", 1, 1024);
   const std::int64_t blocks = cli.get_int("blocks", 0, kMaxU32);
   const std::int64_t threads = cli.get_int("threads", 1, 1024);
   const std::int64_t pool = cli.get_int("pool", 1, std::int64_t{1} << 20);
   const std::int64_t max_restarts = cli.get_int("max-restarts", 0, kMaxU32);
+  const std::string log_level =
+      cli.get_choice("log-level", {"debug", "info", "warn", "error", "off"});
 
   absq::obs::Logger::global().set_level(
-      absq::obs::log_level_from_string(cli.get_string("log-level")));
+      absq::obs::log_level_from_string(log_level));
   if (const std::string path = cli.get_string("log-file"); !path.empty()) {
     absq::obs::Logger::global().open_file(path);
   }

@@ -94,8 +94,9 @@ int run(int argc, char** argv) {
   cli.add_flag("migration-interval", std::int64_t{0},
                "GA rounds between elite ring migrations (0 = auto)");
   cli.add_flag("kernel", std::string("auto"),
-               "flip-kernel form: auto | dense | dense-simd | sparse "
-               "(all bit-identical; auto picks by instance density)");
+               "flip-kernel form: auto | dense-simd | sparse (bit-identical; "
+               "auto runs the storage's own form, which the density rule "
+               "picked when the instance was read)");
   cli.add_flag("seed", std::int64_t{1}, "solver seed");
   cli.add_flag("out", std::string(""), "write best solution to this file");
   cli.add_flag("print-trace", false, "print the improvement trace");
@@ -132,8 +133,9 @@ int run(int argc, char** argv) {
                "append structured log lines to this file (default stderr)");
   if (!cli.parse(argc, argv)) return 0;
 
-  // Counts are range-checked before anything is loaded: a negative value
-  // must be a usage error, not a wrapped cast into a huge allocation.
+  // Counts and enum values are checked before anything is loaded: a
+  // negative count must be a usage error, not a wrapped cast into a huge
+  // allocation, and a misspelt value must not cost an instance read.
   constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
   const std::int64_t devices = cli.get_int("devices", 1, 1024);
   const std::int64_t blocks = cli.get_int("blocks", 0, kMaxU32);
@@ -146,9 +148,15 @@ int run(int argc, char** argv) {
   }
   const std::int64_t pool = cli.get_int("pool", 1, std::int64_t{1} << 20);
   const std::int64_t max_restarts = cli.get_int("max-restarts", 0, kMaxU32);
+  const std::string format =
+      cli.get_choice("format", {"qubo", "gset", "tsplib", "dimacs"});
+  const std::string kernel =
+      cli.get_choice("kernel", {"auto", "dense-simd", "sparse"});
+  const std::string log_level =
+      cli.get_choice("log-level", {"debug", "info", "warn", "error", "off"});
 
   absq::obs::Logger::global().set_level(
-      absq::obs::log_level_from_string(cli.get_string("log-level")));
+      absq::obs::log_level_from_string(log_level));
   if (const std::string log_file = cli.get_string("log-file");
       !log_file.empty()) {
     absq::obs::Logger::global().open_file(log_file);
@@ -157,7 +165,6 @@ int run(int argc, char** argv) {
   ABSQ_CHECK(cli.positional().size() == 1,
              "exactly one instance file expected (see --help)");
   const std::string path = cli.positional()[0];
-  const std::string format = cli.get_string("format");
 
   // Load the instance; remember problem context for decoding.
   absq::WeightMatrix w;
@@ -174,11 +181,9 @@ int run(int argc, char** argv) {
     tsp = absq::read_tsplib_file(path);
     tsp_qubo = absq::tsp_to_qubo(tsp);
     w = tsp_qubo.w;
-  } else if (format == "dimacs") {
+  } else {  // dimacs
     formula = absq::read_dimacs_file(path);
     w = absq::sat_to_qubo(formula).w;
-  } else {
-    ABSQ_CHECK(false, "unknown --format '" << format << "'");
   }
   std::printf("instance: %s — %u bits, %zu nonzeros, %.3f MiB %s\n",
               path.c_str(), w.size(), w.nonzeros(),
@@ -190,8 +195,7 @@ int run(int argc, char** argv) {
   config.device.block_limit = static_cast<std::uint32_t>(blocks);
   config.device.local_steps = static_cast<std::uint64_t>(local_steps);
   config.device.adaptive = cli.get_bool("adaptive");
-  config.device.kernel.form =
-      absq::parse_kernel_form(cli.get_string("kernel"));
+  config.device.kernel.form = absq::parse_kernel_form(kernel);
   {
     // Print the plan the devices will run (each device builds an identical
     // plan from the same options).
