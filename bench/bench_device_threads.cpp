@@ -3,7 +3,7 @@
 //
 // The paper's premise is that a GPU runs thousands of search blocks
 // concurrently; our Device approximates that by sharding its block set
-// over a worker pool. This bench measures what that buys on the current
+// over worker threads. This bench measures what that buys on the current
 // host: the 1-worker row (one worker visiting every block round-robin) is
 // the baseline, and each additional worker should scale the flip rate
 // until the hardware runs out of cores (the point of printing

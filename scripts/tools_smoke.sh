@@ -125,6 +125,23 @@ set -e
 (( elapsed < 10 )) \
   || fail "absq_solve with dead workers took ${elapsed} s, expected < 10 s"
 
+# A run whose only stop criterion is a flip budget, and whose every report
+# is dropped, still ends: each block iteration rings the parked host, which
+# sees the budget crossed and fails the run (nothing was ever reported).
+set +e
+start=$SECONDS
+ABSQ_FAILPOINTS=mailbox.solution_push=every:1 timeout 60 \
+  "$BIN/tools/absq_solve" "$WORK/r.qubo" --seconds 0 --max-flips 200000 \
+  --threads 1 > /dev/null 2> "$WORK/budget.err"
+code=$?
+elapsed=$((SECONDS - start))
+set -e
+[[ "$code" == "1" ]] || fail "budget-only run with dropped reports exited $code"
+grep -q "run ended before any device reported" "$WORK/budget.err" \
+  || fail "budget-only run with dropped reports gave no diagnosis"
+(( elapsed < 10 )) \
+  || fail "budget-only run with dropped reports took ${elapsed} s"
+
 # Out-of-range counts and unknown enum values are usage errors (exit 2)
 # that name the flag, caught before absq_solve loads or solves anything and
 # before absq_serve binds a port — a negative count must not wrap into a
@@ -146,11 +163,17 @@ expect_usage_error() {  # <tool> <flag> <value> [args...]
     fail "$tool $flag $value started before rejecting the value"
   fi
 }
-for flag in --devices --blocks --pool --max-restarts --local-steps; do
+for flag in --devices --blocks --pool --max-restarts --local-steps \
+            --islands --max-flips --migration-interval; do
   expect_usage_error absq_solve "$flag" -1 "$WORK/r.qubo" --seconds 0.1
 done
 expect_usage_error absq_solve --threads 0 "$WORK/r.qubo" --seconds 0.1
 expect_usage_error absq_solve --threads -2 "$WORK/r.qubo" --seconds 0.1
+expect_usage_error absq_solve --islands 0 "$WORK/r.qubo" --seconds 0.1
+expect_usage_error absq_solve --islands 65 "$WORK/r.qubo" --seconds 0.1
+# -1 is the "off" sentinel of --http-port.
+expect_usage_error absq_solve --http-port -2 "$WORK/r.qubo" --seconds 0.1
+expect_usage_error absq_solve --http-port 65536 "$WORK/r.qubo" --seconds 0.1
 # The retired 32-bit Δ opt-in is an unknown flag now (every kernel is int32).
 USAGE_ERROR="unknown flag --delta32" \
   expect_usage_error absq_solve --delta32 true "$WORK/r.qubo" --seconds 0.1
@@ -158,10 +181,16 @@ USAGE_ERROR="unknown flag --delta32" \
 expect_usage_error absq_solve --kernel dense "$WORK/r.qubo" --seconds 0.1
 expect_usage_error absq_solve --format bogus "$WORK/r.qubo" --seconds 0.1
 expect_usage_error absq_solve --log-level bogus "$WORK/r.qubo" --seconds 0.1
-for flag in --devices --blocks --threads --pool --max-restarts; do
+for flag in --devices --blocks --threads --pool --max-restarts --solvers \
+            --max-queue; do
   expect_usage_error absq_serve "$flag" -1 --port 0
 done
 expect_usage_error absq_serve --threads 0 --port 0
+expect_usage_error absq_serve --solvers 0 --port 0
+expect_usage_error absq_serve --max-queue 0 --port 0
+expect_usage_error absq_serve --port -1
+expect_usage_error absq_serve --port 65536
+expect_usage_error absq_serve --http-port -2 --port 0
 expect_usage_error absq_serve --log-level bogus --port 0
 
 echo "tools_smoke: OK"

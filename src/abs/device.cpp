@@ -5,9 +5,7 @@
 // eventual visibility; none of them publish other memory.
 
 #include <algorithm>
-#include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "util/check.hpp"
@@ -134,27 +132,18 @@ Device::~Device() { stop(); }
 void Device::set_doorbell(sim::Doorbell* doorbell) {
   ABSQ_CHECK(!running_, "attach the doorbell while the device is stopped");
   doorbell_ = doorbell;
-  solutions_.set_doorbell(doorbell);
 }
 
 void Device::start() {
   if (running_) return;
   stop_requested_.store(false, std::memory_order_relaxed);
-  // A fresh pool per start(): ThreadPool drains and joins on destruction,
-  // which is exactly the stop() contract. A shard loop that ends rings the
-  // doorbell from the pool's task-end hook — after the pool has captured
-  // what it threw, so the host it wakes finds failure() set.
-  std::function<void()> on_shard_end;
-  if (doorbell_ != nullptr) {
-    on_shard_end = [doorbell = doorbell_] { doorbell->ring(); };
-  }
-  worker_pool_ =
-      std::make_unique<ThreadPool>(workers_, std::move(on_shard_end));
-  for (std::uint32_t worker = 0; worker < workers_; ++worker) {
-    worker_pool_->submit(
-        [this, worker] { run_shard(worker, &stop_requested_); });
-  }
+  // Running before the first spawn: should a later one throw, stop() (or
+  // the destructor) still joins the workers already started.
   running_ = true;
+  threads_.reserve(workers_);
+  for (std::uint32_t worker = 0; worker < workers_; ++worker) {
+    threads_.emplace_back([this, worker] { run_shard(worker); });
+  }
 }
 
 void Device::stop() {
@@ -167,30 +156,16 @@ void Device::stop() {
   if (fail::Registry::instance().any_armed()) {
     fail::Registry::instance().cancel_stalls();
   }
-  // Preserve a captured worker failure past the pool's destruction so
-  // failure() keeps reporting it after the device is stopped.
-  if (stopped_failure_ == nullptr) {
-    stopped_failure_ = worker_pool_->failure();
-  }
-  worker_pool_.reset();  // drains and joins the workers
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
   running_ = false;
-}
-
-std::exception_ptr Device::failure() const {
-  if (worker_pool_ != nullptr) {
-    if (std::exception_ptr failure = worker_pool_->failure();
-        failure != nullptr) {
-      return failure;
-    }
-  }
-  return stopped_failure_;
 }
 
 void Device::iterate_block(std::size_t index, std::size_t worker,
                            const std::atomic<bool>* stop) {
   // Fault-injection site (scope = device id): a throw here simulates a
-  // kernel fault and escapes to the worker pool; a stall spec hangs this
-  // worker. Disarmed cost: one relaxed load.
+  // kernel fault and escapes to the worker's run_shard(); a stall spec
+  // hangs this worker. Disarmed cost: one relaxed load.
   fail::maybe_fail("device.iterate", config_.device_id);
   SearchBlock& block = *blocks_[index];
   const auto maybe_target = targets_.poll(worker);
@@ -210,8 +185,8 @@ void Device::iterate_block(std::size_t index, std::size_t worker,
   sim::ReportedSolution report =
       block.iterate(maybe_target ? *maybe_target : block.current(), stop);
   const std::uint64_t iteration_flips = block.stats().flips - before;
-  // Counters first, report second: a host woken by the push must already
-  // see this iteration's flips (a max_flips crossing) and heartbeat.
+  // Counters first, report second, ring last: the host it wakes sees this
+  // iteration's flips (a max_flips crossing), its heartbeat and its report.
   flips_.fetch_add(iteration_flips, std::memory_order_relaxed);
   iterations_.fetch_add(1, std::memory_order_relaxed);
   if (m_iterations_ != nullptr) {  // metrics attached
@@ -222,6 +197,9 @@ void Device::iterate_block(std::size_t index, std::size_t worker,
     m_block_iterations_[index]->add(1);
   }
   solutions_.push(std::move(report), worker);
+  // Rung whether or not the push reached the mailbox: a host whose every
+  // report is dropped still wakes to see the flip budget crossed.
+  if (doorbell_ != nullptr) doorbell_->ring();
 }
 
 void Device::step_all_blocks_once() {
@@ -241,17 +219,30 @@ std::uint64_t Device::total_algorithm_switches() const {
   return total;
 }
 
-void Device::run_shard(std::size_t worker, const std::atomic<bool>* stop_flag) {
-  // Worker `worker` owns blocks worker, worker+W, worker+2W, … — a static
-  // partition, so every block is touched by exactly one thread and the
-  // per-block search state needs no locking.
-  if (worker >= blocks_.size()) return;  // more workers than blocks
-  while (!stop_flag->load(std::memory_order_relaxed)) {
-    for (std::size_t i = worker; i < blocks_.size(); i += workers_) {
-      if (stop_flag->load(std::memory_order_relaxed)) return;
-      iterate_block(i, worker, stop_flag);
+void Device::run_shard(std::size_t worker) {
+  const auto stopping = [this] {
+    return stop_requested_.load(std::memory_order_relaxed);
+  };
+  try {
+    // Worker `worker` owns blocks worker, worker+W, worker+2W, … — a
+    // static partition, so every block is touched by exactly one thread
+    // and the per-block search state needs no locking. A worker past the
+    // block count owns none and ends at once.
+    while (worker < blocks_.size() && !stopping()) {
+      for (std::size_t i = worker; i < blocks_.size() && !stopping();
+           i += workers_) {
+        iterate_block(i, worker, &stop_requested_);
+      }
     }
+  } catch (...) {
+    // First failure wins. The worker is dead; the host's watchdog
+    // quarantines the device, so one bad kernel cannot take the run down.
+    std::lock_guard lock(failure_mutex_);
+    if (failure_ == nullptr) failure_ = std::current_exception();
+    failed_.store(true, std::memory_order_release);
   }
+  // After the capture, so the host this wakes finds failure() set.
+  if (doorbell_ != nullptr) doorbell_->ring();
 }
 
 }  // namespace absq

@@ -5,14 +5,15 @@
 // The paper's GPU keeps `active_blocks` CUDA blocks resident (the Table 2
 // occupancy arithmetic) and lets each run its Step 2–5 loop asynchronously
 // against the global-memory mailboxes. Here the block set is partitioned
-// into per-worker shards and run on a ThreadPool: worker w owns blocks
-// w, w+W, w+2W, … and loops over them — a visited block polls the target
-// buffer, runs one iteration (straight search + fixed local search) and
-// pushes its report. Blocks never share state, and the mailboxes are
-// sharded per worker, so the only cross-worker traffic is the atomic
-// counters. Nothing in the host protocol can distinguish this schedule
-// from the GPU's truly concurrent blocks — only wall-clock throughput
-// differs, which is exactly the substitution DESIGN.md documents.
+// into per-worker shards, each run by a thread the device starts and joins
+// itself: worker w owns blocks w, w+W, w+2W, … and loops over them — a
+// visited block polls the target buffer, runs one iteration (straight
+// search + fixed local search) and pushes its report. Blocks never share
+// state, and the mailboxes are sharded per worker, so the only
+// cross-worker traffic is the atomic counters. Nothing in the host
+// protocol can distinguish this schedule from the GPU's truly concurrent
+// blocks — only wall-clock throughput differs, which is exactly the
+// substitution DESIGN.md documents.
 //
 // `DeviceConfig::threads_per_device` picks the worker count (at least 1;
 // one worker visits every block round-robin). Leaving it unset ("auto")
@@ -27,17 +28,22 @@
 // Stopping is prompt: the workers hand the device's stop flag to every
 // block iteration, whose search loops read it every 64 steps, so a raised
 // flag ends the in-flight iterations within microseconds. A stopped
-// iteration still reports its best so far. With a doorbell attached
-// (set_doorbell) every report that moves the solution counter rings it,
-// and so does every worker's shard loop as it ends — by return or by
-// throw — so a parked host learns of both without polling.
+// iteration still reports its best so far.
+//
+// The device is the only thing that tells a parked host about itself: with
+// a doorbell attached (set_doorbell) every block iteration rings it once,
+// after its counters and its report, and so does every worker as its shard
+// loop ends, by return or by throw. A throw is captured first (failure()),
+// so the host it wakes finds the device already failed.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "abs/search_block.hpp"
@@ -46,7 +52,6 @@
 #include "qubo/weight_matrix.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/mailbox.hpp"
-#include "util/thread_pool.hpp"
 
 namespace absq {
 
@@ -122,16 +127,22 @@ class Device {
     stop_requested_.store(true, std::memory_order_relaxed);
   }
 
-  /// Attaches the host's doorbell (not owned; null detaches): it rings on
-  /// every counter move of solutions() and whenever a worker's shard loop
-  /// ends. Call while the device is stopped.
+  /// Attaches the host's doorbell (not owned; null detaches): it rings once
+  /// per block iteration, after the iteration's counters and report (a
+  /// report lost to the `mailbox.solution_push` fail point included), and
+  /// once whenever a worker's shard loop ends. Call while the device is
+  /// stopped.
   void set_doorbell(sim::Doorbell* doorbell);
 
   /// First exception that escaped a worker, or nullptr while the device is
   /// healthy; still reported after stop(). A non-null failure means at
   /// least one worker is dead; the solver watchdog quarantines the device.
-  /// Host-thread only (not synchronized against start()/stop()).
-  [[nodiscard]] std::exception_ptr failure() const;
+  /// One acquire load while healthy; the lock only once a worker failed.
+  [[nodiscard]] std::exception_ptr failure() const {
+    if (!failed_.load(std::memory_order_acquire)) return nullptr;
+    std::lock_guard lock(failure_mutex_);
+    return failure_;
+  }
 
   [[nodiscard]] bool running() const { return running_; }
 
@@ -193,9 +204,12 @@ class Device {
 
   /// One Step 2–5 iteration of block `index`, attributed to `worker`'s
   /// mailbox shards and cut short once `stop` (null = never) is raised.
+  /// Rings the doorbell when it is done.
   void iterate_block(std::size_t index, std::size_t worker,
                      const std::atomic<bool>* stop);
-  void run_shard(std::size_t worker, const std::atomic<bool>* stop_flag);
+  /// Worker thread body: iterates the worker's shard until the stop flag,
+  /// captures an escaping exception, then rings the doorbell.
+  void run_shard(std::size_t worker);
 
   const WeightMatrix* w_;
   DeviceConfig config_;
@@ -206,12 +220,13 @@ class Device {
   sim::TargetBuffer targets_;
   sim::SolutionBuffer solutions_;
 
-  std::unique_ptr<ThreadPool> worker_pool_;  ///< while running
   std::atomic<bool> stop_requested_{false};
   sim::Doorbell* doorbell_ = nullptr;  ///< host's wake-up; null = none
   bool running_ = false;
-  /// The pool's captured worker failure, kept past stop() destroying it.
-  std::exception_ptr stopped_failure_;
+  /// First exception that escaped a worker; failed_ is set once it is.
+  std::atomic<bool> failed_{false};
+  mutable std::mutex failure_mutex_;
+  std::exception_ptr failure_;
 
   std::atomic<std::uint64_t> flips_{0};
   std::atomic<std::uint64_t> iterations_{0};
@@ -224,6 +239,9 @@ class Device {
   obs::Histogram* m_iteration_flips_ = nullptr;
   std::vector<obs::Counter*> m_block_flips_;       ///< per block
   std::vector<obs::Counter*> m_block_iterations_;  ///< per block
+
+  /// One per worker while running; declared after everything they touch.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace absq

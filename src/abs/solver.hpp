@@ -7,9 +7,9 @@
 //   Step 2: poll the devices' solution counters. The paper's host spins
 //           on cudaMemcpyAsync from a CPU of its own; this host shares the
 //           cores with the device workers, so after a pass that found no
-//           news it parks on the counters' doorbell (sim::Doorbell) until
-//           a counter moves, a worker's shard loop ends, request_stop()
-//           rings, or the next host deadline falls due.
+//           news it parks on the devices' doorbell (sim::Doorbell) until
+//           a block iteration ends, a worker's shard loop ends,
+//           request_stop() rings, or the next host deadline falls due.
 //   Step 3: insert newly reported solutions into the sorted, duplicate-free
 //           pool.
 //   Step 4: breed and store as many new targets as solutions arrived, and

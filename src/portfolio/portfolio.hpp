@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "portfolio/block_algorithm.hpp"
@@ -56,6 +57,15 @@ struct PortfolioConfig {
   double exploration_floor = 0.1;
   /// GA rounds between controller reallocation passes.
   std::uint64_t realloc_interval = 16;
+
+  /// Sets the members from their comma-separated spelling (see
+  /// parse_portfolio) and applies the one rule for the controller, shared
+  /// by absq_solve's --portfolio and a submitted job's "portfolio": it
+  /// runs if and only if there is more than one member.
+  void set_members(const std::string& spelling) {
+    algorithms = parse_portfolio(spelling);
+    controller = algorithms.size() > 1;
+  }
 
   /// The algorithm list with the empty-means-classic default applied.
   [[nodiscard]] std::vector<BlockAlgorithmKind> algorithm_list() const {

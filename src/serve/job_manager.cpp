@@ -57,9 +57,7 @@ JobState job_state_from_string(const std::string& text) {
   ABSQ_CHECK(false, "unknown job state '" << text << "'");
 }
 
-JobManager::JobManager(JobManagerConfig config)
-    : config_(std::move(config)),
-      slots_(std::max<std::size_t>(1, config_.solver_slots)) {
+JobManager::JobManager(JobManagerConfig config) : config_(std::move(config)) {
   ABSQ_CHECK(config_.max_queue >= 1, "max_queue must be at least 1");
   if (obs::MetricsRegistry* registry = config_.telemetry.metrics;
       registry != nullptr) {
@@ -94,9 +92,20 @@ JobManager::JobManager(JobManagerConfig config)
       journal_ = std::make_unique<Journal>(path);
     }
   }
-  // Started last: the deadline thread only ever sees a fully constructed
-  // (and, with recover, fully reconstructed) job table.
-  deadline_thread_ = std::thread([this] { deadline_loop(); });
+  // Started last: the slots and the deadline thread only ever see a fully
+  // constructed (and, with recover, fully reconstructed) job table, so a
+  // requeued job is claimed as soon as a slot starts.
+  try {
+    slots_.reserve(solver_slots());
+    for (std::size_t s = 0; s < solver_slots(); ++s) {
+      slots_.emplace_back([this] { slot_loop(); });
+      ++live_slots_;
+    }
+    deadline_thread_ = std::thread([this] { deadline_loop(); });
+  } catch (...) {
+    shutdown(Drain::kCancel);  // joins every thread already started
+    throw;
+  }
 }
 
 JobManager::~JobManager() { shutdown(Drain::kCancel); }
@@ -208,7 +217,6 @@ void JobManager::recover_from_journal() {
   const double now = clock_.seconds();
   const double wall_now = wall_seconds_now();
   std::vector<JournalRecord> compacted;
-  std::size_t requeued_tasks = 0;
   for (auto& [id, fold] : folded) {
     // A started/terminal record whose submitted record fell past a torn
     // tail carries no respawn recipe — there is nothing to rebuild.
@@ -333,7 +341,6 @@ void JobManager::recover_from_journal() {
     queue_.insert(
         {-static_cast<std::int64_t>(job->spec.priority), id});
     jobs_.emplace(id, std::move(job));
-    ++requeued_tasks;
   }
   next_id_ = max_id + 1;
   // Collapse the replayed history into the compacted journal before any
@@ -347,9 +354,6 @@ void JobManager::recover_from_journal() {
        {"expired", recovery_.expired},
        {"lost", recovery_.lost},
        {"terminal", recovery_.terminal}});
-  for (std::size_t i = 0; i < requeued_tasks; ++i) {
-    slots_.submit([this] { run_one(); });
-  }
 }
 
 JobId JobManager::submit(JobSpec spec) {
@@ -451,9 +455,9 @@ SubmitOutcome JobManager::submit_full(JobSpec spec) {
   }
   // The earliest pending deadline may have moved.
   deadline_cv_.notify_all();
-  // One drain task per admission: whichever slot runs it claims the best
-  // queued job at that moment, so priorities reorder behind busy slots.
-  slots_.submit([this] { run_one(); });
+  // Whichever slot wakes claims the best queued job at that moment, so
+  // priorities reorder behind busy slots.
+  queued_.notify_one();
   return {id, false};
 }
 
@@ -473,14 +477,7 @@ AbsConfig JobManager::job_config(const Job& job) const {
   // Per-job Diverse-ABS overrides (0 / empty = server solver defaults).
   if (job.spec.islands > 0) config.portfolio.islands = job.spec.islands;
   if (!job.spec.portfolio.empty()) {
-    config.portfolio.algorithms =
-        portfolio::parse_portfolio(job.spec.portfolio);
-    // A submitted portfolio with more than one member implies the adaptive
-    // controller: the client asked for diversity, so the bandit steers it.
-    if (config.portfolio.algorithm_list().size() > 1 ||
-        config.portfolio.islands > 1) {
-      config.portfolio.controller = true;
-    }
+    config.portfolio.set_members(job.spec.portfolio);
   }
   if (job.spec.migration_interval > 0) {
     config.portfolio.migration_interval = job.spec.migration_interval;
@@ -507,11 +504,18 @@ AbsConfig JobManager::job_config(const Job& job) const {
   return config;
 }
 
-void JobManager::run_one() {
-  Job* job = nullptr;
-  {
-    std::lock_guard lock(mutex_);
-    if (!queue_.empty()) {
+void JobManager::slot_loop() {
+  for (;;) {
+    Job* job = nullptr;
+    {
+      std::unique_lock lock(mutex_);
+      queued_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
+      if (queue_.empty()) {
+        // Shutting down, and nothing left to drain (Drain::kCancel emptied
+        // the queue; Drain::kWait lets the slots run it dry first).
+        --live_slots_;
+        break;
+      }
       const JobId id = queue_.begin()->second;
       queue_.erase(queue_.begin());
       job = jobs_.at(id).get();
@@ -523,102 +527,111 @@ void JobManager::run_one() {
       set_queue_gauge_locked();
       obs::log_info(
           "serve", "job started",
-          {{"queue_seconds",
-            job->started_seconds - job->submitted_seconds}},
+          {{"queue_seconds", job->started_seconds - job->submitted_seconds}},
           static_cast<std::int64_t>(job->id));
     }
+    // run_job() turns a solver's throw into a failed job; anything that
+    // still escapes must not take the slot, or the server, down with it.
+    const auto id = static_cast<std::int64_t>(job->id);
+    try {
+      run_job(*job);
+    } catch (const std::exception& failure) {
+      obs::log_error("serve", "exception escaped a job run",
+                     {{"error", failure.what()}}, id);
+    } catch (...) {
+      obs::log_error("serve", "exception escaped a job run", {}, id);
+    }
   }
-  // The claimed job can be gone already (cancelled or expired while
-  // queued — its entry left the queue with that transition): this task
-  // has nothing to do, and the slot goes back to the pool.
-  if (job == nullptr) return;
+  state_changed_.notify_all();
+}
 
+void JobManager::run_job(Job& job) {
   {
     JournalRecord started;
     started.event = JournalEvent::kStarted;
-    started.id = job->id;
+    started.id = job.id;
     journal_append_quietly(started);
   }
 
   std::unique_ptr<AbsResult> result;
   std::string error;
   try {
-    const AbsConfig config = job_config(*job);
-    AbsSolver solver(*job->spec.problem, config);
+    const AbsConfig config = job_config(job);
+    AbsSolver solver(*job.spec.problem, config);
     {
       std::lock_guard lock(mutex_);
-      job->solver = &solver;
+      job.solver = &solver;
       // A cancel or deadline that raced the claim: forward it before the
       // run begins so the solver exits at its first host poll.
-      if (job->cancel_requested || job->deadline_exceeded) {
+      if (job.cancel_requested || job.deadline_exceeded) {
         solver.request_stop();
       }
     }
-    AbsResult run_result = solver.run(job->spec.stop);
+    AbsResult run_result = solver.run(job.spec.stop);
     result = std::make_unique<AbsResult>(std::move(run_result));
     std::lock_guard lock(mutex_);
-    job->solver = nullptr;
+    job.solver = nullptr;
   } catch (const std::exception& failure) {
     error = failure.what();
     std::lock_guard lock(mutex_);
-    job->solver = nullptr;
+    job.solver = nullptr;
   }
 
   JournalRecord terminal;
   bool have_terminal = false;
   {
     std::lock_guard lock(mutex_);
-    job->finished_seconds = clock_.seconds();
+    job.finished_seconds = clock_.seconds();
     --running_;
     observe(m_run_ms_,
-            to_millis(job->finished_seconds - job->started_seconds));
+            to_millis(job.finished_seconds - job.started_seconds));
     if (result != nullptr) {
       const bool cancelled = result->cancelled;
       // An explicit user cancel outranks a racing deadline; a deadline
       // stop keeps the partial result, like a cancel does.
       const bool deadline =
-          cancelled && job->deadline_exceeded && !job->cancel_requested;
-      job->result = std::move(result);
+          cancelled && job.deadline_exceeded && !job.cancel_requested;
+      job.result = std::move(result);
       if (deadline) {
-        job->state = JobState::kDeadlineExceeded;
-        job->error = "deadline exceeded mid-run";
+        job.state = JobState::kDeadlineExceeded;
+        job.error = "deadline exceeded mid-run";
         obs::add(m_deadline_);
       } else {
-        job->state = cancelled ? JobState::kCancelled : JobState::kDone;
+        job.state = cancelled ? JobState::kCancelled : JobState::kDone;
         obs::add(cancelled ? m_cancelled_ : m_completed_);
       }
-    } else if (job->deadline_exceeded && !job->cancel_requested) {
-      job->state = JobState::kDeadlineExceeded;
-      job->error = "deadline exceeded before the solver reported";
+    } else if (job.deadline_exceeded && !job.cancel_requested) {
+      job.state = JobState::kDeadlineExceeded;
+      job.error = "deadline exceeded before the solver reported";
       obs::add(m_deadline_);
-    } else if (job->cancel_requested) {
+    } else if (job.cancel_requested) {
       // A cancel so early that the solver never produced a report ends as
       // a clean cancellation, not a failure.
-      job->state = JobState::kCancelled;
+      job.state = JobState::kCancelled;
       obs::add(m_cancelled_);
     } else {
-      job->state = JobState::kFailed;
-      job->error = error;
+      job.state = JobState::kFailed;
+      job.error = error;
       obs::add(m_failed_);
     }
-    if (job->state == JobState::kFailed) {
-      obs::log_error("serve", "job failed", {{"error", job->error}},
-                     static_cast<std::int64_t>(job->id));
+    if (job.state == JobState::kFailed) {
+      obs::log_error("serve", "job failed", {{"error", job.error}},
+                     static_cast<std::int64_t>(job.id));
     } else {
       const double best =
-          job->result != nullptr
-              ? static_cast<double>(job->result->best_energy)
+          job.result != nullptr
+              ? static_cast<double>(job.result->best_energy)
               : 0.0;
       obs::log_info(
           "serve", "job finished",
-          {{"state", to_string(job->state)},
+          {{"state", to_string(job.state)},
            {"best_energy", best},
-           {"run_seconds", job->finished_seconds - job->started_seconds}},
-          static_cast<std::int64_t>(job->id));
+           {"run_seconds", job.finished_seconds - job.started_seconds}},
+          static_cast<std::int64_t>(job.id));
     }
     set_queue_gauge_locked();
     if (journal_ != nullptr) {
-      terminal = terminal_record_locked(*job);
+      terminal = terminal_record_locked(job);
       have_terminal = true;
     }
   }
@@ -635,7 +648,7 @@ void JobManager::deadline_loop() {
     for (const auto& [id, job] : jobs_) {
       if (job->deadline_at <= 0.0 || is_terminal(job->state)) continue;
       if (job->state == JobState::kRunning && job->deadline_exceeded) {
-        continue;  // already stopping; run_one() finishes it
+        continue;  // already stopping; run_job() finishes it
       }
       if (next == 0.0 || job->deadline_at < next) next = job->deadline_at;
     }
@@ -796,7 +809,7 @@ bool JobManager::cancel(JobId id) {
         break;
       case JobState::kRunning:
         job.cancel_requested = true;
-        // The solver pointer is only live while the slot task is inside
+        // The solver pointer is only live while the slot is inside
         // run(); nulled under this mutex before destruction, so this call
         // can never reach a dead solver.
         if (job.solver != nullptr) job.solver->request_stop();
@@ -849,9 +862,9 @@ void JobManager::shutdown(Drain mode) {
     }
     shutting_down_ = true;
     if (mode == Drain::kCancel) {
-      // Queued jobs will never run; their drain tasks become no-ops. The
-      // cancellations are journaled so a later recovery does not requeue
-      // jobs this clean shutdown already settled.
+      // Queued jobs will never run. The cancellations are journaled so a
+      // later recovery does not requeue jobs this clean shutdown already
+      // settled.
       while (!queue_.empty()) {
         const JobId id = queue_.begin()->second;
         queue_.erase(queue_.begin());
@@ -874,20 +887,24 @@ void JobManager::shutdown(Drain mode) {
     journal_append_quietly(record);
   }
   state_changed_.notify_all();
-  // Block until every slot task has retired (running jobs finish their
-  // graceful stop — final checkpoints included — or their full run under
-  // Drain::kWait). The deadline thread stays alive through the drain so
-  // TTLs still fire on jobs running to completion under Drain::kWait.
-  slots_.wait_idle();
+  queued_.notify_all();
+  // Block until every slot thread has exited (running jobs finish their
+  // graceful stop — final checkpoints included — or, under Drain::kWait,
+  // their full run and the rest of the queue). The deadline thread stays
+  // alive through the drain so TTLs still fire meanwhile.
+  std::vector<std::thread> slots;
   std::thread reaper;
   {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(mutex_);
+    state_changed_.wait(lock, [this] { return live_slots_ == 0; });
     deadline_stop_ = true;
     // Claimed under the lock so concurrent shutdown() calls cannot both
-    // join it.
+    // join them.
+    slots = std::move(slots_);
     reaper = std::move(deadline_thread_);
   }
   deadline_cv_.notify_all();
+  for (std::thread& slot : slots) slot.join();
   if (reaper.joinable()) reaper.join();
 }
 

@@ -1,13 +1,13 @@
 // JobManager — the multi-tenant scheduler at the heart of absq_serve.
 //
 // Owns a bounded priority+FIFO admission queue and a fixed fleet of
-// solver slots (an existing ThreadPool sized to `solver_slots`). Every
-// submitted job enqueues one "drain" task into the pool; a task claims
-// the highest-priority queued job at the moment it runs, builds a fresh
-// AbsSolver for it from the configured template, and runs it to a stop
-// criterion. At most `solver_slots` jobs solve concurrently; the rest
-// wait in the queue, and a queue beyond `max_queue` rejects submissions
-// with the typed QueueFullError (backpressure, not failure).
+// `solver_slots` slot threads, started once by the constructor. An idle
+// slot waits on the queue; a submission wakes one, which claims the
+// highest-priority queued job at that moment, builds a fresh AbsSolver for
+// it from the configured template, runs it to a stop criterion and goes
+// back to the queue. At most `solver_slots` jobs solve concurrently; the
+// rest wait in the queue, and a queue beyond `max_queue` rejects
+// submissions with the typed QueueFullError (backpressure, not failure).
 //
 // Cancellation: a queued job flips straight to cancelled; a running job
 // gets AbsSolver::request_stop(), ends at the solver's next host poll
@@ -38,7 +38,7 @@
 //
 // Fault isolation: a job whose solver throws — a genuinely failed device
 // past its restart budget, a bad resume file — becomes `failed` with the
-// error recorded; the slot returns to the pool and the server lives on.
+// error recorded; the slot goes back to the queue and the server lives on.
 // The per-job WatchdogConfig from the solver template means a device
 // failure inside one job degrades that job only (docs/robustness.md).
 //
@@ -64,7 +64,6 @@
 #include "serve/job.hpp"
 #include "serve/journal.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace absq::serve {
 
@@ -75,7 +74,7 @@ namespace absq::serve {
 inline constexpr std::uint32_t kJobTracePidStride = 1u << 8;
 
 struct JobManagerConfig {
-  /// Jobs solving concurrently (worker threads in the slot pool).
+  /// Jobs solving concurrently (slot threads; 0 is clamped to 1).
   std::size_t solver_slots = 1;
   /// Bound on *queued* (not yet running) jobs; submissions beyond it are
   /// rejected with QueueFullError.
@@ -169,8 +168,8 @@ class JobManager {
     kCancel,  ///< cancel queued jobs, request_stop running ones (bounded)
     kWait,    ///< let queued and running jobs run to their stop criteria
   };
-  /// Stops admission, drains per `mode`, and blocks until every slot is
-  /// idle. Idempotent; later calls just wait.
+  /// Stops admission, drains per `mode`, and blocks until every slot
+  /// thread has exited. Idempotent; later (or concurrent) calls just wait.
   void shutdown(Drain mode);
 
  private:
@@ -179,12 +178,12 @@ class JobManager {
     JobSpec spec;
     JobState state = JobState::kQueued;
     bool cancel_requested = false;
-    /// Set by the deadline thread on a running job; the slot task folds
-    /// the resulting request_stop() into kDeadlineExceeded, not cancelled.
+    /// Set by the deadline thread on a running job; the slot folds the
+    /// resulting request_stop() into kDeadlineExceeded, not cancelled.
     bool deadline_exceeded = false;
     /// This incarnation was reconstructed from the journal.
     bool recovered = false;
-    /// Live only while the slot task is inside run(); guarded by mutex_.
+    /// Live only while the slot is inside run(); guarded by mutex_.
     AbsSolver* solver = nullptr;
     double submitted_seconds = 0.0;
     double started_seconds = 0.0;
@@ -202,8 +201,11 @@ class JobManager {
     std::unique_ptr<AbsResult> result;
   };
 
-  /// Slot task: claims and runs the best queued job (no-op if none left).
-  void run_one();
+  /// Slot thread body: claims the best queued job, runs it, repeats;
+  /// exits once shutdown() began and the queue is empty.
+  void slot_loop();
+  /// Runs a job the calling slot claimed, to its terminal state.
+  void run_job(Job& job);
   /// Builds the per-job solver config (checkpoint path, resume warm
   /// start); may throw on a bad resume file.
   AbsConfig job_config(const Job& job) const;
@@ -235,6 +237,8 @@ class JobManager {
 
   mutable std::mutex mutex_;
   std::condition_variable state_changed_;
+  /// Wakes an idle slot when a job is queued, and every slot at shutdown.
+  std::condition_variable queued_;
   /// Wakes the deadline thread when the earliest deadline may have moved.
   std::condition_variable deadline_cv_;
   std::map<JobId, std::unique_ptr<Job>> jobs_;
@@ -246,6 +250,8 @@ class JobManager {
   std::map<std::string, JobId> idempotency_;
   JobId next_id_ = 1;
   std::size_t running_ = 0;
+  /// Slot threads still inside slot_loop(); shutdown() waits for zero.
+  std::size_t live_slots_ = 0;
   bool shutting_down_ = false;
   bool deadline_stop_ = false;
 
@@ -269,10 +275,8 @@ class JobManager {
   /// Expires TTLs; joined by shutdown(). Started after recovery so it
   /// only ever sees a fully reconstructed job table.
   std::thread deadline_thread_;
-
-  /// The slot pool. Declared last so its destructor joins the workers
-  /// before any member they touch is torn down.
-  ThreadPool slots_;
+  /// The solver slots; started after recovery too, joined by shutdown().
+  std::vector<std::thread> slots_;
 };
 
 }  // namespace absq::serve

@@ -38,8 +38,9 @@ JobSpec spec_from_request(const Json& request) {
   if (request.has("target")) {
     spec.stop.target_energy = request.at("target").as_int();
   }
-  spec.stop.max_flips =
-      static_cast<std::uint64_t>(request.get_int("max_flips", 0));
+  const std::int64_t max_flips = request.get_int("max_flips", 0);
+  ABSQ_CHECK(max_flips >= 0, "max_flips must be >= 0, got " << max_flips);
+  spec.stop.max_flips = static_cast<std::uint64_t>(max_flips);
   spec.seed = static_cast<std::uint64_t>(request.get_int("seed", 1));
   const std::int64_t priority = request.get_int("priority", 0);
   ABSQ_CHECK(priority >= -1000 && priority <= 1000,
@@ -58,8 +59,11 @@ JobSpec spec_from_request(const Json& request) {
     // Validate at admission so a typo fails the submit, not the run.
     (void)portfolio::parse_portfolio(spec.portfolio);
   }
-  spec.migration_interval =
-      static_cast<std::uint64_t>(request.get_int("migration_interval", 0));
+  const std::int64_t migration_interval =
+      request.get_int("migration_interval", 0);
+  ABSQ_CHECK(migration_interval >= 0,
+             "migration_interval must be >= 0, got " << migration_interval);
+  spec.migration_interval = static_cast<std::uint64_t>(migration_interval);
   return spec;
 }
 

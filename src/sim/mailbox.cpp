@@ -139,9 +139,6 @@ void SolutionBuffer::push(ReportedSolution solution, std::size_t hint) {
     shard.queue.push_back(std::move(solution));
   }
   pushed_.fetch_add(1, std::memory_order_relaxed);
-  // The counter moved: wake a parked host. The ring is ordered after the
-  // increment, so the host it wakes reads the new counter.
-  if (doorbell_ != nullptr) doorbell_->ring();
   if (overwrote && tracer_ != nullptr) {
     tracer_->instant("solution_drop", "mailbox", trace_pid_,
                      static_cast<std::uint32_t>(index));

@@ -27,8 +27,8 @@
 //
 // The paper's host spends a CPU of its own polling the counters. Here the
 // host shares the cores with the device workers, so it parks on a Doorbell
-// instead: every solution buffer rings its doorbell when its counter
-// moves, and the host sleeps until a ring or its next deadline.
+// instead: the devices ring it (see abs::Device), and the host sleeps until
+// a ring or its next deadline. The buffers themselves ring nothing.
 #pragma once
 
 #include <atomic>
@@ -47,11 +47,11 @@
 namespace absq::sim {
 
 /// Device → host wake-up, one per host. Anything the host must react to
-/// rings it: a solution counter moving (SolutionBuffer::push), a device
-/// worker's shard task ending, an external stop request. The host reads
-/// rings() *before* it polls, and after a pass that found nothing new
-/// parks until the count moves past that reading or its next deadline —
-/// so a ring between the read and the park is never lost.
+/// rings it: a device's block iteration ending (after its counters and its
+/// report), a device worker's shard loop ending, an external stop request.
+/// The host reads rings() *before* it polls, and after a pass that found
+/// nothing new parks until the count moves past that reading or its next
+/// deadline — so a ring between the read and the park is never lost.
 ///
 /// Ringing never blocks the ringer: it is one atomic increment, plus a
 /// pass through the lock and a notify_one only while the host is parked.
@@ -160,9 +160,7 @@ class SolutionBuffer {
   explicit SolutionBuffer(std::size_t capacity, std::size_t shards = 1);
 
   /// Device side; never blocks. Shards are filled round-robin; a full
-  /// shard drops its oldest entry. A push that moves the counter rings the
-  /// attached doorbell; one lost to the `mailbox.solution_push` fail point
-  /// does not.
+  /// shard drops its oldest entry.
   void push(ReportedSolution solution);
 
   /// Device side, contention-avoiding: pushes into shard
@@ -197,10 +195,6 @@ class SolutionBuffer {
     trace_pid_ = trace_pid;
   }
 
-  /// Attaches the doorbell every counter move rings (not owned; null
-  /// detaches). Call before the owning device starts.
-  void set_doorbell(Doorbell* doorbell) { doorbell_ = doorbell; }
-
  private:
   struct Shard {
     mutable std::mutex mutex;
@@ -214,7 +208,6 @@ class SolutionBuffer {
   std::atomic<std::uint64_t> dropped_{0};
   obs::EventTracer* tracer_ = nullptr;
   std::uint32_t trace_pid_ = 0;
-  Doorbell* doorbell_ = nullptr;
 };
 
 }  // namespace absq::sim

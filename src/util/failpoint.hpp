@@ -27,7 +27,6 @@
 // Fail points shipped in this tree (the catalogue, see docs/robustness.md):
 //   device.iterate        thrown at the top of Device::iterate_block
 //                         (scope = device id); stall mode hangs the worker
-//   thread_pool.task      thrown before each ThreadPool task runs
 //   mailbox.target_push   drops the pushed target (counted in dropped())
 //   mailbox.solution_push drops the pushed report (counted in dropped())
 //   pool_io.write         thrown mid-serialization of pool/checkpoint

@@ -7,6 +7,7 @@
 
 #include "problems/random.hpp"
 #include "qubo/energy.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
 namespace absq {
@@ -225,6 +226,58 @@ TEST(Device, TargetMissesCountStarvedIterations) {
   // No targets at all: every visit is a miss.
   device.step_all_blocks_once();
   EXPECT_EQ(device.target_misses(), 2u);
+}
+
+TEST(Device, FirstWorkerFailureIsKeptPastStop) {
+  const WeightMatrix w = random_qubo(64, 25);
+  DeviceConfig config = small_device_config(8, 16);
+  config.threads_per_device = 4;
+  Device device(w, config);
+  sim::Doorbell bell;
+  device.set_doorbell(&bell);
+  EXPECT_EQ(device.failure(), nullptr);
+
+  // Every iteration throws, so each worker dies on its first block and
+  // rings once as its shard loop ends, after the capture.
+  fail::Registry::instance().arm_from_directives("device.iterate=every:1");
+  device.start();
+  device.start();  // idempotent
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (bell.rings() < 4 && std::chrono::steady_clock::now() < deadline) {
+    bell.park(bell.rings(), 0.1);
+  }
+  fail::Registry::instance().disarm_all();
+
+  const std::exception_ptr failure = device.failure();
+  ASSERT_NE(failure, nullptr);
+  EXPECT_EQ(device.failure(), failure);  // the first failure, every call
+  EXPECT_THROW(std::rethrow_exception(failure), fail::FailPointError);
+  device.stop();
+  device.stop();  // idempotent
+  EXPECT_FALSE(device.running());
+  EXPECT_EQ(device.failure(), failure);  // still reported once stopped
+  EXPECT_EQ(bell.rings(), 4u);
+  EXPECT_EQ(device.total_iterations(), 0u);
+}
+
+TEST(Device, EveryIterationRingsOnceDroppedReportOrNot) {
+  const WeightMatrix w = random_qubo(64, 26);
+  for (const bool drop_reports : {false, true}) {
+    SCOPED_TRACE(drop_reports ? "every report dropped" : "no fail point");
+    Device device(w, small_device_config(4, 16));
+    sim::Doorbell bell;
+    device.set_doorbell(&bell);
+    if (drop_reports) {
+      fail::Registry::instance().arm_from_directives(
+          "mailbox.solution_push=every:1");
+    }
+    for (int k = 0; k < 3; ++k) device.step_all_blocks_once();
+    fail::Registry::instance().disarm_all();
+    EXPECT_EQ(device.total_iterations(), 12u);
+    EXPECT_EQ(bell.rings(), device.total_iterations());
+    EXPECT_EQ(device.solutions().counter(), drop_reports ? 0u : 12u);
+  }
 }
 
 TEST(Device, DefaultLocalStepsIsOneSweep) {

@@ -3,6 +3,7 @@
 // docs/robustness.md.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -159,6 +160,46 @@ TEST_F(FaultToleranceTest, StopWakesAParkedHost) {
   EXPECT_TRUE(result.cancelled);
   EXPECT_LT(result.seconds, 2.0);
   EXPECT_EQ(result.best_energy, full_energy(w, result.best));
+}
+
+TEST_F(FaultToleranceTest, FlipBudgetEndsARunWhoseEveryReportIsDropped) {
+  const WeightMatrix w = random_qubo(64, 19);
+  // No report ever reaches the host, so no counter moves; the flip budget
+  // is the only stop criterion. Every iteration still rings the parked
+  // host, which sees the budget crossed and ends the run.
+  fail::Registry::instance().arm_from_directives(
+      "mailbox.solution_push=every:1");
+
+  AbsSolver solver(w, small_config(1));
+  StopCriteria stop;
+  stop.max_flips = 20000;
+  // Backstop: a host that never wakes is stopped after 5 s, so this test
+  // fails on the time bound instead of hanging.
+  std::atomic<bool> ended{false};
+  std::thread backstop([&solver, &ended] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!ended.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!ended.load()) solver.request_stop();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)solver.run(stop);
+    ADD_FAILURE() << "a run with no report returned a result";
+  } catch (const std::exception& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("run ended before any device reported"),
+              std::string::npos)
+        << error.what();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ended.store(true);
+  backstop.join();
+  EXPECT_LT(seconds, 2.0);
 }
 
 TEST_F(FaultToleranceTest, StalledDeviceIsQuarantinedWithinGrace) {

@@ -74,6 +74,20 @@ TEST(JobManager, RunsASubmittedJobToCompletion) {
   EXPECT_EQ(full_energy(*small_problem(), result.best), result.best_energy);
 }
 
+TEST(JobManager, OneMemberPortfolioRunsNoController) {
+  // Two islands and one member: the controller runs only with more than
+  // one member, however the portfolio was spelled.
+  JobManager manager(small_config());
+  JobSpec spec = quick_job(200000);
+  spec.islands = 2;
+  spec.portfolio = "min-delta";
+  const JobId id = manager.submit(std::move(spec));
+  ASSERT_EQ(manager.wait(id, 30.0).state, JobState::kDone);
+  const AbsResult result = manager.result(id);
+  EXPECT_EQ(result.islands.size(), 2u);
+  EXPECT_EQ(result.controller_reassignments, 0u);
+}
+
 TEST(JobManager, InvalidSpecsAreRejectedUpFront) {
   JobManager manager(small_config());
   JobSpec no_problem;

@@ -161,6 +161,24 @@ TEST(PortfolioParse, DiversePredicateMatchesItsDocumentation) {
   EXPECT_TRUE(config.diverse());
 }
 
+TEST(PortfolioParse, ControllerRunsOnlyWithMoreThanOneMember) {
+  // `--islands 4` and `--islands 4 --portfolio min-delta` are one config.
+  portfolio::PortfolioConfig islands_only;
+  islands_only.islands = 4;
+  portfolio::PortfolioConfig spelled_out;
+  spelled_out.islands = 4;
+  spelled_out.set_members("min-delta");
+  EXPECT_EQ(spelled_out.algorithm_list(), islands_only.algorithm_list());
+  EXPECT_EQ(spelled_out.controller, islands_only.controller);
+  EXPECT_FALSE(spelled_out.controller);
+  EXPECT_EQ(spelled_out.diverse(), islands_only.diverse());
+
+  spelled_out.set_members("min-delta,sa");
+  EXPECT_TRUE(spelled_out.controller);
+  spelled_out.set_members("sa");
+  EXPECT_FALSE(spelled_out.controller);
+}
+
 // ---------------------------------------------------------------------------
 // The non-legacy portfolio members, exercised through SearchBlock
 // ---------------------------------------------------------------------------

@@ -255,6 +255,18 @@ TEST(Protocol, DiverseSubmitFieldsValidateAndRunToResult) {
   bad_islands.set("islands", std::int64_t{1000});
   outcome = handle_request_line(manager, bad_islands.dump());
   EXPECT_EQ(outcome.reply.get_string("code", ""), "bad_request");
+  // Negative counts must not wrap into 2^64 - 1 through an unsigned cast:
+  // an unbounded flip budget would hold a slot until cancelled, and an
+  // endless migration interval would silently turn migration off.
+  Json bad_flips = submit_request();
+  bad_flips.set("max_flips", std::int64_t{-1}).set("seconds", 0.0);
+  outcome = handle_request_line(manager, bad_flips.dump());
+  EXPECT_EQ(outcome.reply.get_string("code", ""), "bad_request");
+  Json bad_interval = submit_request();
+  bad_interval.set("islands", std::int64_t{2})
+      .set("migration_interval", std::int64_t{-1});
+  outcome = handle_request_line(manager, bad_interval.dump());
+  EXPECT_EQ(outcome.reply.get_string("code", ""), "bad_request");
 
   // A valid diverse submission runs to a verifiable result.
   Json diverse = submit_request();

@@ -105,19 +105,15 @@ int run(int argc, char** argv) {
 
   ABSQ_CHECK(cli.positional().empty(),
              "absq_serve takes no positional arguments (see --help)");
-  const std::int64_t port = cli.get_int("port");
-  ABSQ_CHECK(port >= 0 && port <= 65535, "--port must be in [0, 65535]");
-  const std::int64_t solvers = cli.get_int("solvers");
-  ABSQ_CHECK(solvers >= 1, "--solvers must be at least 1");
-  const std::int64_t max_queue = cli.get_int("max-queue");
-  ABSQ_CHECK(max_queue >= 1, "--max-queue must be at least 1");
-  const std::int64_t http_port = cli.get_int("http-port");
-  ABSQ_CHECK(http_port >= -1 && http_port <= 65535,
-             "--http-port must be in [0, 65535], or -1 for off");
-  // Per-job solver counts and the log level are checked before any port
-  // is bound: a negative count must be a usage error, not a wrapped cast
-  // that fails every job later.
+  // Counts, ports and the log level are checked before any port is bound:
+  // a negative count must be a usage error, not a wrapped cast that fails
+  // every job later.
   constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t port = cli.get_int("port", 0, 65535);
+  const std::int64_t solvers = cli.get_int("solvers", 1, 1024);
+  const std::int64_t max_queue = cli.get_int("max-queue", 1, kMaxU32);
+  // -1 is the documented "off" sentinel.
+  const std::int64_t http_port = cli.get_int("http-port", -1, 65535);
   const std::int64_t devices = cli.get_int("devices", 1, 1024);
   const std::int64_t blocks = cli.get_int("blocks", 0, kMaxU32);
   const std::int64_t threads = cli.get_int("threads", 1, 1024);

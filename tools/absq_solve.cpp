@@ -148,6 +148,13 @@ int run(int argc, char** argv) {
   }
   const std::int64_t pool = cli.get_int("pool", 1, std::int64_t{1} << 20);
   const std::int64_t max_restarts = cli.get_int("max-restarts", 0, kMaxU32);
+  const std::int64_t islands = cli.get_int("islands", 1, 64);
+  const std::int64_t migration_interval = cli.get_int(
+      "migration-interval", 0, std::numeric_limits<std::int64_t>::max());
+  const std::int64_t max_flips =
+      cli.get_int("max-flips", 0, std::numeric_limits<std::int64_t>::max());
+  // -1 is the documented "off" sentinel.
+  const std::int64_t http_port = cli.get_int("http-port", -1, 65535);
   const std::string format =
       cli.get_choice("format", {"qubo", "gset", "tsplib", "dimacs"});
   const std::string kernel =
@@ -207,20 +214,13 @@ int run(int argc, char** argv) {
   }
   config.pool_capacity = static_cast<std::size_t>(pool);
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const std::int64_t islands = cli.get_int("islands");
-  ABSQ_CHECK(islands >= 1 && islands <= 64,
-             "--islands must be in [1, 64], got " << islands);
   config.portfolio.islands = static_cast<std::uint32_t>(islands);
   if (const std::string portfolio = cli.get_string("portfolio");
       !portfolio.empty()) {
-    config.portfolio.algorithms = absq::portfolio::parse_portfolio(portfolio);
-    if (config.portfolio.algorithm_list().size() > 1 ||
-        config.portfolio.islands > 1) {
-      config.portfolio.controller = true;
-    }
+    config.portfolio.set_members(portfolio);
   }
   config.portfolio.migration_interval =
-      static_cast<std::uint64_t>(cli.get_int("migration-interval"));
+      static_cast<std::uint64_t>(migration_interval);
   if (config.portfolio.diverse()) {
     std::printf("diverse: %u island%s, portfolio %s, controller %s\n",
                 config.portfolio.islands,
@@ -257,9 +257,6 @@ int run(int argc, char** argv) {
   const std::string metrics_path = cli.get_string("metrics");
   const std::string trace_path = cli.get_string("trace");
   const std::string report_path = cli.get_string("report");
-  const std::int64_t http_port = cli.get_int("http-port");
-  ABSQ_CHECK(http_port >= -1 && http_port <= 65535,
-             "--http-port must be in [0, 65535], or -1 for off");
   std::unique_ptr<absq::obs::MetricsRegistry> registry;
   std::unique_ptr<absq::obs::EventTracer> tracer;
   if (!metrics_path.empty() || !report_path.empty() || http_port >= 0) {
@@ -287,7 +284,7 @@ int run(int argc, char** argv) {
   if (const std::string target = cli.get_string("target"); !target.empty()) {
     stop.target_energy = std::stoll(target);
   }
-  stop.max_flips = static_cast<std::uint64_t>(cli.get_int("max-flips"));
+  stop.max_flips = static_cast<std::uint64_t>(max_flips);
   ABSQ_CHECK(stop.bounded(),
              "set at least one of --seconds / --target / --max-flips");
 
