@@ -45,10 +45,6 @@ class NoisyWindowPolicy final : public absq::SelectionPolicy {
 
   void reset() override { offset_ = 0; }
 
-  [[nodiscard]] std::unique_ptr<absq::SelectionPolicy> clone() const override {
-    return std::make_unique<NoisyWindowPolicy>(window_, top_k_);
-  }
-
  private:
   absq::BitIndex window_;
   absq::BitIndex top_k_;
@@ -77,7 +73,7 @@ int main(int argc, char** argv) {
   };
   Entry entries[] = {
       {"window l=16 (paper)", std::make_unique<absq::WindowMinDeltaPolicy>(16)},
-      {"greedy l=n", std::make_unique<absq::GreedyMinDeltaPolicy>()},
+      {"greedy l=n", std::make_unique<absq::WindowMinDeltaPolicy>(n)},
       {"random l=1", std::make_unique<absq::RandomBitPolicy>()},
       {"noisy window (custom)", std::make_unique<NoisyWindowPolicy>(32, 4)},
   };

@@ -37,7 +37,6 @@ run_bench() {
     run_bench build/bench/bench_table3_comparison
     run_bench build/bench/bench_ablation_window --flips 50000
     run_bench build/bench/bench_ablation_ga --flips 100000
-    run_bench build/bench/bench_ablation_adaptive --flips 100000
     run_bench build/bench/bench_kernels --benchmark_min_time=0.05s
   else
     for bench in build/bench/*; do

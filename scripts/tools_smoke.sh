@@ -127,7 +127,8 @@ set -e
 
 # A run whose only stop criterion is a flip budget, and whose every report
 # is dropped, still ends: each block iteration rings the parked host, which
-# sees the budget crossed and fails the run (nothing was ever reported).
+# sees the budget crossed and fails the run (nothing was ever reported),
+# naming the flip budget as what ended it.
 set +e
 start=$SECONDS
 ABSQ_FAILPOINTS=mailbox.solution_push=every:1 timeout 60 \
@@ -137,7 +138,8 @@ code=$?
 elapsed=$((SECONDS - start))
 set -e
 [[ "$code" == "1" ]] || fail "budget-only run with dropped reports exited $code"
-grep -q "run ended before any device reported" "$WORK/budget.err" \
+grep -q "run ended before any device reported: the flip budget was spent" \
+  "$WORK/budget.err" \
   || fail "budget-only run with dropped reports gave no diagnosis"
 (( elapsed < 10 )) \
   || fail "budget-only run with dropped reports took ${elapsed} s"
@@ -177,6 +179,12 @@ expect_usage_error absq_solve --http-port 65536 "$WORK/r.qubo" --seconds 0.1
 # The retired 32-bit Δ opt-in is an unknown flag now (every kernel is int32).
 USAGE_ERROR="unknown flag --delta32" \
   expect_usage_error absq_solve --delta32 true "$WORK/r.qubo" --seconds 0.1
+# The retired window-ladder mode is an unknown flag too: blocks vary their
+# search only through --portfolio.
+USAGE_ERROR="unknown flag --adaptive" \
+  expect_usage_error absq_solve --adaptive true "$WORK/r.qubo" --seconds 0.1
+USAGE_ERROR="unknown flag --adaptive" \
+  expect_usage_error absq_serve --adaptive true --port 0
 # `dense` names no kernel form: dense-simd is the one dense form.
 expect_usage_error absq_solve --kernel dense "$WORK/r.qubo" --seconds 0.1
 expect_usage_error absq_solve --format bogus "$WORK/r.qubo" --seconds 0.1

@@ -78,15 +78,9 @@ Device::Device(const WeightMatrix& w, const DeviceConfig& config)
     block_config.local_steps = local_steps;
     block_config.seed =
         mix64(config.seed ^ (0x9e3779b97f4a7c15ULL * (config.device_id + 1)));
-    block_config.policy_prototype = config.policy_prototype;
-    if (config.adaptive && config.policy_prototype == nullptr) {
-      block_config.adaptive_windows = ladder;
-      block_config.stagnation_limit = config.stagnation_limit;
-    }
     if (!config.algorithm_schedule.empty()) {
       block_config.algorithm =
           config.algorithm_schedule[b % config.algorithm_schedule.size()];
-      block_config.algorithm_options = config.algorithm_options;
     }
     block_config.tracer = config.telemetry.tracer;
     block_config.trace_pid_base = config.telemetry.pid_base;

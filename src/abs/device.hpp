@@ -71,22 +71,14 @@ struct DeviceConfig {
   /// floor 1 — resolved by the owning solver, or against a device count
   /// of 1 for a standalone Device). SyncAbsRunner forces 1.
   std::optional<std::uint32_t> threads_per_device;
-  /// Window lengths (l) assigned to blocks round-robin. Empty = a geometric
-  /// ladder 2, 4, 8, ..., n/2 (the parallel-tempering default).
+  /// Window lengths (l) assigned to blocks round-robin; a block's min-Δ
+  /// member keeps its l for the whole run. Empty = a geometric ladder
+  /// 2, 4, 8, ..., n/2 (the parallel-tempering default).
   std::vector<BitIndex> window_schedule;
-  /// Optional custom Step 4b policy, cloned per block; must outlive the
-  /// device. Overrides window_schedule/adaptive.
-  const SelectionPolicy* policy_prototype = nullptr;
-  /// Adaptive mode (paper future work): blocks whose reports stagnate for
-  /// `stagnation_limit` iterations advance their window along the ladder.
-  bool adaptive = false;
-  std::uint32_t stagnation_limit = 4;
   /// Diverse-ABS portfolio: initial Step 4b member assigned to block b is
   /// algorithm_schedule[b % size]. Empty = every block runs the legacy
   /// windowed min-Δ search (bit-identical to the pre-portfolio device).
   std::vector<portfolio::BlockAlgorithmKind> algorithm_schedule;
-  /// Tuning knobs shared by all non-default portfolio members.
-  portfolio::AlgorithmOptions algorithm_options;
   std::uint64_t seed = 1;
   /// Flip-kernel plan options. The default auto-selects the cheapest
   /// bit-identical form per instance (sparse CSR on sparse matrices,

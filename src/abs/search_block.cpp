@@ -1,6 +1,5 @@
 #include "abs/search_block.hpp"
 
-#include "search/stop.hpp"
 #include "search/straight.hpp"
 #include "util/check.hpp"
 
@@ -27,32 +26,9 @@ BitIndex SearchBlock::staggered_offset() const {
   return (config_.block_id * 97u) % w_->size();
 }
 
-std::unique_ptr<SelectionPolicy> SearchBlock::make_min_delta_policy() {
-  if (config_.policy_prototype != nullptr) {
-    current_window_ = 0;  // unknown for custom policies
-    return config_.policy_prototype->clone();
-  }
-  BitIndex window = config_.window;
-  if (!config_.adaptive_windows.empty()) {
-    window = config_.adaptive_windows[ladder_index_];
-  }
-  current_window_ = window;
-  return std::make_unique<WindowMinDeltaPolicy>(window, staggered_offset());
-}
-
 void SearchBlock::set_algorithm(portfolio::BlockAlgorithmKind kind) {
-  if (kind == portfolio::BlockAlgorithmKind::kMinDelta) {
-    auto algorithm =
-        std::make_unique<portfolio::MinDeltaAlgorithm>(make_min_delta_policy());
-    min_delta_ = algorithm.get();
-    algorithm_ = std::move(algorithm);
-  } else {
-    min_delta_ = nullptr;
-    current_window_ = 0;
-    algorithm_ = portfolio::make_block_algorithm(
-        kind, config_.algorithm_options, nullptr);
-  }
-  kind_ = kind;
+  algorithm_ = portfolio::make_block_algorithm(
+      kind, config_.algorithm_options, config_.window, staggered_offset());
 }
 
 SearchBlock::SearchBlock(const WeightMatrix& w, const Config& config)
@@ -61,38 +37,9 @@ SearchBlock::SearchBlock(const WeightMatrix& w, const Config& config)
       state_(make_block_state(w, config)),
       rng_(Rng(config.seed).split(config.block_id)) {
   ABSQ_CHECK(config.local_steps >= 1, "local_steps must be at least 1");
-  if (config_.policy_prototype == nullptr &&
-      !config_.adaptive_windows.empty()) {
-    ABSQ_CHECK(config_.stagnation_limit >= 1,
-               "stagnation_limit must be at least 1");
-    // Start each block at its own ladder rung.
-    ladder_index_ = config_.block_id % config_.adaptive_windows.size();
-  }
   set_algorithm(config_.algorithm);
   stats_.ops += state_.matrix_reads();  // Step 1 initialization (diagonal)
   stats_.evaluated_solutions += state_.size() + 1;
-}
-
-void SearchBlock::adapt_on_stagnation(Energy reported_energy) {
-  if (config_.adaptive_windows.empty() ||
-      config_.policy_prototype != nullptr || min_delta_ == nullptr) {
-    return;
-  }
-  if (!any_report_ || reported_energy < best_reported_) {
-    best_reported_ = reported_energy;
-    any_report_ = true;
-    stagnant_iterations_ = 0;
-    return;
-  }
-  if (++stagnant_iterations_ < config_.stagnation_limit) return;
-
-  // Advance the ladder: a stuck cold block warms up (and vice versa).
-  stagnant_iterations_ = 0;
-  ++policy_switches_;
-  ladder_index_ = (ladder_index_ + 1) % config_.adaptive_windows.size();
-  current_window_ = config_.adaptive_windows[ladder_index_];
-  min_delta_->set_policy(std::make_unique<WindowMinDeltaPolicy>(
-      current_window_, staggered_offset()));
 }
 
 sim::ReportedSolution SearchBlock::iterate(const BitVector& target,
@@ -105,7 +52,7 @@ sim::ReportedSolution SearchBlock::iterate(const BitVector& target,
       kNoAlgorithmRequest, std::memory_order_acq_rel);
   if (requested != kNoAlgorithmRequest) {
     const auto kind = static_cast<portfolio::BlockAlgorithmKind>(requested);
-    if (kind != kind_) {
+    if (kind != algorithm_->kind()) {
       set_algorithm(kind);
       ++algorithm_switches_;
     }
@@ -140,13 +87,8 @@ sim::ReportedSolution SearchBlock::iterate(const BitVector& target,
 
   // Step 5: report the iteration's best. A complete iteration flipped at
   // least once (local_steps >= 1), so its tracker is valid; a stopped one
-  // may have flipped nothing and reports where it stands. Its truncated
-  // best says nothing about stagnation.
-  if (stop_raised(stop)) {
-    if (!tracker_.valid()) (void)tracker_.offer(state_.bits(), state_.energy());
-  } else {
-    adapt_on_stagnation(tracker_.energy());
-  }
+  // may have flipped nothing and reports where it stands.
+  if (!tracker_.valid()) (void)tracker_.offer(state_.bits(), state_.energy());
   return sim::ReportedSolution{tracker_.best(), tracker_.energy(),
                                config_.device_id, config_.block_id};
 }

@@ -18,22 +18,18 @@
 // (portfolio/block_algorithm.hpp). By default each block runs the paper's
 // windowed min-Δ policy (Fig. 2) with its own window length l — the
 // temperature analogue, so a device runs a parallel-tempering-like ladder —
-// and that default is bit-identical to the pre-portfolio solver. Three
-// extensions are built in:
-//   * an arbitrary SelectionPolicy prototype can be stamped onto blocks
-//     ("each CUDA block would perform different algorithms"),
-//   * adaptive mode: a min-Δ block whose reports stagnate for a
-//     configurable number of iterations advances its window length along a
-//     ladder ("... and possibly they are changed automatically"), and
-//   * the portfolio: a block can run SA-scheduled acceptance or Lewis-2017
-//     multi-start instead, and the adaptive controller can re-assign the
-//     member at runtime through the lock-free request_algorithm handoff.
+// and that default is bit-identical to the pre-portfolio solver. The
+// portfolio is the one way a block varies its search (the paper's "each
+// CUDA block would perform different algorithms and possibly they are
+// changed automatically"): a block can run SA-scheduled acceptance or
+// Lewis-2017 multi-start instead, each with its own stagnation reheat or
+// restart, and the adaptive controller can re-assign the member at
+// runtime through the lock-free request_algorithm handoff.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "portfolio/block_algorithm.hpp"
@@ -41,7 +37,6 @@
 #include "qubo/delta_state.hpp"
 #include "qubo/kernel.hpp"
 #include "qubo/weight_matrix.hpp"
-#include "search/policy.hpp"
 #include "search/stats.hpp"
 #include "search/tracker.hpp"
 #include "sim/mailbox.hpp"
@@ -58,17 +53,8 @@ class SearchBlock {
     BitIndex window = 16;
     /// Fixed flip count of the Step 4b local search.
     std::uint64_t local_steps = 1024;
-    /// Seed for the RNG handed to the policy.
+    /// Seed for the RNG handed to the portfolio member.
     std::uint64_t seed = 1;
-    /// Optional custom policy; cloned per block when set (the default
-    /// windowed min-Δ policy is used otherwise). Not owned. Only the
-    /// min-Δ portfolio member uses it.
-    const SelectionPolicy* policy_prototype = nullptr;
-    /// Non-empty enables adaptive mode: on stagnation the block's window
-    /// advances through this ladder (ignored when policy_prototype set).
-    std::vector<BitIndex> adaptive_windows;
-    /// Iterations without a best-report improvement before adapting.
-    std::uint32_t stagnation_limit = 4;
     /// Initial portfolio member for Step 4b (Diverse ABS). kMinDelta is
     /// the legacy solver.
     portfolio::BlockAlgorithmKind algorithm =
@@ -99,9 +85,8 @@ class SearchBlock {
   /// `stop` is the owning device's stop flag (null = never stopped). Once
   /// it is raised the straight walk and the Step 4b loop each return
   /// within 64 steps, and the iteration reports its best so far — an
-  /// exact energy, or the current solution when nothing was flipped — and
-  /// leaves the adaptive ladder alone. The block stays consistent for a
-  /// later iteration.
+  /// exact energy, or the current solution when nothing was flipped. The
+  /// block stays consistent for a later iteration.
   [[nodiscard]] sim::ReportedSolution iterate(
       const BitVector& target, const std::atomic<bool>* stop = nullptr);
 
@@ -110,16 +95,6 @@ class SearchBlock {
   [[nodiscard]] Energy current_energy() const { return state_.energy(); }
 
   [[nodiscard]] const Config& config() const { return config_; }
-
-  /// Window length currently in use (== config().window unless adaptive
-  /// mode has switched it; 0 when a custom policy prototype or a
-  /// non-min-Δ portfolio member is active).
-  [[nodiscard]] BitIndex current_window() const { return current_window_; }
-
-  /// Times adaptive mode advanced the ladder.
-  [[nodiscard]] std::uint64_t policy_switches() const {
-    return policy_switches_;
-  }
 
   /// Asks the block to switch its Step 4b portfolio member at the start
   /// of its next iteration — the controller's reallocation primitive.
@@ -133,7 +108,7 @@ class SearchBlock {
   /// Current portfolio member. Read from the owning worker thread, or
   /// from the host only while the device is stopped.
   [[nodiscard]] portfolio::BlockAlgorithmKind algorithm_kind() const {
-    return kind_;
+    return algorithm_->kind();
   }
 
   /// Times a request_algorithm handoff actually changed the member.
@@ -150,11 +125,7 @@ class SearchBlock {
   static constexpr std::uint8_t kNoAlgorithmRequest = 0xff;
 
   [[nodiscard]] BitIndex staggered_offset() const;
-  void adapt_on_stagnation(Energy reported_energy);
-  /// The min-Δ member's selection policy at the current ladder rung /
-  /// prototype (updates current_window_ as a side effect).
-  [[nodiscard]] std::unique_ptr<SelectionPolicy> make_min_delta_policy();
-  /// Replaces the active portfolio member.
+  /// Replaces the active portfolio member with a fresh one.
   void set_algorithm(portfolio::BlockAlgorithmKind kind);
 
   const WeightMatrix* w_;
@@ -162,18 +133,8 @@ class SearchBlock {
   DeltaState state_;
   BestTracker tracker_;
   std::unique_ptr<portfolio::BlockAlgorithm> algorithm_;
-  /// Non-null iff algorithm_ is the min-Δ member (the ladder's hook).
-  portfolio::MinDeltaAlgorithm* min_delta_ = nullptr;
-  portfolio::BlockAlgorithmKind kind_ =
-      portfolio::BlockAlgorithmKind::kMinDelta;
   std::atomic<std::uint8_t> requested_algorithm_{kNoAlgorithmRequest};
   std::uint64_t algorithm_switches_ = 0;
-  BitIndex current_window_ = 0;
-  std::size_t ladder_index_ = 0;
-  Energy best_reported_ = 0;
-  bool any_report_ = false;
-  std::uint32_t stagnant_iterations_ = 0;
-  std::uint64_t policy_switches_ = 0;
   Rng rng_;
   SearchStats stats_;
   std::uint64_t iterations_ = 0;

@@ -29,12 +29,10 @@ portfolio::IslandSet::Config island_config(const AbsConfig& config) {
   islands.islands = config.portfolio.islands;
   islands.pool_capacity = config.pool_capacity;
   islands.ga = config.ga;
-  islands.diversify_ga = config.portfolio.diversify_ga;
   islands.migration_interval =
       config.portfolio.islands > 1
           ? config.portfolio.effective_migration_interval()
           : 0;
-  islands.migration_k = config.portfolio.migration_k;
   islands.seed = config.seed;
   islands.telemetry = config.telemetry;
   return islands;
@@ -46,9 +44,6 @@ portfolio::AdaptiveController::Config controller_config(
   controller.islands = config.portfolio.islands;
   controller.algorithms = config.portfolio.algorithm_list();
   controller.enabled = config.portfolio.controller;
-  controller.credit_decay = config.portfolio.credit_decay;
-  controller.softmax_temperature = config.portfolio.softmax_temperature;
-  controller.exploration_floor = config.portfolio.exploration_floor;
   controller.realloc_interval = config.portfolio.realloc_interval;
   controller.seed = config.seed;
   controller.telemetry = config.telemetry;
@@ -95,7 +90,6 @@ AbsSolver::AbsSolver(const WeightMatrix& w, AbsConfig config)
       slot.config.algorithm_schedule[j] =
           controller_.arm((d + j) % num_arms).algorithm;
     }
-    slot.config.algorithm_options = config_.portfolio.options;
     slot.device = make_device(d, /*incarnation=*/0);
     for (std::uint32_t b = 0; b < slot.device->block_count(); ++b) {
       (void)controller_.register_block(d, b);
@@ -588,9 +582,25 @@ AbsResult AbsSolver::finish_run(const StopCriteria& stop, double seconds,
                               << slot.failure);
       }
     }
+    // Otherwise name what ended the run; only the lockstep runner ends
+    // on none of the criteria below.
+    const char* cause = "the lockstep rounds ran out";
+    if (run_.cancelled) {
+      cause = "the run was cancelled";
+    } else if (std::all_of(devices_.begin(), devices_.end(),
+                           [](const DeviceSlot& slot) {
+                             return slot.health == DeviceHealth::kStalled;
+                           })) {
+      cause = "every device stalled";
+    } else if (stop.max_flips > 0 &&
+               flips_across_devices() - rate_base_flips >= stop.max_flips) {
+      cause = "the flip budget was spent — raise the flip budget";
+    } else if (stop.time_limit_seconds > 0.0 &&
+               seconds >= stop.time_limit_seconds) {
+      cause = "the time limit passed — raise the time limit";
+    }
+    ABSQ_CHECK(false, "run ended before any device reported: " << cause);
   }
-  ABSQ_CHECK(islands_.evaluated_count() > 0,
-             "run ended before any device reported — raise the time limit");
 
   AbsResult result = run_;
   result.seconds = seconds;

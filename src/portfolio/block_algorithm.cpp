@@ -91,16 +91,6 @@ std::string portfolio_to_string(
 
 // --- MinDeltaAlgorithm -----------------------------------------------------
 
-MinDeltaAlgorithm::MinDeltaAlgorithm(std::unique_ptr<SelectionPolicy> policy)
-    : policy_(std::move(policy)) {
-  ABSQ_CHECK(policy_ != nullptr, "min-delta algorithm needs a policy");
-}
-
-void MinDeltaAlgorithm::set_policy(std::unique_ptr<SelectionPolicy> policy) {
-  ABSQ_CHECK(policy != nullptr, "min-delta algorithm needs a policy");
-  policy_ = std::move(policy);
-}
-
 void MinDeltaAlgorithm::step(DeltaState& state, BestTracker& tracker,
                              SearchStats& stats, Rng& rng,
                              std::uint64_t local_steps,
@@ -111,7 +101,7 @@ void MinDeltaAlgorithm::step(DeltaState& state, BestTracker& tracker,
   // stop test reads nothing when the flag is null, as the pin passes it.)
   for (std::uint64_t s = 0; s < local_steps; ++s) {
     if (stop_due(stop, s)) return;
-    const BitIndex k = policy_->select(state, rng);
+    const BitIndex k = policy_.select(state, rng);
     commit_flip(state, tracker, stats, k);
   }
 }
@@ -275,11 +265,10 @@ void MultiStartAlgorithm::step(DeltaState& state, BestTracker& tracker,
 
 std::unique_ptr<BlockAlgorithm> make_block_algorithm(
     BlockAlgorithmKind kind, const AlgorithmOptions& options,
-    std::unique_ptr<SelectionPolicy> min_delta_policy) {
+    BitIndex window, BitIndex start_offset) {
   switch (kind) {
     case BlockAlgorithmKind::kMinDelta:
-      return std::make_unique<MinDeltaAlgorithm>(
-          std::move(min_delta_policy));
+      return std::make_unique<MinDeltaAlgorithm>(window, start_offset);
     case BlockAlgorithmKind::kSa:
       return std::make_unique<SaAlgorithm>(options);
     case BlockAlgorithmKind::kMultiStart:

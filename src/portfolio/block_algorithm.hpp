@@ -105,12 +105,14 @@ class BlockAlgorithm {
 };
 
 /// The legacy windowed min-Δ member: runs SearchBlock's historical Step 4b
-/// loop over a pluggable SelectionPolicy. With a WindowMinDeltaPolicy this
-/// is bit-identical to the pre-portfolio solver (no RNG draws, same flip
+/// loop over the paper's window policy (Fig. 2), which it owns. It is
+/// bit-identical to the pre-portfolio solver (no RNG draws, same flip
 /// sequence) — the compatibility pin of the refactor.
 class MinDeltaAlgorithm final : public BlockAlgorithm {
  public:
-  explicit MinDeltaAlgorithm(std::unique_ptr<SelectionPolicy> policy);
+  /// `window` = l; `start_offset` = the block's staggered first window.
+  MinDeltaAlgorithm(BitIndex window, BitIndex start_offset)
+      : policy_(window, start_offset) {}
 
   [[nodiscard]] BlockAlgorithmKind kind() const override {
     return BlockAlgorithmKind::kMinDelta;
@@ -120,12 +122,8 @@ class MinDeltaAlgorithm final : public BlockAlgorithm {
             Rng& rng, std::uint64_t local_steps,
             const std::atomic<bool>* stop = nullptr) override;
 
-  /// Swaps the selection policy in place — the adaptive window ladder's
-  /// hook (SearchBlock::adapt_on_stagnation).
-  void set_policy(std::unique_ptr<SelectionPolicy> policy);
-
  private:
-  std::unique_ptr<SelectionPolicy> policy_;
+  WindowMinDeltaPolicy policy_;
 };
 
 /// SA-style temperature-scheduled acceptance. Candidates are uniform
@@ -189,11 +187,11 @@ class MultiStartAlgorithm final : public BlockAlgorithm {
   std::uint64_t restarts_ = 0;
 };
 
-/// Builds a portfolio member. `min_delta_policy` is consumed only by
-/// kMinDelta (the caller keeps its window/ladder bookkeeping); it must be
-/// non-null for that kind and is ignored otherwise.
+/// Builds a portfolio member. `window` and `start_offset` configure
+/// kMinDelta's window policy, `options` the other members; each kind
+/// ignores the rest.
 [[nodiscard]] std::unique_ptr<BlockAlgorithm> make_block_algorithm(
     BlockAlgorithmKind kind, const AlgorithmOptions& options,
-    std::unique_ptr<SelectionPolicy> min_delta_policy);
+    BitIndex window, BitIndex start_offset);
 
 }  // namespace absq::portfolio

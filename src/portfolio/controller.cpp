@@ -7,18 +7,26 @@
 #include "util/check.hpp"
 
 namespace absq::portfolio {
+namespace {
+
+/// Per-round multiplicative credit decay (the EWMA memory).
+constexpr double kCreditDecay = 0.9;
+/// Softmax temperature τ over arm credits (higher = flatter).
+constexpr double kSoftmaxTemperature = 4.0;
+/// Exploration floor ε: every arm keeps at least ε/num_arms of the
+/// assignment probability, so no member ever starves.
+constexpr double kExplorationFloor = 0.1;
+
+static_assert(kCreditDecay >= 0.0 && kCreditDecay <= 1.0);
+static_assert(kSoftmaxTemperature > 0.0);
+static_assert(kExplorationFloor >= 0.0 && kExplorationFloor <= 1.0);
+
+}  // namespace
 
 AdaptiveController::AdaptiveController(const Config& config)
     : config_(config), rng_(Rng(config.seed).split(0x9b97)) {
   ABSQ_CHECK(config.islands >= 1, "need at least one island");
   ABSQ_CHECK(!config.algorithms.empty(), "need at least one algorithm");
-  ABSQ_CHECK(config.exploration_floor >= 0.0 &&
-                 config.exploration_floor <= 1.0,
-             "exploration_floor must be in [0, 1]");
-  ABSQ_CHECK(config.softmax_temperature > 0.0,
-             "softmax_temperature must be positive");
-  ABSQ_CHECK(config.credit_decay >= 0.0 && config.credit_decay <= 1.0,
-             "credit_decay must be in [0, 1]");
   arms_.reserve(static_cast<std::size_t>(config.islands) *
                 config.algorithms.size());
   for (std::uint32_t island = 0; island < config.islands; ++island) {
@@ -89,15 +97,12 @@ std::vector<double> AdaptiveController::distribution() const {
   for (const Arm& arm : arms_) max_credit = std::max(max_credit, arm.credit);
   double total = 0.0;
   for (std::size_t a = 0; a < n; ++a) {
-    probs[a] = std::exp((arms_[a].credit - max_credit) /
-                        config_.softmax_temperature);
+    probs[a] = std::exp((arms_[a].credit - max_credit) / kSoftmaxTemperature);
     total += probs[a];
   }
-  const double floor =
-      config_.exploration_floor / static_cast<double>(n);
+  const double floor = kExplorationFloor / static_cast<double>(n);
   for (std::size_t a = 0; a < n; ++a) {
-    probs[a] = (1.0 - config_.exploration_floor) * (probs[a] / total) +
-               floor;
+    probs[a] = (1.0 - kExplorationFloor) * (probs[a] / total) + floor;
   }
   return probs;
 }
@@ -106,7 +111,7 @@ std::size_t AdaptiveController::note_round(
     const std::function<void(std::uint32_t, std::uint32_t, std::uint32_t)>&
         apply) {
   ++rounds_;
-  for (Arm& arm : arms_) arm.credit *= config_.credit_decay;
+  for (Arm& arm : arms_) arm.credit *= kCreditDecay;
   if (!config_.enabled || config_.realloc_interval == 0 ||
       rounds_ % config_.realloc_interval != 0 || blocks_.empty()) {
     return 0;

@@ -10,8 +10,9 @@
 //
 // — credit-weighted exploitation with an exploration floor ε that keeps
 // every arm alive (the "no member ever starves" guarantee the tests pin).
-// The legacy adaptive window ladder keeps running *inside* the min-Δ arm,
-// so it is subsumed as one member of the portfolio rather than removed.
+// The credit decay (0.9 per round), τ = 4 and ε = 0.1 are fixed
+// (controller.cpp). Moving blocks between members is the one way a run
+// changes its blocks' search at runtime.
 //
 // Single-threaded: lives on the host loop thread; the only cross-thread
 // effect is Device::request_block_algorithm, an atomic handoff applied by
@@ -37,9 +38,6 @@ class AdaptiveController {
     /// false = static striping only (credits are still tracked, but
     /// note_round never reallocates).
     bool enabled = false;
-    double credit_decay = 0.9;
-    double softmax_temperature = 4.0;
-    double exploration_floor = 0.1;
     /// GA rounds between reallocation passes.
     std::uint64_t realloc_interval = 16;
     std::uint64_t seed = 1;

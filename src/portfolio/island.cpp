@@ -39,16 +39,13 @@ GaConfig diversified_ga(const GaConfig& base, std::uint32_t island) {
 IslandSet::IslandSet(const Config& config) : config_(config) {
   ABSQ_CHECK(config.islands >= 1, "need at least one island");
   ABSQ_CHECK(config.pool_capacity >= 1, "island pools need capacity");
-  ABSQ_CHECK(config.migration_k >= 1, "migration_k must be at least 1");
   // Island 0 draws from the root stream itself, so a one-island set
   // replays the classic single-pool ABS stream exactly; the other islands
   // get independent splits.
   const Rng root(config.seed);
   islands_.reserve(config.islands);
   for (std::uint32_t i = 0; i < config.islands; ++i) {
-    const GaConfig ga =
-        config.diversify_ga ? diversified_ga(config.ga, i) : config.ga;
-    islands_.emplace_back(config.pool_capacity, ga,
+    islands_.emplace_back(config.pool_capacity, diversified_ga(config.ga, i),
                           i == 0 ? root : root.split(i));
   }
   if (obs::MetricsRegistry* registry = config.telemetry.metrics;
@@ -114,7 +111,7 @@ void IslandSet::migrate() {
   for (std::uint32_t i = 0; i < n; ++i) {
     const SolutionPool& pool = islands_[i].pool;
     for (std::size_t rank = 0;
-         rank < pool.size() && elites[i].size() < config_.migration_k;
+         rank < pool.size() && elites[i].size() < kMigrationElites;
          ++rank) {
       const SolutionPool::Entry& entry = pool.entry(rank);
       if (entry.energy == kUnevaluated) break;  // sorted: rest unevaluated

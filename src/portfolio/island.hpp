@@ -7,7 +7,8 @@
 // Island 0 runs the base operators on the root stream, which makes a
 // one-island set exactly the classic ABS pool.
 // Every `migration_interval` GA rounds the islands exchange elites over a
-// ring: island i copies its top-k evaluated entries into island (i+1)%N.
+// ring: island i copies its top kMigrationElites evaluated entries into
+// island (i+1)%N.
 //
 // Everything here runs on the single host-loop thread — no locking. The
 // migration schedule is a pure function of (seed, insert sequence), which
@@ -28,19 +29,19 @@ namespace absq::portfolio {
 
 class IslandSet {
  public:
+  /// Elites copied per island per migration.
+  static constexpr std::size_t kMigrationElites = 2;
+
   struct Config {
     std::uint32_t islands = 2;
     /// Capacity of EACH island pool (m per island, matching the paper's
     /// one-pool-per-GPU sizing).
     std::size_t pool_capacity = 128;
-    /// Base GA operators (island 0 always runs these verbatim).
+    /// Base GA operators: island 0 runs these verbatim, island i the
+    /// diversified_ga(ga, i) mix.
     GaConfig ga;
-    /// Diversify operators per island on a deterministic schedule.
-    bool diversify_ga = true;
     /// GA rounds between ring migrations; 0 disables migration.
     std::uint64_t migration_interval = 64;
-    /// Elites copied per island per migration.
-    std::uint32_t migration_k = 2;
     std::uint64_t seed = 1;
     /// Optional sinks: per-island best-energy gauges and migration
     /// counters (labels {island="<i>"}).

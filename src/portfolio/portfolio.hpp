@@ -33,28 +33,14 @@ struct PortfolioConfig {
   /// Portfolio members; blocks are striped across islands × algorithms.
   /// Empty = {kMinDelta} (the classic portfolio).
   std::vector<BlockAlgorithmKind> algorithms;
-  /// Tuning knobs shared by every non-default member.
-  AlgorithmOptions options;
-  /// Vary each island's GA operator mix (crossover/mutation/selection/
-  /// random-reseed rates) on a deterministic per-island schedule; false =
-  /// every island runs AbsConfig::ga verbatim.
-  bool diversify_ga = true;
   /// GA rounds between elite ring migrations. 0 = auto (64) when
-  /// islands > 1; ignored with a single island.
+  /// islands > 1; ignored with a single island. Island i breeds with
+  /// diversified_ga(AbsConfig::ga, i), island 0 with the base verbatim.
   std::uint64_t migration_interval = 0;
-  /// Elites copied per island per migration.
-  std::uint32_t migration_k = 2;
   /// Enables the adaptive (island, algorithm) controller: per-arm
   /// improvement credit, blocks reallocated by credit-weighted softmax
-  /// with an exploration floor.
+  /// with an exploration floor (portfolio/controller.hpp).
   bool controller = false;
-  /// Per-round multiplicative credit decay (EWMA memory).
-  double credit_decay = 0.9;
-  /// Softmax temperature over arm credits (higher = flatter).
-  double softmax_temperature = 4.0;
-  /// Exploration floor ε: every arm keeps at least ε/num_arms of the
-  /// assignment probability, so no member ever starves.
-  double exploration_floor = 0.1;
   /// GA rounds between controller reallocation passes.
   std::uint64_t realloc_interval = 16;
 

@@ -5,17 +5,13 @@
 // consecutive bits starting at a rotating offset and flips the bit with
 // minimum Δ inside it; l acts as an inverse temperature (l = 1 ≈ random
 // walk, l = n = steepest descent) and needs no random numbers in the inner
-// loop. We provide that policy plus the two degenerate ends as named types,
-// and a type-erasing wrapper so callers can plug in custom policies (the
-// "adaptively change the local search algorithm" hook of the paper).
+// loop. We provide that policy and the random-walk end as named types; the
+// SelectionPolicy interface lets callers of Algorithm 4
+// (proposed_local_search) plug in their own. In the bulk search a block
+// varies its search only by running a portfolio member
+// (portfolio/block_algorithm.hpp), whose min-Δ member owns a
+// WindowMinDeltaPolicy.
 #pragma once
-
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "qubo/delta_state.hpp"
 #include "qubo/types.hpp"
@@ -36,14 +32,12 @@ class SelectionPolicy {
   /// Restarts any internal schedule (e.g. the window offset). Called when a
   /// block begins a new local-search phase.
   virtual void reset() {}
-
-  /// Polymorphic copy, used when one configured policy prototype is stamped
-  /// out across many search blocks.
-  [[nodiscard]] virtual std::unique_ptr<SelectionPolicy> clone() const = 0;
 };
 
 /// The paper's windowed min-Δ policy (Fig. 2): deterministic offset
-/// rotation, no RNG use.
+/// rotation, no RNG use. With l ≥ n and start offset 0 it is steepest
+/// descent: the offset advances by n mod n = 0, so every step scans all n
+/// bits from bit 0.
 class WindowMinDeltaPolicy final : public SelectionPolicy {
  public:
   /// `window` = l, the number of bits compared per step (≥ 1). The window
@@ -67,93 +61,10 @@ class WindowMinDeltaPolicy final : public SelectionPolicy {
 
   void reset() override { offset_ = start_offset_; }
 
-  [[nodiscard]] std::unique_ptr<SelectionPolicy> clone() const override {
-    return std::make_unique<WindowMinDeltaPolicy>(window_, start_offset_);
-  }
-
-  [[nodiscard]] BitIndex window() const { return window_; }
-
  private:
   BitIndex window_;
   BitIndex start_offset_;
   BitIndex offset_;
-};
-
-/// Steepest descent: always flips the global min-Δ bit (the l = n end).
-class GreedyMinDeltaPolicy final : public SelectionPolicy {
- public:
-  BitIndex select(const DeltaState& state, Rng&) override {
-    return state.argmin_window(0, state.size());
-  }
-
-  [[nodiscard]] std::unique_ptr<SelectionPolicy> clone() const override {
-    return std::make_unique<GreedyMinDeltaPolicy>();
-  }
-};
-
-/// SA-flavoured stochastic variant of the window policy: instead of the
-/// deterministic window minimum, a bit is drawn from the window with
-/// probability ∝ exp(−(Δ_i − Δ_min)/temperature). temperature → 0
-/// degenerates to WindowMinDeltaPolicy, temperature → ∞ to a uniform pick
-/// inside the window. This is the "any policy, including SA" hook of the
-/// paper's Section 2.1, usable per block through DeviceConfig's policy
-/// prototype.
-class SoftminWindowPolicy final : public SelectionPolicy {
- public:
-  SoftminWindowPolicy(BitIndex window, double temperature,
-                      BitIndex start_offset = 0)
-      : window_(window),
-        temperature_(temperature),
-        start_offset_(start_offset),
-        offset_(start_offset) {
-    ABSQ_CHECK(window >= 1, "window length must be at least 1");
-    ABSQ_CHECK(temperature > 0.0, "temperature must be positive");
-  }
-
-  BitIndex select(const DeltaState& state, Rng& rng) override {
-    const BitIndex n = state.size();
-    const BitIndex len = window_ < n ? window_ : n;
-
-    // Two passes: find the window minimum (for numerical stability), then
-    // sample by cumulative weight.
-    Energy min_delta = state.delta(offset_ % n);
-    for (BitIndex step = 1; step < len; ++step) {
-      min_delta = std::min(min_delta, state.delta((offset_ + step) % n));
-    }
-    double total = 0.0;
-    weights_.resize(len);
-    for (BitIndex step = 0; step < len; ++step) {
-      const Energy d = state.delta((offset_ + step) % n);
-      weights_[step] =
-          std::exp(-static_cast<double>(d - min_delta) / temperature_);
-      total += weights_[step];
-    }
-    double draw = rng.uniform01() * total;
-    BitIndex chosen = offset_ % n;
-    for (BitIndex step = 0; step < len; ++step) {
-      draw -= weights_[step];
-      if (draw <= 0.0) {
-        chosen = (offset_ + step) % n;
-        break;
-      }
-    }
-    offset_ = (offset_ + len) % n;
-    return chosen;
-  }
-
-  void reset() override { offset_ = start_offset_; }
-
-  [[nodiscard]] std::unique_ptr<SelectionPolicy> clone() const override {
-    return std::make_unique<SoftminWindowPolicy>(window_, temperature_,
-                                                 start_offset_);
-  }
-
- private:
-  BitIndex window_;
-  double temperature_;
-  BitIndex start_offset_;
-  BitIndex offset_;
-  std::vector<double> weights_;
 };
 
 /// Uniform random bit (the l = 1 end — "infinite temperature").
@@ -161,10 +72,6 @@ class RandomBitPolicy final : public SelectionPolicy {
  public:
   BitIndex select(const DeltaState& state, Rng& rng) override {
     return static_cast<BitIndex>(rng.below(state.size()));
-  }
-
-  [[nodiscard]] std::unique_ptr<SelectionPolicy> clone() const override {
-    return std::make_unique<RandomBitPolicy>();
   }
 };
 

@@ -401,7 +401,7 @@ const std::vector<HotPathRoot>& hot_path_roots() {
   static const std::vector<HotPathRoot> kHotPaths = {
       {"src/abs/search_block.cpp",
        "SearchBlock",
-       {"iterate", "adapt_on_stagnation", "staggered_offset"}},
+       {"iterate", "staggered_offset"}},
       {"src/abs/device.cpp",
        "Device",
        {"iterate_block", "run_shard", "step_all_blocks_once"}},

@@ -251,6 +251,44 @@ TEST(ProposedLocalSearch, BeatsRandomSamplingOnMediumInstance) {
   EXPECT_LT(outcome.best_energy, random_best);
 }
 
+/// A user policy: counts its calls and flips a uniformly random bit.
+class CountingPolicy final : public SelectionPolicy {
+ public:
+  BitIndex select(const DeltaState& state, Rng& rng) override {
+    ++selects;
+    return static_cast<BitIndex>(rng.below(state.size()));
+  }
+
+  void reset() override { ++resets; }
+
+  std::uint64_t selects = 0;
+  std::uint64_t resets = 0;
+};
+
+TEST(ProposedLocalSearch, CallsACustomPolicyOncePerFlip) {
+  // Algorithm 4's extension point: any SelectionPolicy drives the forced
+  // flips. The warm-up walk to the start vector asks it nothing, and the
+  // search keeps exact energies and one matrix read per evaluated
+  // solution whichever bits the policy picks.
+  const BitIndex n = 64;
+  const WeightMatrix w = random_matrix(n, 32);
+  Rng rng(33);
+  CountingPolicy policy;
+  ProposedSearchOptions opts;
+  opts.steps = 250;
+  opts.policy = &policy;
+  for (std::uint64_t run = 1; run <= 3; ++run) {
+    const BitVector start = BitVector::random(n, rng);
+    const auto outcome = proposed_local_search(w, start, opts, rng);
+    EXPECT_EQ(policy.selects, run * opts.steps);
+    EXPECT_EQ(policy.resets, run);
+    EXPECT_EQ(outcome.stats.flips, start.popcount() + opts.steps);
+    EXPECT_EQ(outcome.best_energy, full_energy(w, outcome.best));
+    EXPECT_EQ(outcome.last_energy, full_energy(w, outcome.last));
+    EXPECT_NEAR(outcome.stats.efficiency(), 1.0, 1e-3);
+  }
+}
+
 TEST(Acceptors, GreedyAcceptsOnlyDownhill) {
   Rng rng(30);
   const Acceptor accept = greedy_acceptor();

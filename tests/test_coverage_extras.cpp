@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "abs/solver.hpp"
-#include "abs/sync_runner.hpp"
 #include "ga/operators.hpp"
 #include "problems/maxcut.hpp"
 #include "problems/random.hpp"
@@ -76,18 +75,6 @@ TEST(DeviceExtras, BlockOffsetsAreStaggered) {
   EXPECT_EQ(currents.size(), 3u) << "equal-l blocks walked identical paths";
 }
 
-TEST(SearchBlockExtras, PrototypeOverridesAdaptiveMode) {
-  const WeightMatrix w = random_qubo(32, 5);
-  GreedyMinDeltaPolicy prototype;
-  SearchBlock::Config config;
-  config.local_steps = 8;
-  config.policy_prototype = &prototype;
-  config.adaptive_windows = {2, 4};  // must be ignored with a prototype
-  SearchBlock block(w, config);
-  for (int i = 0; i < 20; ++i) (void)block.iterate(block.current());
-  EXPECT_EQ(block.policy_switches(), 0u);
-}
-
 TEST(SolverExtras, WarmStartWorksThroughAbsSolver) {
   const WeightMatrix w = random_qubo(48, 6);
   // Find something decent first.
@@ -126,18 +113,6 @@ TEST(SolverExtras, PoolCapacityOneStillSolves) {
   stop.time_limit_seconds = 30.0;
   const AbsResult result = solver.run(stop);
   EXPECT_EQ(result.best_energy, full_energy(w, result.best));
-}
-
-TEST(SolverExtras, SyncRunnerWithAdaptiveDevicesIsDeterministic) {
-  const WeightMatrix w = random_qubo(48, 10);
-  AbsConfig config;
-  config.device.block_limit = 4;
-  config.device.adaptive = true;
-  config.device.stagnation_limit = 2;
-  config.seed = 11;
-  SyncAbsRunner a(w, config);
-  SyncAbsRunner b(w, config);
-  EXPECT_EQ(a.run_rounds(12).best_energy, b.run_rounds(12).best_energy);
 }
 
 TEST(IsingExtras, HandBuiltModelHasUnitScale) {

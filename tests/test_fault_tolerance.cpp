@@ -58,6 +58,18 @@ AbsConfig stalled_host_config(const WeightMatrix& w) {
   return config;
 }
 
+/// The message of the error a run must end with ("" after recording a
+/// failure when the run returned a result).
+std::string failed_run_message(AbsSolver& solver, const StopCriteria& stop) {
+  try {
+    (void)solver.run(stop);
+  } catch (const std::exception& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "a run with no report returned a result";
+  return "";
+}
+
 TEST_F(FaultToleranceTest, ThrownDeviceIsQuarantinedAndRunContinues) {
   const WeightMatrix w = random_qubo(64, 11);
   fail::Registry::instance().arm_from_directives("device.iterate@1=once");
@@ -185,21 +197,64 @@ TEST_F(FaultToleranceTest, FlipBudgetEndsARunWhoseEveryReportIsDropped) {
     if (!ended.load()) solver.request_stop();
   });
   const auto start = std::chrono::steady_clock::now();
-  try {
-    (void)solver.run(stop);
-    ADD_FAILURE() << "a run with no report returned a result";
-  } catch (const std::exception& error) {
-    EXPECT_NE(std::string(error.what())
-                  .find("run ended before any device reported"),
-              std::string::npos)
-        << error.what();
-  }
+  const std::string message = failed_run_message(solver, stop);
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
   ended.store(true);
   backstop.join();
   EXPECT_LT(seconds, 2.0);
+  // The diagnosis names the criterion that ended the run.
+  EXPECT_NE(message.find("run ended before any device reported"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("flip budget"), std::string::npos) << message;
+  EXPECT_EQ(message.find("time limit"), std::string::npos) << message;
+}
+
+TEST_F(FaultToleranceTest, TimeLimitEndsARunWhoseEveryReportIsDropped) {
+  const WeightMatrix w = random_qubo(64, 20);
+  fail::Registry::instance().arm_from_directives(
+      "mailbox.solution_push=every:1");
+
+  AbsSolver solver(w, small_config(1));
+  StopCriteria stop;
+  stop.time_limit_seconds = 0.3;
+  const std::string message = failed_run_message(solver, stop);
+  EXPECT_NE(message.find("run ended before any device reported"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("raise the time limit"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("flip budget"), std::string::npos) << message;
+}
+
+TEST_F(FaultToleranceTest, EveryDeviceStalledBeforeAnyReportSaysSo) {
+  const WeightMatrix w = random_qubo(64, 21);
+  // Every worker hangs in its first iteration; the watchdog quarantines
+  // both devices and the run ends on the degraded-mode floor. The stop
+  // cancels the stalls, and the reports those iterations then push are
+  // dropped too.
+  fail::Registry::instance().arm_from_directives(
+      "device.iterate=stall:30,mailbox.solution_push=every:1");
+
+  AbsConfig config = small_config(2);
+  config.watchdog.stall_grace_seconds = 0.2;
+  AbsSolver solver(w, config);
+  StopCriteria stop;
+  stop.time_limit_seconds = 30.0;  // never reached — the run ends early
+  const auto start = std::chrono::steady_clock::now();
+  const std::string message = failed_run_message(solver, stop);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            10.0);
+  EXPECT_NE(message.find("run ended before any device reported"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("every device stalled"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("time limit"), std::string::npos) << message;
 }
 
 TEST_F(FaultToleranceTest, StalledDeviceIsQuarantinedWithinGrace) {

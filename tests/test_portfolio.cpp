@@ -82,31 +82,6 @@ TEST(PortfolioLockstep, PlainSearchBlockMatchesPreRefactorGolden) {
   EXPECT_EQ(block.algorithm_switches(), 0u);
 }
 
-TEST(PortfolioLockstep, AdaptiveLadderMatchesPreRefactorGolden) {
-  const WeightMatrix w = golden_matrix(48, 9);
-  SearchBlock::Config config;
-  config.device_id = 0;
-  config.block_id = 3;
-  config.window = 4;
-  config.local_steps = 32;
-  config.seed = 11;
-  config.adaptive_windows = {2, 4, 8, 16};
-  config.stagnation_limit = 2;
-  SearchBlock block(w, config);
-
-  const Energy expected[12] = {-12245, -12120, -12245, -12164,
-                               -9506,  -11303, -11561, -11767,
-                               -11978, -12245, -12245, -12245};
-  Rng rng(5);
-  for (int i = 0; i < 12; ++i) {
-    const BitVector target = BitVector::random(48, rng);
-    EXPECT_EQ(block.iterate(target).energy, expected[i]) << i;
-  }
-  EXPECT_EQ(block.current_window(), 2u);
-  EXPECT_EQ(block.policy_switches(), 5u);
-  EXPECT_EQ(block.stats().flips, 658u);
-}
-
 TEST(PortfolioLockstep, SyncRunnerMatchesPreRefactorGolden) {
   const WeightMatrix w = golden_matrix(64, 21);
   AbsConfig config;
@@ -279,7 +254,6 @@ IslandSet::Config island_config(std::uint32_t islands,
   config.islands = islands;
   config.pool_capacity = 8;
   config.migration_interval = interval;
-  config.migration_k = 2;
   config.seed = seed;
   return config;
 }

@@ -69,7 +69,6 @@ int run(int argc, char** argv) {
   cli.add_flag("threads", std::int64_t{1},
                "worker threads per device within each job");
   cli.add_flag("pool", std::int64_t{128}, "solution pool capacity per job");
-  cli.add_flag("adaptive", false, "enable adaptive window switching");
   cli.add_flag("watchdog-grace", 0.0,
                "per-job device stall grace in seconds (0 = off)");
   cli.add_flag("max-restarts", std::int64_t{1},
@@ -151,7 +150,6 @@ int run(int argc, char** argv) {
       static_cast<std::uint32_t>(blocks);
   manager_config.solver.device.threads_per_device =
       static_cast<std::uint32_t>(threads);
-  manager_config.solver.device.adaptive = cli.get_bool("adaptive");
   manager_config.solver.pool_capacity = static_cast<std::size_t>(pool);
   manager_config.solver.watchdog.stall_grace_seconds =
       cli.get_double("watchdog-grace");

@@ -8,7 +8,8 @@
 //   absq_solve graph.gset --format gset --target -11624
 //   absq_solve route.tsp  --format tsplib --seconds 30
 //   absq_solve formula.cnf --format dimacs --seconds 5
-//   absq_solve instance.qubo --devices 4 --adaptive --out best.sol
+//   absq_solve instance.qubo --devices 4 --portfolio min-delta,sa
+//              --out best.sol
 //   absq_solve instance.qubo --seconds 5 --metrics run.prom
 //              --trace run.json --report run.jsonl
 //
@@ -83,7 +84,6 @@ int run(int argc, char** argv) {
   cli.add_flag("threads", std::int64_t{-1},
                "worker threads per device (-1 = auto: cores/devices)");
   cli.add_flag("pool", std::int64_t{128}, "solution pool capacity");
-  cli.add_flag("adaptive", false, "enable adaptive window switching");
   cli.add_flag("islands", std::int64_t{1},
                "independently seeded island pools with ring migration "
                "(1 = single shared pool, the classic ABS)");
@@ -201,7 +201,6 @@ int run(int argc, char** argv) {
   config.num_devices = static_cast<std::uint32_t>(devices);
   config.device.block_limit = static_cast<std::uint32_t>(blocks);
   config.device.local_steps = static_cast<std::uint64_t>(local_steps);
-  config.device.adaptive = cli.get_bool("adaptive");
   config.device.kernel.form = absq::parse_kernel_form(kernel);
   {
     // Print the plan the devices will run (each device builds an identical
