@@ -5,9 +5,12 @@
 //
 // The flip benchmarks run per kernel form (dense SIMD, CSR sparse) on both
 // the dense random family and G-set-style Max-Cut instances, making the
-// sparse crossover measurable on one screen. The straight-search legs time
-// whole Algorithm 5 walks: dense random instances, and the G55 stand-in on
-// the sparse plan.
+// sparse crossover measurable on one screen. BM_Flip and BM_FlipTrackedSimd
+// run the dense sweep build dispatched for this CPU; BM_Flip/<build>/n and
+// BM_FlipTrackedSimd/<build>/n force each build the CPU supports
+// (avx512, avx2, portable) through the test-only selector. The
+// straight-search legs time whole Algorithm 5 walks: dense random
+// instances, and the G55 stand-in on the sparse plan.
 //
 // Besides the interactive google-benchmark mode, `--report <path>` runs a
 // fixed deterministic sweep of the same kernel matrix and appends one
@@ -30,6 +33,7 @@
 #include "problems/maxcut.hpp"
 #include "problems/random.hpp"
 #include "qubo/delta_state.hpp"
+#include "qubo/detail/dense_sweep.hpp"
 #include "qubo/energy.hpp"
 #include "qubo/kernel.hpp"
 #include "search/straight.hpp"
@@ -153,6 +157,31 @@ void BM_FlipTrackedSimd(benchmark::State& state) {
   flip_benchmark(state, DeltaState(kernel), /*tracked=*/true);
 }
 BENCHMARK(BM_FlipTrackedSimd)->Arg(256)->Arg(1024)->Arg(4096)->Arg(16384);
+
+/// BM_Flip and BM_FlipTrackedSimd once per dense sweep build this CPU
+/// runs, named BM_Flip/<build>/n and BM_FlipTrackedSimd/<build>/n.
+void register_sweep_builds() {
+  for (const absq::detail::DenseIsa isa : absq::detail::kDenseIsas) {
+    const absq::detail::DenseSweep* sweep =
+        absq::detail::supported_dense_sweep(isa);
+    if (sweep == nullptr) continue;
+    for (const bool tracked : {false, true}) {
+      const std::string name =
+          std::string(tracked ? "BM_FlipTrackedSimd/" : "BM_Flip/") +
+          absq::detail::to_string(isa);
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [sweep, tracked](benchmark::State& state) {
+            const auto n = static_cast<BitIndex>(state.range(0));
+            const absq::detail::ForceDenseSweep force(*sweep);
+            flip_benchmark(state, DeltaState(cached_matrix(n)), tracked);
+          })
+          ->Arg(256)
+          ->Arg(1024)
+          ->Arg(4096);
+    }
+  }
+}
 
 void BM_FlipTrackedSparseGset(benchmark::State& state) {
   const auto n = static_cast<BitIndex>(state.range(0));
@@ -343,6 +372,8 @@ void measure_into_report(absq::bench::BenchReport& report,
 int run_report(const std::string& path) {
   absq::bench::BenchReport report(path, "bench_kernels");
   std::printf("bench_kernels --report %s\n", path.c_str());
+  // Every dense-simd row below runs this build; its rows name it too.
+  std::printf("dense sweep: %s\n", absq::detail::dispatched_dense_sweep().name);
 
   const ReportCase kDenseCases[] = {
       {"dense-simd", KernelOptions::Form::kDenseSimd},
@@ -394,6 +425,7 @@ int main(int argc, char** argv) {
   }
   if (!report_path.empty()) return run_report(report_path);
 
+  register_sweep_builds();
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {

@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
       report_row(report,
                  "random-" + std::to_string(n) + "/p" + std::to_string(p),
                  static_cast<std::uint64_t>(cli.get_int("seed")), w, measured,
-                 "dense-simd/64-bit (auto)");
+                 absq::QuboKernel(w).description());
     }
   }
   std::printf(
@@ -215,6 +215,7 @@ int main(int argc, char** argv) {
     const Measured sparse =
         measured_rate(w, 16, min_flips, telemetry, sparse_kernel);
     const absq::QuboKernel plan(w, sparse_kernel);
+    const absq::QuboKernel dense_plan(w, dense_kernel);
     std::printf("%-10s %6u %8.2f%% | %13.3e %13.3e | %6.1fx\n",
                 gspec.name.c_str(), w.size(), plan.density() * 100.0,
                 dense.flips_per_sec, sparse.flips_per_sec,
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
     const std::string row = "gset-" + gspec.name;
     report_row(report, row + "/dense-simd",
                static_cast<std::uint64_t>(cli.get_int("seed")), w, dense,
-               "dense-simd/64-bit");
+               dense_plan.description());
     report_row(report, row + "/sparse",
                static_cast<std::uint64_t>(cli.get_int("seed")), w, sparse,
                plan.description());

@@ -24,7 +24,11 @@ grep -q "CSR storage" "$WORK/s.info" \
 grep -q "weight range:  \[-3, 4\]" "$WORK/s.info" \
   || fail "absq_info misread the stored entries of a sparse instance"
 "$BIN/tools/absq_solve" "$WORK/r.qubo" --seconds 0.5 --out "$WORK/r.sol" \
-  | grep -q "best energy" || fail "absq_solve (qubo) produced no result"
+  > "$WORK/r.out"
+grep -q "best energy" "$WORK/r.out" || fail "absq_solve (qubo) produced no result"
+# The kernel line names the dense sweep build that ran.
+grep -Eq "^kernel: dense-simd/(avx512|avx2|portable)/" "$WORK/r.out" \
+  || fail "absq_solve's kernel line names no dense sweep build"
 "$BIN/tools/absq_info" "$WORK/r.qubo" --verify "$WORK/r.sol" \
   | grep -q "VERIFIED" || fail "solution verification failed"
 
@@ -141,6 +145,10 @@ set -e
 grep -q "run ended before any device reported: the flip budget was spent" \
   "$WORK/budget.err" \
   || fail "budget-only run with dropped reports gave no diagnosis"
+# A run outcome, not an assertion: no failed-check prefix or source path.
+if grep -q "check failed" "$WORK/budget.err"; then
+  fail "budget-only run with dropped reports printed a failed check"
+fi
 (( elapsed < 10 )) \
   || fail "budget-only run with dropped reports took ${elapsed} s"
 

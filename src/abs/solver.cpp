@@ -578,8 +578,8 @@ AbsResult AbsSolver::finish_run(const StopCriteria& stop, double seconds,
             failure != nullptr) {
           std::rethrow_exception(failure);
         }
-        ABSQ_CHECK(false, "all devices failed before any report: "
-                              << slot.failure);
+        throw NoReportError("all devices failed before any report: " +
+                            slot.failure);
       }
     }
     // Otherwise name what ended the run; only the lockstep runner ends
@@ -599,7 +599,8 @@ AbsResult AbsSolver::finish_run(const StopCriteria& stop, double seconds,
                seconds >= stop.time_limit_seconds) {
       cause = "the time limit passed — raise the time limit";
     }
-    ABSQ_CHECK(false, "run ended before any device reported: " << cause);
+    throw NoReportError(std::string("run ended before any device reported: ") +
+                        cause);
   }
 
   AbsResult result = run_;

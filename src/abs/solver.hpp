@@ -61,8 +61,18 @@
 #include "portfolio/portfolio.hpp"
 #include "qubo/bit_vector.hpp"
 #include "qubo/weight_matrix.hpp"
+#include "util/check.hpp"
 
 namespace absq {
+
+/// A run that ended with nothing in the pool: no device ever reported, so
+/// there is no result. what() is the diagnosis alone — "run ended before
+/// any device reported: <what ended it>" or "all devices failed before any
+/// report: <the failure>" — a run outcome, not a broken precondition.
+class NoReportError : public CheckError {
+ public:
+  explicit NoReportError(const std::string& what) : CheckError(what) {}
+};
 
 /// When to stop a run. Criteria compose with OR; at least one of
 /// target_energy / time_limit_seconds / max_flips must be set.

@@ -3,6 +3,7 @@
 #include <bit>
 #include <limits>
 
+#include "qubo/detail/dense_sweep.hpp"
 #include "qubo/energy.hpp"
 #include "util/check.hpp"
 
@@ -10,15 +11,7 @@ namespace absq {
 
 namespace {
 
-// Repair step d + adj of Eq. (16). The branchless dense loop also applies
-// the i ≠ k rule at i == k before it overwrites that slot with −Δ_k; that
-// one transient value can leave the int32 range (|Δ_k| + 2·|W_kk| may
-// exceed 2^31 − 1), so the addition runs on uint32: defined wraparound,
-// identical bits for every in-range value.
-inline std::int32_t add_repair(std::int32_t d, int adj) {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(d) +
-                                   static_cast<std::uint32_t>(adj));
-}
+using detail::add_repair;
 
 // +∞ of the tournament trees: settled and padding leaves. No Δ reaches it
 // (qubo/types.hpp proves |Δ| < INT32_MAX).
@@ -97,13 +90,14 @@ DeltaState::MinTree::Entry DeltaState::MinTree::query(BitIndex lo,
 // ---------------------------------------------------------------------------
 // Construction.
 
-DeltaState::DeltaState(const WeightMatrix& w) : w_(&w), x_(w.size()) {
+DeltaState::DeltaState(const WeightMatrix& w)
+    : w_(&w), x_(w.size()), sweep_(&detail::active_dense_sweep()) {
   use_storage_form();
   init_zero_state();
 }
 
 DeltaState::DeltaState(const WeightMatrix& w, const BitVector& x)
-    : w_(&w), x_(x) {
+    : w_(&w), x_(x), sweep_(&detail::active_dense_sweep()) {
   use_storage_form();
   init_from_bits(x);
 }
@@ -113,7 +107,8 @@ DeltaState::DeltaState(const QuboKernel& kernel)
       sparse_(kernel.sparse()),
       dense_(kernel.dense_rows()),
       x_(kernel.matrix().size()),
-      form_(kernel.form()) {
+      form_(kernel.form()),
+      sweep_(&kernel.dense_sweep()) {
   init_zero_state();
 }
 
@@ -122,7 +117,8 @@ DeltaState::DeltaState(const QuboKernel& kernel, const BitVector& x)
       sparse_(kernel.sparse()),
       dense_(kernel.dense_rows()),
       x_(x),
-      form_(kernel.form()) {
+      form_(kernel.form()),
+      sweep_(&kernel.dense_sweep()) {
   init_from_bits(x);
 }
 
@@ -169,69 +165,38 @@ void DeltaState::init_from_bits(const BitVector& x) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense-SIMD form.
+// Dense-SIMD form: one sweep of the state's build (qubo/detail/
+// dense_sweep.hpp), then the k = i case of Eq. (6).
 
 Energy DeltaState::flip_dense(BitIndex k) {
-  const auto row = dense_.row(k);
-  // 2·φ(x_k) before the flip; Eq. (16) applies the pre-flip signs.
-  const int two_phi_k = 2 * signs_[k];
-  std::int32_t* deltas = deltas_.data();
-  const std::int32_t old_delta_k = deltas[k];
-  const BitIndex n = size();
-  const std::int8_t* signs = signs_.data();
-  // Branchless repair: the argmin of flip_tracked runs as its own pass, so
-  // this loop vectorizes without a per-element compare.
-#pragma omp simd
-  for (BitIndex i = 0; i < n; ++i) {
-    deltas[i] =
-        add_repair(deltas[i], two_phi_k * signs[i] * static_cast<int>(row[i]));
-  }
-  // The loop touched i == k with the i ≠ k rule; the k = i case of Eq. (6)
-  // is Δ_k ← −Δ_k (pre-flip value), so overwrite it.
-  energy_ += old_delta_k;
-  deltas[k] = -old_delta_k;
-  signs_[k] = static_cast<std::int8_t>(-signs_[k]);
-  x_.flip(k);
-  ++flips_;
-  matrix_reads_ += n;
-  return energy_;
+  const std::int32_t old_delta_k = deltas_[k];
+  // Eq. (16) applies the pre-flip signs.
+  sweep_->repair(deltas_.data(), signs_.data(), dense_.row(k).data(), size(),
+                 signs_[k]);
+  return finish_dense_flip(k, old_delta_k);
 }
 
 DeltaState::FlipOutcome DeltaState::flip_tracked_dense_simd(BitIndex k) {
-  const Energy new_energy = flip_dense(k);
-  const std::int32_t* deltas = deltas_.data();
-  const BitIndex n = size();
+  const std::int32_t old_delta_k = deltas_[k];
+  const detail::SweepMin best =
+      sweep_->repair_argmin(deltas_.data(), signs_.data(),
+                            dense_.row(k).data(), size(), signs_[k], k);
+  const Energy new_energy = finish_dense_flip(k, old_delta_k);
   // n == 1 has no neighbour other than k itself; report flipping back.
-  if (n == 1) return FlipOutcome{new_energy, new_energy + deltas[k], k};
+  if (size() == 1) return FlipOutcome{new_energy, new_energy + deltas_[k], k};
+  return FlipOutcome{new_energy, new_energy + best.delta, best.bit};
+}
 
-  // The min value over i ≠ k (vectorizable reductions), then the leftmost
-  // index attaining it — integer min is order-independent, so this is the
-  // leftmost minimum a strict-< scan finds.
-  std::int32_t best = std::numeric_limits<std::int32_t>::max();
-#pragma omp simd reduction(min : best)
-  for (BitIndex i = 0; i < k; ++i) {
-    best = deltas[i] < best ? deltas[i] : best;
-  }
-#pragma omp simd reduction(min : best)
-  for (BitIndex i = k + 1; i < n; ++i) {
-    best = deltas[i] < best ? deltas[i] : best;
-  }
-  BitIndex best_bit = k;
-  for (BitIndex i = 0; i < k; ++i) {
-    if (deltas[i] == best) {
-      best_bit = i;
-      break;
-    }
-  }
-  if (best_bit == k) {
-    for (BitIndex i = k + 1; i < n; ++i) {
-      if (deltas[i] == best) {
-        best_bit = i;
-        break;
-      }
-    }
-  }
-  return FlipOutcome{new_energy, new_energy + best, best_bit};
+Energy DeltaState::finish_dense_flip(BitIndex k, std::int32_t old_delta_k) {
+  // The sweep touched i == k with the i ≠ k rule; the k = i case of
+  // Eq. (6) is Δ_k ← −Δ_k (pre-flip value), so overwrite it.
+  energy_ += old_delta_k;
+  deltas_[k] = -old_delta_k;
+  signs_[k] = static_cast<std::int8_t>(-signs_[k]);
+  x_.flip(k);
+  ++flips_;
+  matrix_reads_ += size();
+  return energy_;
 }
 
 // ---------------------------------------------------------------------------

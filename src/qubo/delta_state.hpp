@@ -14,7 +14,9 @@
 // The repair runs in one of two forms, planned per instance by QuboKernel
 // (see qubo/kernel.hpp and docs/kernels.md):
 //
-//   * dense-simd   — O(n) split into vectorizable repair + argmin passes;
+//   * dense-simd   — O(n): one sweep repairs Δ and tracks the argmin,
+//                    compiled per ISA and picked once per process
+//                    (qubo/detail/dense_sweep.hpp);
 //   * sparse       — O(degree(k)) CSR repair, with a tournament tree over Δ
 //                    keeping the fused argmin exact in O(degree·log n),
 //                    and a second one over the pending bits of a straight
@@ -47,6 +49,10 @@
 
 namespace absq {
 
+namespace detail {
+struct DenseSweep;
+}  // namespace detail
+
 class DeltaState {
  public:
   /// Result of one tracked flip; see flip_tracked().
@@ -59,7 +65,8 @@ class DeltaState {
   /// State for the all-zero vector: E(0) = 0 and Δ_i(0) = W_ii — the O(n)
   /// initialization the paper performs in device Step 1. Runs the
   /// storage's own form, as a kAuto plan does: sparse on the matrix's CSR,
-  /// dense-SIMD on its dense rows. Nothing is copied.
+  /// dense-SIMD (the dispatched sweep) on its dense rows. Nothing is
+  /// copied.
   explicit DeltaState(const WeightMatrix& w);
 
   /// State for an arbitrary starting vector, in the storage's own form.
@@ -67,10 +74,10 @@ class DeltaState {
   /// baselines and tests, never by the ABS hot path.
   DeltaState(const WeightMatrix& w, const BitVector& x);
 
-  /// Same two constructors, but running the form the kernel plan
-  /// selected — a forced one included. The kernel (and the matrix it
-  /// references) must outlive the state; one plan is shared read-only by
-  /// many states.
+  /// Same two constructors, but running the form and dense sweep the
+  /// kernel plan selected — a forced form included. The kernel (and the
+  /// matrix it references) must outlive the state; one plan is shared
+  /// read-only by many states.
   explicit DeltaState(const QuboKernel& kernel);
   DeltaState(const QuboKernel& kernel, const BitVector& x);
 
@@ -183,6 +190,7 @@ class DeltaState {
 
   Energy flip_dense(BitIndex k);
   FlipOutcome flip_tracked_dense_simd(BitIndex k);
+  Energy finish_dense_flip(BitIndex k, std::int32_t old_delta_k);
   void repair_sparse(BitIndex k);
   Energy flip_sparse(BitIndex k);
   FlipOutcome flip_tracked_sparse(BitIndex k);
@@ -207,6 +215,7 @@ class DeltaState {
   std::uint64_t flips_ = 0;
   std::uint64_t matrix_reads_ = 0;
   KernelForm form_ = KernelForm::kDenseSimd;
+  const detail::DenseSweep* sweep_;  // the dense form's build
 };
 
 }  // namespace absq

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "qubo/detail/dense_sweep.hpp"
 #include "util/check.hpp"
 
 namespace absq {
@@ -27,7 +28,7 @@ KernelOptions::Form parse_kernel_form(const std::string& name) {
 }
 
 QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
-    : w_(&w) {
+    : w_(&w), sweep_(&detail::active_dense_sweep()) {
   switch (options.form) {
     case KernelOptions::Form::kDenseSimd:
       form_ = KernelForm::kDenseSimd;
@@ -51,7 +52,9 @@ QuboKernel::QuboKernel(const WeightMatrix& w, const KernelOptions& options)
 
 std::string QuboKernel::description() const {
   std::ostringstream os;
-  os << to_string(form_) << "/32-bit";
+  os << to_string(form_);
+  if (form_ == KernelForm::kDenseSimd) os << '/' << sweep_->name;
+  os << "/32-bit";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.2f", density() * 100.0);
   os << " (n=" << w_->size() << ", density " << buf << "%)";

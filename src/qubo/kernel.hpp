@@ -7,9 +7,11 @@
 //                  O(degree·log n) tournament-tree repair that keeps the
 //                  fused best-neighbour argmin exact. Wins whenever the
 //                  matrix is sparse (G-set-style graphs).
-//   * kDenseSimd — contiguous dense row, repair and argmin as separate
-//                  vectorizable passes (#pragma omp simd). Wins on dense
-//                  instances (synthetic random, TSP permutation QUBOs).
+//   * kDenseSimd — contiguous dense row, repaired and reduced to the
+//                  argmin in one sweep, compiled per ISA (AVX-512, AVX2, or
+//                  the portable two-pass loop) and picked once per process
+//                  (qubo/detail/dense_sweep.hpp). Wins on dense instances
+//                  (synthetic random, TSP permutation QUBOs).
 //
 // Every form stores Δ as int32. QUBO++'s ABS3 omits overflow checks on its
 // 32-bit coefficients "for performance"; here no check is needed, because
@@ -20,7 +22,7 @@
 // kernel selection is purely a performance decision. Which form kAuto runs
 // is not decided here: the matrix's storage already is the density rule's
 // verdict (qubo/weight_matrix.hpp), so the plan reads it in O(1).
-// docs/kernels.md records the rule and the measured crossover.
+// docs/kernels.md records the rule and the measured crossovers.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +35,13 @@
 
 namespace absq {
 
+namespace detail {
+struct DenseSweep;
+}  // namespace detail
+
 /// Implementation form of the Δ-repair loop.
 enum class KernelForm : std::uint8_t {
-  kDenseSimd = 0,  ///< dense two-pass, vectorizable repair + argmin
+  kDenseSimd = 0,  ///< dense rows, one repair + argmin sweep per flip
   kSparse = 1,     ///< CSR rows + tournament tree for the argmin
 };
 
@@ -60,8 +66,9 @@ struct KernelOptions {
 
 [[nodiscard]] KernelOptions::Form parse_kernel_form(const std::string& name);
 
-/// The planned kernel for one instance: the matrix, the chosen form, and
-/// the rows that form reads. kAuto runs the storage's own form — the
+/// The planned kernel for one instance: the matrix, the chosen form, the
+/// rows that form reads, and the dense sweep build. kAuto runs the
+/// storage's own form — the
 /// density rule already ran when the matrix was finished — and shares the
 /// matrix's CSR or dense rows, so planning is O(1). Only a forced form that
 /// differs from the storage converts: a CSR copy of dense storage, or a
@@ -77,6 +84,11 @@ class QuboKernel {
   [[nodiscard]] const SparseWeightMatrix* sparse() const { return sparse_; }
   /// The rows the dense-SIMD form reads; empty when form() is kSparse.
   [[nodiscard]] const DenseRows& dense_rows() const { return dense_; }
+  /// The dense sweep build the plan's states run: the build dispatched for
+  /// this CPU, unless a test forced another while the plan was built.
+  [[nodiscard]] const detail::DenseSweep& dense_sweep() const {
+    return *sweep_;
+  }
 
   [[nodiscard]] KernelForm form() const { return form_; }
   /// Always kNarrow32: every form stores Δ as int32.
@@ -87,7 +99,9 @@ class QuboKernel {
   }
   [[nodiscard]] double density() const { return w_->density(); }
 
-  /// e.g. "sparse/32-bit (n=5000, density 0.08%)" — for logs/benches.
+  /// e.g. "sparse/32-bit (n=5000, density 0.08%)" or
+  /// "dense-simd/avx512/32-bit (n=256, density 100.00%)" — the form, the
+  /// dense sweep build that runs it, and the Δ width, for logs and benches.
   [[nodiscard]] std::string description() const;
 
  private:
@@ -95,6 +109,7 @@ class QuboKernel {
   const SparseWeightMatrix* sparse_ = nullptr;
   std::shared_ptr<const SparseWeightMatrix> converted_;  // forced sparse
   DenseRows dense_;
+  const detail::DenseSweep* sweep_;
   KernelForm form_ = KernelForm::kDenseSimd;
 };
 

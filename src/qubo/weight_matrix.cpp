@@ -4,7 +4,18 @@
 #include <cstdlib>
 #include <utility>
 
+#include "qubo/detail/dense_sweep.hpp"
+
 namespace absq {
+
+double WeightMatrix::sparse_density_threshold() {
+  return detail::dispatched_dense_sweep().sparse_density_threshold;
+}
+
+std::size_t WeightMatrix::csr_limit(BitIndex n) {
+  const double n2 = static_cast<double>(n) * static_cast<double>(n);
+  return static_cast<std::size_t>(sparse_density_threshold() * n2);
+}
 
 WeightMatrix::WeightMatrix(BitIndex n) : WeightMatrix(Fill(n).finish()) {}
 
@@ -50,7 +61,7 @@ bool operator==(const WeightMatrix& a, const WeightMatrix& b) {
 // ---------------------------------------------------------------------------
 // Fill — the one place a matrix's storage is chosen.
 
-WeightMatrix::Fill::Fill(BitIndex n) : n_(n) {
+WeightMatrix::Fill::Fill(BitIndex n) : n_(n), csr_limit_(csr_limit(n)) {
   if (!stores_csr(n, 0)) {
     dense_mode_ = true;
     dense_.assign(static_cast<std::size_t>(n) * n, 0);

@@ -45,25 +45,27 @@ namespace absq {
 
 class WeightMatrix {
  public:
-  /// The density rule: a matrix is stored as CSR when its stored entries
-  /// over n² are at or below this. From the measured crossover in
-  /// EXPERIMENTS.md: with the early-exit tournament tree the CSR kernel
-  /// wins ~3× at 1% density (G22) and loses at 6% (G1), so the break-even
-  /// sits near 3%.
-  static constexpr double kSparseDensityThreshold = 1.0 / 32;
+  /// The density rule's threshold: a matrix is stored as CSR when its
+  /// stored entries over n² are at or below this. It belongs to the dense
+  /// sweep build dispatched for this CPU (qubo/detail/dense_sweep.hpp):
+  /// the density below which the sparse form still reads at least twice
+  /// that build's dense flip — 1/32 for the portable loop, lower for the
+  /// fused x86 sweeps. docs/kernels.md records the measured crossovers.
+  [[nodiscard]] static double sparse_density_threshold();
 
   /// Matrices smaller than this stay dense whatever their density — for
   /// tiny instances the tournament tree costs more than the dense row it
   /// replaces.
   static constexpr BitIndex kSparseMinBits = 64;
 
-  /// True when an n-bit matrix with `stored` entries (both triangles, the
-  /// diagonal once) is stored as CSR. The one home of the density rule.
-  [[nodiscard]] static constexpr bool stores_csr(BitIndex n,
-                                                 std::size_t stored) {
-    const double n2 = static_cast<double>(n) * static_cast<double>(n);
-    return n >= kSparseMinBits &&
-           static_cast<double>(stored) / n2 <= kSparseDensityThreshold;
+  /// The most entries (both triangles, the diagonal once) an n-bit matrix
+  /// may store as CSR: ⌊sparse_density_threshold() · n²⌋.
+  [[nodiscard]] static std::size_t csr_limit(BitIndex n);
+
+  /// True when an n-bit matrix with `stored` entries is stored as CSR. The
+  /// one home of the density rule.
+  [[nodiscard]] static bool stores_csr(BitIndex n, std::size_t stored) {
+    return n >= kSparseMinBits && stored <= csr_limit(n);
   }
 
   WeightMatrix() = default;
@@ -171,7 +173,7 @@ class WeightMatrix {
         return;
       }
       triplets_.push_back({i, j, w});
-      if (!stores_csr(n_, stored_)) go_dense();
+      if (stored_ > csr_limit_) go_dense();
     }
     [[nodiscard]] WeightMatrix finish() &&;
 
@@ -179,6 +181,7 @@ class WeightMatrix {
     void go_dense();
 
     BitIndex n_;
+    std::size_t csr_limit_ = 0;  // stores_csr(n_, s) ⟺ s ≤ csr_limit_
     std::size_t nonzeros_ = 0;
     std::size_t stored_ = 0;
     bool dense_mode_ = false;

@@ -410,8 +410,15 @@ const std::vector<HotPathRoot>& hot_path_roots() {
       {"src/qubo/delta_state.cpp",
        "DeltaState",
        {"flip", "flip_tracked", "flip_dense", "flip_sparse",
-        "flip_tracked_dense_simd", "flip_tracked_sparse", "repair_sparse",
-        "argmin_window", "begin_walk", "settle", "argmin_pending"}},
+        "flip_tracked_dense_simd", "finish_dense_flip", "flip_tracked_sparse",
+        "repair_sparse", "argmin_window", "begin_walk", "settle",
+        "argmin_pending"}},
+      // Every build of the dense sweep the flips above dispatch to.
+      {"src/qubo/dense_sweep.cpp",
+       "PortableSweep",
+       {"repair", "repair_argmin"}},
+      {"src/qubo/dense_sweep.cpp", "Avx2Sweep", {"repair", "repair_argmin"}},
+      {"src/qubo/dense_sweep.cpp", "Avx512Sweep", {"repair", "repair_argmin"}},
       // Every BlockAlgorithm::step is a Step-4b inner loop — one call per
       // iteration, flips per call — and inherits SearchBlock's constraints.
       {"src/portfolio/block_algorithm.cpp", "MinDeltaAlgorithm", {"step"}},

@@ -148,12 +148,13 @@ TEST(ProposedLocalSearch, ConstantSearchEfficiency) {
 
 TEST(ProposedLocalSearch, CountsTheReadsOfTheSparseKernel) {
   // A CSR-stored instance runs the sparse form, which reads degree(k)
-  // entries per flip instead of n, and the ops count must say so.
-  const BitIndex n = 256;
+  // entries per flip instead of n, and the ops count must say so. About
+  // 0.1 % of the entries are set: CSR under every dense sweep build's rule.
+  const BitIndex n = 1024;
   Rng rng(40);
   const WeightMatrix w =
       WeightMatrix::generate_symmetric(n, [&rng](BitIndex, BitIndex) {
-        if (!rng.chance(0.01)) return static_cast<Weight>(0);
+        if (!rng.chance(0.001)) return static_cast<Weight>(0);
         return static_cast<Weight>(rng.range(-100, 100));
       });
   ASSERT_NE(w.csr(), nullptr);

@@ -204,9 +204,9 @@ TEST_F(FaultToleranceTest, FlipBudgetEndsARunWhoseEveryReportIsDropped) {
   ended.store(true);
   backstop.join();
   EXPECT_LT(seconds, 2.0);
-  // The diagnosis names the criterion that ended the run.
-  EXPECT_NE(message.find("run ended before any device reported"),
-            std::string::npos)
+  // The diagnosis names the criterion that ended the run, and it is the
+  // whole message: a run outcome, not a failed check with its source line.
+  EXPECT_EQ(message.rfind("run ended before any device reported", 0), 0u)
       << message;
   EXPECT_NE(message.find("flip budget"), std::string::npos) << message;
   EXPECT_EQ(message.find("time limit"), std::string::npos) << message;
@@ -227,6 +227,8 @@ TEST_F(FaultToleranceTest, TimeLimitEndsARunWhoseEveryReportIsDropped) {
   EXPECT_NE(message.find("raise the time limit"), std::string::npos)
       << message;
   EXPECT_EQ(message.find("flip budget"), std::string::npos) << message;
+  // The outcome has its own type, still a CheckError for existing callers.
+  EXPECT_THROW((void)solver.run(stop), NoReportError);
 }
 
 TEST_F(FaultToleranceTest, EveryDeviceStalledBeforeAnyReportSaysSo) {

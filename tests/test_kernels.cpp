@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "dense_sweep_build.hpp"
 #include "qubo/delta_state.hpp"
 #include "qubo/energy.hpp"
 #include "qubo/sparse_matrix.hpp"
@@ -112,7 +113,8 @@ TEST(SparseMatrix, FromTripletsRejectsDuplicateKeys) {
 // ---------------------------------------------------------------------------
 
 TEST(QuboKernel, AutoSelectsSparseForLargeLowDensityInstances) {
-  const WeightMatrix w = random_sparse(128, 0.01, 31);
+  // About 0.1 % of the entries set: CSR under every dense sweep build.
+  const WeightMatrix w = random_sparse(1024, 0.001, 31);
   ASSERT_NE(w.csr(), nullptr);
   const QuboKernel kernel(w);
   EXPECT_EQ(kernel.form(), KernelForm::kSparse);
@@ -120,7 +122,7 @@ TEST(QuboKernel, AutoSelectsSparseForLargeLowDensityInstances) {
   EXPECT_EQ(kernel.sparse(), w.csr());
   EXPECT_EQ(kernel.width(), DeltaWidth::kNarrow32);
   EXPECT_EQ(kernel.stored_nonzeros(), w.csr()->stored_nonzeros());
-  EXPECT_LE(kernel.density(), WeightMatrix::kSparseDensityThreshold);
+  EXPECT_LE(kernel.density(), WeightMatrix::sparse_density_threshold());
 }
 
 TEST(QuboKernel, AutoKeepsDenseInstancesOnSimd) {
@@ -143,7 +145,7 @@ TEST(QuboKernel, AutoKeepsTinyInstancesDense) {
 }
 
 TEST(QuboKernel, ForcedDenseFormsOnCsrStorageOwnTheirRows) {
-  const WeightMatrix w = random_sparse(128, 0.01, 35);
+  const WeightMatrix w = random_sparse(512, 0.001, 35);
   ASSERT_NE(w.csr(), nullptr);
   KernelOptions options;
   options.form = KernelOptions::Form::kDenseSimd;
@@ -463,21 +465,24 @@ TEST(KernelLockstep, GsetStyleSparseInstance) {
 }
 
 TEST(KernelLockstep, CsrStoredSparseInstance) {
-  // ~2 nonzeros per row out of 128: CSR-stored, so the dense lane runs a
-  // kernel-owned dense copy.
-  run_lockstep(random_sparse(128, 0.015, 905), Storage::kCsr, 906, 500, true);
+  // ~1.6 nonzeros per row out of 1600 (0.1 %): CSR-stored under every
+  // build's rule, so the dense lane runs a kernel-owned dense copy.
+  run_lockstep(random_sparse(1600, 0.001, 905), Storage::kCsr, 906, 500,
+               true);
 }
 
-TEST(KernelLockstep, SaturatedWeightExtremes) {
+void run_saturated_extremes() {
   Rng rng(903);
   const WeightMatrix w =
       WeightMatrix::generate_symmetric(48, [&rng](BitIndex, BitIndex) {
         return rng.chance(0.5) ? kMinWeight : kMaxWeight;
       });
-  // |Δ| reaches ~48·2·32768 ≈ 3.1M, and the dense loop's transient i == k
+  // |Δ| reaches ~48·2·32768 ≈ 3.1M, and the dense sweep's transient i == k
   // repair adds up to 2·32768 more: every form must stay exact here.
   run_lockstep(w, Storage::kDense, 904, 400, true);
 }
+
+TEST(KernelLockstep, SaturatedWeightExtremes) { run_saturated_extremes(); }
 
 // ---------------------------------------------------------------------------
 // Straight-search lockstep: Algorithm 5 selects the leftmost minimum-Δ
@@ -592,7 +597,8 @@ void run_walk_lockstep(const WeightMatrix& w, Storage storage,
 }
 
 TEST(WalkLockstep, GsetStyleSparseInstance) {
-  run_walk_lockstep(random_sparse(200, 0.03, 930), Storage::kCsr, 931, 40);
+  // 0.12 % of 1000² entries: CSR under every build's rule.
+  run_walk_lockstep(random_sparse(1000, 0.0012, 930), Storage::kCsr, 931, 40);
 }
 
 TEST(WalkLockstep, DenseInstance) {
@@ -610,10 +616,11 @@ TEST(WalkLockstep, ZeroMatrixTiesResolveLeftmost) {
 // Tie-break and edge-case contracts, per form
 // ---------------------------------------------------------------------------
 
-TEST(KernelContract, AllEqualDeltaTiesResolveLeftmostInEveryForm) {
+void run_all_equal_ties() {
   // Zero matrix: every Δ is 0 forever, so after flipping k the best
   // neighbour is a pure tie across all i ≠ k — the contract demands the
-  // leftmost index: 1 when k == 0, else 0.
+  // leftmost index: 1 when k == 0, else 0. 33 bits span two 16-lane
+  // vectors and a 1-lane tail.
   const WeightMatrix w(33);
   for (const auto& c : all_kernel_cases()) {
     const QuboKernel kernel(w, c.options);
@@ -630,7 +637,11 @@ TEST(KernelContract, AllEqualDeltaTiesResolveLeftmostInEveryForm) {
   }
 }
 
-TEST(KernelContract, SizeOneReportsFlipBackInEveryForm) {
+TEST(KernelContract, AllEqualDeltaTiesResolveLeftmostInEveryForm) {
+  run_all_equal_ties();
+}
+
+void run_size_one_flip_back() {
   const WeightMatrix w =
       WeightMatrix::generate_symmetric(1, [](BitIndex, BitIndex) {
         return static_cast<Weight>(-7);
@@ -644,6 +655,10 @@ TEST(KernelContract, SizeOneReportsFlipBackInEveryForm) {
     EXPECT_EQ(outcome.best_neighbor_energy, before) << c.name;
     EXPECT_EQ(outcome.energy, -7) << c.name;
   }
+}
+
+TEST(KernelContract, SizeOneReportsFlipBackInEveryForm) {
+  run_size_one_flip_back();
 }
 
 TEST(KernelContract, MatrixReadsCountDenseRowsAndSparseDegrees) {
@@ -679,6 +694,50 @@ TEST(KernelContract, MatrixReadsCountDenseRowsAndSparseDegrees) {
   const DeltaState seeded(sparse_kernel, x);
   EXPECT_EQ(seeded.matrix_reads(), static_cast<std::uint64_t>(n) * n);
 }
+
+// ---------------------------------------------------------------------------
+// Every dense sweep build. The suites above run the build dispatched for
+// this CPU; here each build the CPU supports is forced (the test-only
+// selector of qubo/detail/dense_sweep.hpp) and held to the same oracle by
+// the same helpers. A build the CPU lacks is skipped by name.
+// ---------------------------------------------------------------------------
+
+class DenseSweepBuild : public DenseSweepBuildTest {};
+
+TEST_P(DenseSweepBuild, KernelLockstepAtEverySize) {
+  // 1, 2, 3 and 17 leave tails shorter than any vector; 64, 65 and 130
+  // split whole vectors and a tail of 1 or 2.
+  for (const BitIndex n : {1u, 2u, 3u, 17u, 64u, 65u, 130u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const WeightMatrix zero_start = random_dense(n, 500 + n);
+    ASSERT_NO_FATAL_FAILURE(assert_forced(zero_start));
+    ASSERT_NO_FATAL_FAILURE(
+        run_lockstep(zero_start, Storage::kDense, 600 + n, 300, false));
+    ASSERT_NO_FATAL_FAILURE(run_lockstep(random_dense(n, 700 + n),
+                                         Storage::kDense, 800 + n, 300, true));
+  }
+}
+
+TEST_P(DenseSweepBuild, SaturatedWeightExtremes) { run_saturated_extremes(); }
+
+TEST_P(DenseSweepBuild, AllEqualDeltaTiesResolveLeftmost) {
+  run_all_equal_ties();
+}
+
+TEST_P(DenseSweepBuild, SizeOneReportsFlipBack) { run_size_one_flip_back(); }
+
+TEST_P(DenseSweepBuild, WalkLockstep) {
+  ASSERT_NO_FATAL_FAILURE(
+      run_walk_lockstep(random_dense(96, 932), Storage::kDense, 933, 40));
+  ASSERT_NO_FATAL_FAILURE(run_walk_lockstep(random_sparse(1000, 0.0012, 930),
+                                            Storage::kCsr, 931, 40));
+  ASSERT_NO_FATAL_FAILURE(
+      run_walk_lockstep(WeightMatrix(70), Storage::kCsr, 934, 40));
+}
+
+INSTANTIATE_TEST_SUITE_P(Builds, DenseSweepBuild,
+                         ::testing::ValuesIn(detail::kDenseIsas),
+                         dense_isa_name);
 
 }  // namespace
 }  // namespace absq

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "dense_sweep_build.hpp"
 #include "qubo/energy.hpp"
 #include "qubo/kernel.hpp"
 #include "util/check.hpp"
@@ -194,30 +195,30 @@ void run_block_lockstep(const WeightMatrix& w,
   }
 }
 
-/// A G-set-style 160-bit instance with about `density` of its entries set.
-WeightMatrix gset_style(double density) {
+/// A G-set-style n-bit instance with about `density` of its entries set.
+WeightMatrix gset_style(BitIndex n, double density) {
   Rng weights(17);
   return WeightMatrix::generate_symmetric(
-      160, [&weights, density](BitIndex, BitIndex) {
+      n, [&weights, density](BitIndex, BitIndex) {
         if (!weights.chance(density)) return static_cast<Weight>(0);
         return static_cast<Weight>(weights.range(-100, 100));
       });
 }
 
 TEST_P(SearchBlockLockstep, SparseKernelBlockMatchesDenseScalarBlock) {
-  // ~5 nonzeros per row: CSR-stored, so the sparse block runs the matrix's
-  // own CSR and the dense block, on dense-SIMD (the one dense form), a
-  // kernel-owned dense copy.
-  const WeightMatrix w = gset_style(0.03);
+  // ~1.6 nonzeros per row of 1600 (0.1 %): CSR-stored under every build's
+  // rule, so the sparse block runs the matrix's own CSR and the dense
+  // block, on dense-SIMD (the one dense form), a kernel-owned dense copy.
+  const WeightMatrix w = gset_style(1600, 0.001);
   ASSERT_TRUE(w.csr() != nullptr);
   run_block_lockstep(w, GetParam());
 }
 
 TEST_P(SearchBlockLockstep, DenseStoredInstanceMatchesToo) {
-  // ~10 nonzeros per row is above the 1/32 rule: dense-stored, so the
-  // sparse block runs a CSR conversion and the dense block the rows
-  // themselves.
-  const WeightMatrix w = gset_style(0.06);
+  // ~10 nonzeros per row of 160 is above every build's rule (the widest is
+  // 1/32): dense-stored, so the sparse block runs a CSR conversion and the
+  // dense block the rows themselves.
+  const WeightMatrix w = gset_style(160, 0.06);
   ASSERT_TRUE(w.csr() == nullptr);
   run_block_lockstep(w, GetParam());
 }
@@ -232,6 +233,27 @@ INSTANTIATE_TEST_SUITE_P(
       std::erase(name, '-');
       return name;
     });
+
+/// The block lockstep once per dense sweep build this CPU supports: the
+/// dense block runs the forced build, the sparse block the CSR kernel.
+class SearchBlockBuildLockstep : public DenseSweepBuildTest {};
+
+TEST_P(SearchBlockBuildLockstep, EveryMemberMatchesTheSparseBlock) {
+  const WeightMatrix csr_stored = gset_style(1600, 0.001);
+  const WeightMatrix dense_stored = gset_style(160, 0.06);
+  ASSERT_NO_FATAL_FAILURE(assert_forced(dense_stored));
+  for (const auto member : {portfolio::BlockAlgorithmKind::kMinDelta,
+                            portfolio::BlockAlgorithmKind::kSa,
+                            portfolio::BlockAlgorithmKind::kMultiStart}) {
+    SCOPED_TRACE(portfolio::to_string(member));
+    ASSERT_NO_FATAL_FAILURE(run_block_lockstep(csr_stored, member));
+    ASSERT_NO_FATAL_FAILURE(run_block_lockstep(dense_stored, member));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Builds, SearchBlockBuildLockstep,
+                         ::testing::ValuesIn(detail::kDenseIsas),
+                         dense_isa_name);
 
 }  // namespace
 }  // namespace absq

@@ -205,11 +205,12 @@ TEST(StraightSearch, RaisedStopAbandonsTheWalkConsistently) {
 TEST(StraightSearch, RaisedStopAbandonsASparseWalkConsistently) {
   // The CSR form also keeps a pending tree, which the abandoned walk
   // leaves over bits it never flipped, for the next begin_walk to rebuild.
+  // About 0.1 % of the entries are set: CSR under every build's rule.
   Rng rng(20);
   const WeightMatrix w = WeightMatrix::generate_symmetric(
-      256, [&rng](BitIndex, BitIndex) {
-        return static_cast<Weight>(rng.chance(0.01) ? rng.range(-100, 100)
-                                                    : 0);
+      1024, [&rng](BitIndex, BitIndex) {
+        return static_cast<Weight>(rng.chance(0.001) ? rng.range(-100, 100)
+                                                     : 0);
       });
   const QuboKernel kernel(w);
   ASSERT_EQ(kernel.form(), KernelForm::kSparse);

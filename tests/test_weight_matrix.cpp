@@ -252,16 +252,31 @@ WeightMatrix with_entries(BitIndex n, BitIndex pairs, BitIndex diagonal) {
   return b.build();
 }
 
+/// The most entries an n-bit matrix stores as CSR: the threshold of the
+/// dense sweep build dispatched for this CPU (1/32 portable, lower for the
+/// fused x86 builds) times n², rounded down.
+std::size_t csr_limit(BitIndex n) {
+  const double n2 = static_cast<double>(n) * static_cast<double>(n);
+  return static_cast<std::size_t>(WeightMatrix::sparse_density_threshold() *
+                                  n2);
+}
+
 TEST(WeightMatrix, StorageFollowsTheDensityRule) {
-  // n = 64: the rule allows 64²/32 = 128 stored entries as CSR.
-  const WeightMatrix at_limit = with_entries(64, 64, 0);
-  ASSERT_EQ(at_limit.stored_nonzeros(), 128u);
+  // n = 256: the rule allows csr_limit(256) stored entries as CSR — 2048
+  // under the portable build's 1/32 — and not one more.
+  const BitIndex n = 256;
+  const std::size_t limit = csr_limit(n);
+  ASSERT_GE(limit, 4u);
+  const auto pairs = static_cast<BitIndex>(limit / 2);
+  const auto odd = static_cast<BitIndex>(limit % 2);
+  const WeightMatrix at_limit = with_entries(n, pairs, odd);
+  ASSERT_EQ(at_limit.stored_nonzeros(), limit);
   EXPECT_NE(at_limit.csr(), nullptr);
-  const WeightMatrix over_limit = with_entries(64, 64, 1);
-  ASSERT_EQ(over_limit.stored_nonzeros(), 129u);
+  const WeightMatrix over_limit = with_entries(n, pairs, odd + 1);
+  ASSERT_EQ(over_limit.stored_nonzeros(), limit + 1);
   EXPECT_EQ(over_limit.csr(), nullptr);
-  EXPECT_EQ(WeightMatrix::stores_csr(64, 128), true);
-  EXPECT_EQ(WeightMatrix::stores_csr(64, 129), false);
+  EXPECT_EQ(WeightMatrix::stores_csr(n, limit), true);
+  EXPECT_EQ(WeightMatrix::stores_csr(n, limit + 1), false);
 
   // kSparseMinBits: an empty matrix is CSR from 64 bits, dense below.
   EXPECT_EQ(WeightMatrix(WeightMatrix::kSparseMinBits - 1).csr(), nullptr);
@@ -271,31 +286,38 @@ TEST(WeightMatrix, StorageFollowsTheDensityRule) {
 }
 
 TEST(WeightMatrix, RuleCountsFinalWeightsOnly) {
-  // 64 pairs sit at the limit; a 65th whose terms cancel, and a diagonal
-  // that build_scaled() quantizes to 0, are not stored and do not count.
-  WeightMatrixBuilder cancelled(64);
-  for (BitIndex p = 0; p < 64; ++p) cancelled.add(p, (p + 1) % 64, 2);
+  // Pairs filling the limit; one more whose terms cancel, and two
+  // diagonals that build_scaled() quantizes to 0, are not stored and do not
+  // count — counted, either would push the matrix over the limit.
+  const BitIndex n = 256;
+  const auto pairs = static_cast<BitIndex>(csr_limit(n) / 2);
+  WeightMatrixBuilder cancelled(n);
+  for (BitIndex p = 0; p < pairs; ++p) cancelled.add(p, (p + 1) % n, 2);
   cancelled.add(0, 5, 2);
   cancelled.add(5, 0, -2);
-  EXPECT_EQ(cancelled.build().stored_nonzeros(), 128u);
+  EXPECT_EQ(cancelled.build().stored_nonzeros(), 2u * pairs);
   EXPECT_NE(cancelled.build().csr(), nullptr);
 
-  WeightMatrixBuilder quantized(64);
-  for (BitIndex p = 0; p < 64; ++p) quantized.add(p, (p + 1) % 64, 1 << 20);
+  WeightMatrixBuilder quantized(n);
+  for (BitIndex p = 0; p < pairs; ++p) {
+    quantized.add(p, (p + 1) % n, 1 << 20);
+  }
   quantized.add_linear(7, 1);  // 1 >> shift == 0
+  quantized.add_linear(9, 1);
   int shift = 0;
   const WeightMatrix w = quantized.build_scaled(&shift);
   ASSERT_GT(shift, 0);
   EXPECT_EQ(w.at(7, 7), 0);
-  EXPECT_EQ(w.stored_nonzeros(), 128u);
+  EXPECT_EQ(w.stored_nonzeros(), 2u * pairs);
   EXPECT_NE(w.csr(), nullptr);
 }
 
 TEST(WeightMatrix, SameContentSameStorageOnEveryPath) {
   // One sparse and one dense content, each finished by the builder, by
-  // generate_symmetric and by a write/read round trip.
-  for (const double density : {0.01, 0.2}) {
-    const BitIndex n = 100;
+  // generate_symmetric and by a write/read round trip. About 0.08 % and
+  // 20 % of the entries are set: CSR and dense under every build's rule.
+  for (const double density : {0.0008, 0.2}) {
+    const BitIndex n = 400;
     Rng rng(41);
     std::map<std::pair<BitIndex, BitIndex>, Weight> entries;
     for (BitIndex i = 0; i < n; ++i) {
@@ -328,16 +350,18 @@ TEST(WeightMatrix, SameContentSameStorageOnEveryPath) {
 }
 
 TEST(WeightMatrix, EqualityComparesContentsOnCsrStorage) {
-  const WeightMatrix a = with_entries(200, 50, 10);
+  // 110 of 400² entries stored: CSR under every build's rule.
+  const WeightMatrix a = with_entries(400, 50, 10);
   ASSERT_NE(a.csr(), nullptr);
-  EXPECT_EQ(a, with_entries(200, 50, 10));
-  EXPECT_NE(a, with_entries(200, 50, 11));
-  EXPECT_NE(a, with_entries(200, 51, 10));
-  EXPECT_NE(a, WeightMatrix(200));
+  EXPECT_EQ(a, with_entries(400, 50, 10));
+  EXPECT_NE(a, with_entries(400, 50, 11));
+  EXPECT_NE(a, with_entries(400, 51, 10));
+  EXPECT_NE(a, WeightMatrix(400));
 }
 
 TEST(WeightMatrix, CsrAccessorsMatchAnOracle) {
-  const BitIndex n = 150;
+  // At most 240 of 600² entries stored: CSR under every build's rule.
+  const BitIndex n = 600;
   Rng rng(43);
   std::map<std::pair<BitIndex, BitIndex>, Weight> oracle;  // i ≤ j
   WeightMatrixBuilder b(n);
@@ -413,15 +437,16 @@ TEST(DenseRows, BorrowsDenseStorageAndCopiesCsr) {
   const DenseRows borrowed(dense);
   EXPECT_EQ(borrowed.row(5).data(), dense.row(5).data());
 
-  const WeightMatrix sparse = with_entries(128, 40, 7);
+  // 87 of 400² entries stored: CSR under every build's rule.
+  const WeightMatrix sparse = with_entries(400, 40, 7);
   ASSERT_NE(sparse.csr(), nullptr);
   const DenseRows copied(sparse);
   const DenseRows shared = copied;
-  ASSERT_EQ(copied.size(), 128u);
+  ASSERT_EQ(copied.size(), 400u);
   EXPECT_EQ(shared.row(0).data(), copied.row(0).data());
-  for (BitIndex i = 0; i < 128; ++i) {
-    ASSERT_EQ(copied.row(i).size(), 128u);
-    for (BitIndex j = 0; j < 128; ++j) {
+  for (BitIndex i = 0; i < 400; ++i) {
+    ASSERT_EQ(copied.row(i).size(), 400u);
+    for (BitIndex j = 0; j < 400; ++j) {
       ASSERT_EQ(copied.row(i)[j], sparse.at(i, j));
     }
   }
