@@ -22,9 +22,10 @@
 #      text, then SARIF into build-analyze/absq_lint.sarif (CI uploads it
 #      for code-scanning annotations). Budget: the lint pass must finish
 #      in under 2 seconds.
-#   D. header standalone compile — every src/ header must compile as its
-#      own translation unit, pinning the include-what-you-use property
-#      absq_lint's include rules approximate.
+#   D. header standalone compile — every src/ header and every header of
+#      the lint engine (tools/lint/) must compile as its own translation
+#      unit, pinning the include-what-you-use property absq_lint's include
+#      rules approximate.
 #   E. fuzz smoke — the tests/fuzz harnesses rebuilt under
 #      -DABSQ_SANITIZE=fuzz (ASan+UBSan, libFuzzer when available), each
 #      run for 100k iterations or 30 s over the checked-in corpus with
@@ -72,20 +73,26 @@ fi
 echo
 echo "== stage D: header standalone compile =="
 HEADER_FAILS=0
+# Each header is included the way the tree includes it: relative to src/,
+# or to tools/ for the lint engine's "lint/..." headers.
+HEADERS=('src/*.hpp' 'tools/lint/*.hpp')
 while IFS= read -r header; do
-  if ! g++ -std=c++20 -fsyntax-only -Isrc -Itests/fuzz -x c++ \
-       - <<<"#include \"${header#src/}\"" 2>/tmp/header_err.$$; then
+  include="${header#src/}"
+  include="${include#tools/}"
+  if ! g++ -std=c++20 -fsyntax-only -Isrc -Itools -Itests/fuzz -x c++ \
+       - <<<"#include \"${include}\"" 2>/tmp/header_err.$$; then
     echo "NOT self-contained: $header"
     sed 's/^/    /' /tmp/header_err.$$ | head -5
     HEADER_FAILS=$((HEADER_FAILS + 1))
   fi
-done < <(git ls-files 'src/*.hpp')
+done < <(git ls-files "${HEADERS[@]}")
 rm -f /tmp/header_err.$$
 if [[ $HEADER_FAILS -ne 0 ]]; then
   echo "analyze.sh: $HEADER_FAILS headers are not self-contained" >&2
   FAILED=1
 else
-  echo "all $(git ls-files 'src/*.hpp' | wc -l) src/ headers compile standalone"
+  echo "all $(git ls-files "${HEADERS[@]}" | wc -l) src/ and tools/lint/" \
+       "headers compile standalone"
 fi
 
 echo

@@ -9,13 +9,6 @@
 
 namespace absq::obs {
 
-std::size_t thread_shard() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return slot;
-}
-
 Labels::Labels(
     std::initializer_list<std::pair<std::string, std::string>> kv) {
   for (const auto& [key, value] : kv) set(key, value);
@@ -66,40 +59,17 @@ std::string Labels::prometheus() const {
 }
 
 void Histogram::observe(std::uint64_t v) {
-  Shard& shard = shards_[thread_shard()];
   const std::uint64_t width = std::bit_width(v);
   const auto bucket = std::min<std::size_t>(width, kBuckets - 1);
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(v, std::memory_order_relaxed);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 std::array<std::uint64_t, Histogram::kBuckets> Histogram::buckets() const {
   std::array<std::uint64_t, kBuckets> totals{};
-  for (const auto& shard : shards_) {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      // absq-lint: allow(atomic-audit) scrape-side sum over relaxed shards
-      totals[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
+  for (std::size_t b = 0; b < kBuckets; ++b) totals[b] = buckets_[b].load();
   return totals;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t Histogram::sum() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    // absq-lint: allow(atomic-audit) scrape-side sum over relaxed shards
-    total += shard.sum.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 MetricsRegistry::Family& MetricsRegistry::family(const std::string& name,

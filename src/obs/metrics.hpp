@@ -5,18 +5,23 @@
 // bespoke printf in every tool. This registry holds three metric kinds:
 //
 //   * Counter   — monotonic uint64; the hot path pays exactly one relaxed
-//                 atomic add into a per-thread shard (no lock, no false
-//                 sharing: shards are cache-line aligned);
+//                 atomic add (no lock; each series owns its cache line, so
+//                 two series never share one);
 //   * Gauge     — a last-written double (pool best energy, fill levels);
 //   * Histogram — fixed log2 buckets (bucket b holds values with
-//                 bit_width == b, i.e. v ∈ [2^(b-1), 2^b)), sharded the
-//                 same way as counters.
+//                 bit_width == b, i.e. v ∈ [2^(b-1), 2^b)), one relaxed
+//                 add per bucket, count and sum.
+//
+// Every series is one set of cells that all writers share. Writes come
+// once per block iteration (thousands of flips), so even a device-wide
+// series written by every worker is far from contended; docs/
+// observability.md has the measured cost.
 //
 // Series are identified by (family name, label set) with hierarchical
 // labels such as {device="0", block="17"}. Registration returns a stable
 // reference that the instrumented code caches — lookups happen once at
 // construction time, never per event. Scrapes (MetricsRegistry::scrape)
-// aggregate the shards into an immutable MetricsSnapshot that the
+// copy every series into an immutable MetricsSnapshot that the
 // Prometheus text exporter and the JSONL run-report sink both consume.
 //
 // Thread-safety: registration and scraping take the registry mutex;
@@ -37,14 +42,6 @@
 #include <vector>
 
 namespace absq::obs {
-
-/// Number of per-thread shards in counters/histograms. Threads hash onto
-/// shards round-robin; totals stay exact because every shard is summed on
-/// scrape.
-inline constexpr std::size_t kMetricShards = 8;
-
-/// Stable shard index (< kMetricShards) of the calling thread.
-std::size_t thread_shard();
 
 /// A sorted, duplicate-free set of key=value labels. Keys and values are
 /// plain strings; ordering is lexicographic by key so that equal label
@@ -78,32 +75,18 @@ class Labels {
   std::vector<std::pair<std::string, std::string>> kv_;  // sorted by key
 };
 
-namespace detail {
-struct alignas(64) ShardCell {
-  std::atomic<std::uint64_t> value{0};
-};
-}  // namespace detail
-
-/// Monotonic counter. add() is wait-free: one relaxed fetch_add on the
-/// calling thread's shard.
-class Counter {
+/// Monotonic counter. add() is wait-free: one relaxed fetch_add.
+class alignas(64) Counter {
  public:
   void add(std::uint64_t n = 1) {
-    cells_[thread_shard()].value.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Sum over all shards (exact once writers are quiescent).
-  [[nodiscard]] std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const auto& cell : cells_) {
-      // absq-lint: allow(atomic-audit) scrape-side sum over relaxed shards
-      total += cell.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  /// Exact once writers are quiescent.
+  [[nodiscard]] std::uint64_t value() const { return value_.load(); }
 
  private:
-  std::array<detail::ShardCell, kMetricShards> cells_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-written double value.
@@ -121,7 +104,7 @@ class Gauge {
 };
 
 /// Log2-bucketed histogram of uint64 observations.
-class Histogram {
+class alignas(64) Histogram {
  public:
   /// Bucket b < kBuckets-1 holds values with bit_width(v) == b — upper
   /// bound 2^b - 1. The last bucket is the overflow.
@@ -131,16 +114,13 @@ class Histogram {
 
   /// Per-bucket totals (not cumulative), plus count and sum.
   [[nodiscard]] std::array<std::uint64_t, kBuckets> buckets() const;
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] std::uint64_t sum() const;
+  [[nodiscard]] std::uint64_t count() const { return count_.load(); }
+  [[nodiscard]] std::uint64_t sum() const { return sum_.load(); }
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-  };
-  std::array<Shard, kMetricShards> shards_;
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
 };
 
 /// An immutable scrape of the whole registry: families sorted by name,

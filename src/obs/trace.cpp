@@ -9,9 +9,9 @@
 namespace absq::obs {
 
 EventTracer::EventTracer(std::size_t capacity)
-    : shard_capacity_(std::max<std::size_t>(1, capacity / kMetricShards)),
+    : capacity_(std::max<std::size_t>(1, capacity)),
       epoch_(std::chrono::steady_clock::now()) {
-  for (auto& shard : shards_) shard.ring.reserve(shard_capacity_);
+  ring_.reserve(capacity_);
 }
 
 std::uint64_t EventTracer::now_ns() const {
@@ -22,15 +22,14 @@ std::uint64_t EventTracer::now_ns() const {
 }
 
 void EventTracer::record(const TraceEvent& event) {
-  Shard& shard = shards_[thread_shard()];
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.ring.size() < shard_capacity_) {
-      shard.ring.push_back(event);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (ring_.size() < capacity_) {
+      ring_.push_back(event);
     } else {
       // Ring full: overwrite the oldest event and count the loss.
-      shard.ring[shard.next] = event;
-      shard.next = (shard.next + 1) % shard_capacity_;
+      ring_[next_] = event;
+      next_ = (next_ + 1) % capacity_;
       dropped_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -72,16 +71,16 @@ void EventTracer::complete(const char* name, const char* category,
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
   std::vector<TraceEvent> events;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Oldest-first within the shard: [next, end) then [0, next).
-    for (std::size_t i = shard.next; i < shard.ring.size(); ++i) {
-      events.push_back(shard.ring[i]);
-    }
-    for (std::size_t i = 0; i < shard.next; ++i) {
-      events.push_back(shard.ring[i]);
-    }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Oldest first: [next, end) then [0, next).
+    const auto cut = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
+    events.reserve(ring_.size());
+    events.insert(events.end(), cut, ring_.end());
+    events.insert(events.end(), ring_.begin(), cut);
   }
+  // Threads stamp an event before they take the lock, so ring order is
+  // only nearly time order.
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;

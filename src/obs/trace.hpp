@@ -3,7 +3,7 @@
 // Counters say how much; the tracer says *when*: GA rounds, target
 // handoffs, straight-search walks, incumbent improvements, buffer drops.
 // Events are timestamped spans ('X', with a duration) or instants ('i')
-// recorded into a fixed-capacity ring split into per-thread shards (one
+// recorded into one fixed-capacity ring that every thread shares (one
 // short mutex hold per event; events fire once per block iteration —
 // thousands of flips — so the lock is far off the hot path). A full ring
 // overwrites its oldest events and counts the drops, so a tracer never
@@ -19,15 +19,13 @@
 // else — no macros, no global state, measurably zero cost.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.hpp"  // kMetricShards / thread_shard
 
 namespace absq::obs {
 
@@ -47,7 +45,8 @@ struct TraceEvent {
 
 class EventTracer {
  public:
-  /// `capacity` is the total event capacity across all ring shards.
+  /// Keeps the newest `capacity` events (at least 1), whichever threads
+  /// recorded them.
   explicit EventTracer(std::size_t capacity = std::size_t{1} << 16);
 
   EventTracer(const EventTracer&) = delete;
@@ -71,7 +70,7 @@ class EventTracer {
                 const char* arg_name = nullptr, std::int64_t arg_value = 0);
 
   /// Copy of everything currently buffered, sorted by timestamp (stable
-  /// within equal timestamps by shard order).
+  /// within equal timestamps by recording order).
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
   /// Events ever recorded / lost to ring overwrites.
@@ -83,19 +82,13 @@ class EventTracer {
     // absq-lint: allow(atomic-audit) cold read of a monotonic stat counter
     return dropped_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t capacity() const {
-    return shard_capacity_ * kMetricShards;
-  }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<TraceEvent> ring;  ///< size <= shard_capacity_
-    std::size_t next = 0;          ///< overwrite cursor once full
-  };
-
-  const std::size_t shard_capacity_;
-  std::array<Shard, kMetricShards> shards_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::vector<TraceEvent> ring_;  ///< size <= capacity_
+  std::size_t next_ = 0;          ///< overwrite cursor once full
   const std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dropped_{0};

@@ -21,9 +21,11 @@
 // to scanning the other shards so no entry is stranded. The
 // host-facing API — push / poll / drain / counter — is shard-oblivious;
 // with the default single shard the buffers behave exactly as before. The
-// fetch/push happens once per block iteration (thousands of flips), so even
-// the single-shard lock is not a throughput factor — measured and
-// documented in bench_kernels.
+// fetch/push happens only once per block iteration, yet at 4 workers one
+// shard per mailbox is a throughput factor: on a 256-bit instance (about
+// 1e5 iterations/s in total) it searched about 5 % slower than a shard per
+// worker over 24 alternating 1 s pairs, at equal flips per iteration
+// (EXPERIMENTS.md, "The linter leaves the solver library").
 //
 // The paper's host spends a CPU of its own polling the counters. Here the
 // host shares the cores with the device workers, so it parks on a Doorbell

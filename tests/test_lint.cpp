@@ -11,9 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "lint/lint.hpp"
 #include "serve/json.hpp"
-#include "util/lint.hpp"
-#include "util/lint_graph.hpp"
 
 namespace absq::lint {
 namespace {
@@ -163,6 +162,22 @@ TEST(LintHotPath, GovernsTheBlockAlgorithmPortfolio) {
       "}\n";
   EXPECT_FALSE(
       fires("src/portfolio/block_algorithm.cpp", cold, "ABSQ003"));
+}
+
+TEST(LintHotPath, CoversEveryOverloadOfARootName) {
+  // A root names a function, so every overload of it in its file is hot,
+  // not only the first definition.
+  const std::string overloads =
+      "std::optional<BitVector> TargetBuffer::poll() {\n"
+      "  return poll(0);\n"
+      "}\n"
+      "std::optional<BitVector> TargetBuffer::poll(std::size_t hint) {\n"
+      "  std::printf(\"x\");\n"
+      "}\n";
+  const auto diagnostics = lint_file("src/sim/mailbox.cpp", overloads);
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_EQ(diagnostics[0].code, "ABSQ003");
+  EXPECT_EQ(diagnostics[0].line, 5u);
 }
 
 TEST(LintHotPath, QuietOutsideHotFunctionsAndFiles) {
@@ -387,7 +402,7 @@ TEST(LintPlumbing, CountByRuleListsEveryRuleThenCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// The project indexer (lint_graph.hpp)
+// The project indexer
 // ---------------------------------------------------------------------------
 
 TEST(LintIndex, ModuleOfStripsSrcPrefix) {
@@ -615,7 +630,7 @@ TEST(LintLayering, CatchesQualifiedCallIntoForbiddenModule) {
 // ABSQ007 — transitive blocking calls
 // ---------------------------------------------------------------------------
 
-// Real hot-root identity: file + class + function from hot_path_roots().
+// Real hot-root identity: file + class + function of a hot-path root.
 constexpr const char* kHotRootFile = "src/abs/device.cpp";
 
 TEST(LintTransitive, FindsBlockingCallTwoFramesDeep) {
@@ -630,7 +645,7 @@ TEST(LintTransitive, FindsBlockingCallTwoFramesDeep) {
                  "void deep_work() {\n"
                  "  std::this_thread::sleep_for(std::chrono::seconds(1));\n"
                  "}\n");
-  const auto diagnostics = check_transitive_blocking(index);
+  const auto diagnostics = check_hot_path_blocking(index);
   ASSERT_EQ(diagnostics.size(), 1u);
   EXPECT_EQ(diagnostics[0].code, "ABSQ007");
   // Reported at the root's call site, naming the chain and the real site.
@@ -645,12 +660,18 @@ TEST(LintTransitive, FindsBlockingCallTwoFramesDeep) {
 }
 
 TEST(LintTransitive, RootBodyItselfIsLeftToAbsq003) {
+  // The walk's root frame reports its own body as ABSQ003, once, and
+  // never again as ABSQ007.
   ProjectIndex index;
   index.add_file(kHotRootFile,
                  "void Device::iterate_block(std::size_t i) {\n"
                  "  std::this_thread::sleep_for(std::chrono::seconds(1));\n"
                  "}\n");
-  EXPECT_TRUE(check_transitive_blocking(index).empty());  // ABSQ003's job
+  const auto diagnostics = check_hot_path_blocking(index);
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_EQ(diagnostics[0].code, "ABSQ003");
+  EXPECT_EQ(diagnostics[0].file, kHotRootFile);
+  EXPECT_EQ(diagnostics[0].line, 2u);
 }
 
 TEST(LintTransitive, SuppressionAtNonRootFrameIsHonoured) {
@@ -668,7 +689,7 @@ TEST(LintTransitive, SuppressionAtNonRootFrameIsHonoured) {
                  "void deep_work() {\n"
                  "  std::this_thread::sleep_for(std::chrono::seconds(1));\n"
                  "}\n");
-  EXPECT_TRUE(check_transitive_blocking(index).empty());
+  EXPECT_TRUE(check_hot_path_blocking(index).empty());
 }
 
 TEST(LintTransitive, SuppressionAtTheBlockingSiteIsHonoured) {
@@ -682,7 +703,7 @@ TEST(LintTransitive, SuppressionAtTheBlockingSiteIsHonoured) {
                  "  // absq-lint: allow(hot-path-blocking) fault injection\n"
                  "  std::this_thread::sleep_for(std::chrono::seconds(1));\n"
                  "}\n");
-  EXPECT_TRUE(check_transitive_blocking(index).empty());
+  EXPECT_TRUE(check_hot_path_blocking(index).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -724,7 +745,8 @@ TEST(LintHotRoots, EveryRootResolvesOnTheCheckedOutTree) {
     listing += "\n  " + missing;
   }
   EXPECT_TRUE(listing.empty())
-      << "hot_path_roots() names functions the tree no longer defines:"
+      << "the hot-path root table names functions the tree no longer "
+         "defines:"
       << listing;
 }
 
@@ -885,6 +907,18 @@ TEST(LintProject, CombinesFileAndGraphRulesSorted) {
   ASSERT_EQ(diagnostics.size(), 2u);
   EXPECT_EQ(diagnostics[0].code, "ABSQ006");  // line 1 before line 2
   EXPECT_EQ(diagnostics[1].code, "ABSQ001");
+}
+
+TEST(LintProject, AFileNamedTwiceIsIndexedOnce) {
+  // Relaxed order inside a hot-path root is fine (ABSQ009); a second copy
+  // of the file is not where the roots resolve, so indexing it would flag
+  // the same site as cold.
+  const ProjectFile mailbox{"src/sim/mailbox.cpp",
+                            "void TargetBuffer::push(int x) {\n"
+                            "  c.fetch_add(1, std::memory_order_relaxed);\n"
+                            "}\n"};
+  EXPECT_TRUE(lint_project({mailbox}, nullptr).empty());
+  EXPECT_TRUE(lint_project({mailbox, mailbox}, nullptr).empty());
 }
 
 TEST(LintProject, NullManifestSkipsLayering) {

@@ -34,9 +34,7 @@ TEST(EventTracer, SnapshotIsSortedByTimestamp) {
 }
 
 TEST(EventTracer, FullRingOverwritesOldestAndCountsDrops) {
-  // Total capacity 8 → one slot per shard; a single thread always lands on
-  // the same shard, so its visible window is exactly one event.
-  EventTracer tracer(8);
+  EventTracer tracer(3);
   for (std::uint64_t i = 0; i < 5; ++i) {
     TraceEvent event;
     event.name = "e";
@@ -44,10 +42,38 @@ TEST(EventTracer, FullRingOverwritesOldestAndCountsDrops) {
     tracer.record(event);
   }
   const auto events = tracer.snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].ts_ns, 4u);  // oldest overwritten, newest kept
+  ASSERT_EQ(events.size(), 3u);  // the two oldest overwritten
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].ts_ns, i + 2);
+  }
   EXPECT_EQ(tracer.recorded(), 5u);
-  EXPECT_EQ(tracer.dropped(), 4u);
+  EXPECT_EQ(tracer.dropped(), 2u);
+}
+
+TEST(EventTracer, OneThreadKeepsTheWholeCapacity) {
+  EventTracer tracer(1024);
+  ASSERT_EQ(tracer.capacity(), 1024u);
+  for (std::uint64_t i = 0; i < 1024; ++i) {
+    TraceEvent event;
+    event.name = "e";
+    event.ts_ns = i;
+    tracer.record(event);
+  }
+  EXPECT_EQ(tracer.snapshot().size(), 1024u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST(EventTracer, ThreadsShareOneCapacity) {
+  EventTracer tracer(1024);
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&tracer, t] {
+      for (int i = 0; i < 256; ++i) tracer.instant("e", "test", 0, t);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(tracer.snapshot().size(), 1024u);
+  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 TEST(EventTracer, InstantAndCompleteStampMonotonicTimes) {

@@ -1,6 +1,6 @@
 // absq_lint — enforce the project invariants no generic analyzer knows
-// (see src/util/lint.hpp for the rule set and suppression syntax; the
-// whole-project graph rules ABSQ006–ABSQ009 live in src/util/lint_graph.hpp).
+// (see tools/lint/lint.hpp for the engine, the rule set and the
+// suppression syntax; docs/static-analysis.md has the rule catalog).
 //
 //   absq_lint                        # lint src/ tools/ tests/ bench/ examples/
 //   absq_lint src/serve tools/x.cpp  # lint specific dirs/files
@@ -17,9 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "lint/lint.hpp"
 #include "util/cli.hpp"
-#include "util/lint.hpp"
-#include "util/lint_graph.hpp"
 
 namespace fs = std::filesystem;
 
