@@ -237,7 +237,8 @@ BENCHMARK(BM_StraightSearchLeg)->Arg(256)->Arg(1024);
 void BM_StraightSearchLegSparseGset(benchmark::State& state) {
   // A sparse-tts-sized walk: the G55 stand-in on the CSR plan, to targets
   // ~25 % of the bits away (~1250 flips at n = 5000). Each step reads the
-  // pending tree's root, so a walk flip costs what a local flip does.
+  // leftmost of the 79 chunks' walk minima and rescans the flipped bit's
+  // chunk.
   const auto n = static_cast<BitIndex>(state.range(0));
   const QuboKernel& kernel =
       cached_kernel(cached_gset(n), KernelOptions::Form::kSparse);

@@ -64,6 +64,14 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 "$BIN/tools/absq_lint" --root "$REPO_ROOT" > "$WORK/lint.txt"
 grep -q "files clean (9 rules)" "$WORK/lint.txt" \
   || fail "absq_lint clean run did not print the 9-rule summary"
+# A file named twice is counted once: overlapping arguments print the count
+# of the wider one alone.
+"$BIN/tools/absq_lint" --root "$REPO_ROOT" src > "$WORK/lint_src.txt"
+"$BIN/tools/absq_lint" --root "$REPO_ROOT" src src/obs \
+  > "$WORK/lint_overlap.txt"
+[[ "$(grep -o '[0-9]* files clean' "$WORK/lint_src.txt")" == \
+   "$(grep -o '[0-9]* files clean' "$WORK/lint_overlap.txt")" ]] \
+  || fail "absq_lint counted a file named twice twice"
 # SARIF output is a 2.1.0 document.
 "$BIN/tools/absq_lint" --root "$REPO_ROOT" --format=sarif \
   > "$WORK/lint.sarif"

@@ -17,10 +17,12 @@
 //   * dense-simd   — O(n): one sweep repairs Δ and tracks the argmin,
 //                    compiled per ISA and picked once per process
 //                    (qubo/detail/dense_sweep.hpp);
-//   * sparse       — O(degree(k)) CSR repair, with a tournament tree over Δ
-//                    keeping the fused argmin exact in O(degree·log n),
-//                    and a second one over the pending bits of a straight
-//                    walk, so a walk flip costs the same as a local flip.
+//   * sparse       — O(degree(k)) CSR repair, with the leftmost minimum of
+//                    each 64-entry chunk of Δ (and, during a straight
+//                    walk, of each chunk's pending bits) kept in O(1) per
+//                    repaired entry; a chunk whose minimum rose is
+//                    rescanned once after the row. The selections read the
+//                    chunk minima — the paper's two-level reduction.
 //
 // Every form stores Δ as int32: the exact bound |Δ_k(X)| ≤ (2n − 1)·2^15
 // stays below INT32_MAX for every accepted instance (a static_assert in
@@ -39,6 +41,7 @@
 // flip sequences.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -96,7 +99,8 @@ class DeltaState {
   /// First-in-traversal-order argmin of Δ over the wrapping window of `len`
   /// bits starting at `offset % n` (strict improvement only, so the
   /// earliest minimum wins — the exact tie-break of the Fig. 2 window
-  /// policy's linear scan). O(len) dense, O(log n) sparse. `len` ≤ n.
+  /// policy's linear scan). O(len) dense; sparse, O(len/64) chunk minima
+  /// plus a scan of at most two partial edge chunks. `len` ≤ n.
   [[nodiscard]] BitIndex argmin_window(BitIndex offset, BitIndex len) const;
 
   /// Starts a straight walk (Algorithm 5) toward `target`: every bit where
@@ -104,15 +108,15 @@ class DeltaState {
   /// a pending bit settles it. Returns the number of pending bits, the
   /// Hamming distance. `target` is read only here, so it may change during
   /// the walk — e.g. alias the incumbent of a tracker the walk feeds.
-  /// O(n/64) dense; O(n) sparse, which also builds the pending tree in
-  /// storage allocated by the first walk and reused by every later one.
+  /// O(n/64) dense; sparse also scans the pending bits of each chunk that
+  /// holds one, for its walk minimum.
   BitIndex begin_walk(const BitVector& target);
 
   /// The next walk step: the leftmost minimum-Δ pending bit — exactly what
   /// an ascending strict-< scan of the pending bits returns — or size()
   /// when no bit is pending. O(n/64 + pending) dense (a word-mask scan);
-  /// O(1) sparse (the root of the pending tree, which every flip keeps
-  /// current in O(degree · log n)).
+  /// O(n/64) sparse (the leftmost of the chunks' walk minima, which every
+  /// flip keeps current).
   [[nodiscard]] BitIndex argmin_pending() const;
 
   /// E(flip_i(X)) without changing state — Eq. (5).
@@ -157,33 +161,6 @@ class DeltaState {
   [[nodiscard]] KernelForm form() const { return form_; }
 
  private:
-  // Tournament (segment) tree over the Δ vector, used only by the sparse
-  // form: leftmost-min range queries in O(log n), point updates in
-  // O(log n). The combine prefers the left operand on equal values, so a
-  // range query returns exactly what a left-to-right strict-< scan would —
-  // the tie-break contract shared by all kernel forms.
-  struct MinTree {
-    struct Entry {
-      std::int32_t val;
-      BitIndex idx;
-    };
-    BitIndex n = 0;
-    BitIndex m = 1;            // n padded to a power of two: the iterative
-                               // layout keeps leaves in index order, which
-                               // the non-commutative (tie-breaking) combine
-                               // requires
-    std::vector<Entry> nodes;  // leaves at [m, m + n)
-
-    /// Leaf i holds Δ_i where bit i of `only` is set (every leaf when
-    /// `only` is null) and +∞ elsewhere. O(n); reuses the storage.
-    void build(const DeltaState& s, const std::uint64_t* only);
-    void update(BitIndex i, std::int32_t v);
-    /// Leftmost min over [lo, hi); identity entry (idx == n) when empty.
-    [[nodiscard]] Entry query(BitIndex lo, BitIndex hi) const;
-    /// Leftmost min over every leaf — a query(0, n) read off the root.
-    [[nodiscard]] const Entry& root() const { return nodes[1]; }
-  };
-
   void use_storage_form();
   void init_zero_state();
   void init_from_bits(const BitVector& x);
@@ -191,10 +168,23 @@ class DeltaState {
   Energy flip_dense(BitIndex k);
   FlipOutcome flip_tracked_dense_simd(BitIndex k);
   Energy finish_dense_flip(BitIndex k, std::int32_t old_delta_k);
-  void repair_sparse(BitIndex k);
+  bool repair_sparse(BitIndex k);
   Energy flip_sparse(BitIndex k);
   FlipOutcome flip_tracked_sparse(BitIndex k);
   void settle(BitIndex k);
+
+  // The sparse form's chunk minima (see the members below).
+  void init_chunk_minima();
+  void init_walk_minima();
+  bool offer_delta(BitIndex i, std::int32_t d);
+  void rescan_chunk(std::size_t c);
+  void rescan_walk_chunk(std::size_t c);
+  void rescan_dirty_chunks(bool keep_best);
+  void rescan_best();
+  [[nodiscard]] BitIndex leftmost_in(BitIndex lo, BitIndex hi) const;
+  [[nodiscard]] BitIndex argmin_window_sparse(BitIndex offset, BitIndex first,
+                                              BitIndex len) const;
+  [[nodiscard]] BitIndex argmin_pending_sparse() const;
 
   const WeightMatrix* w_;
   const SparseWeightMatrix* sparse_ = nullptr;  // non-null iff form_ sparse
@@ -204,18 +194,36 @@ class DeltaState {
   // φ(x_i) ∈ {+1, −1} cached per bit so the repair loop reads a byte
   // instead of extracting a bit.
   std::vector<std::int8_t> signs_;
-  MinTree tree_;  // populated only by the sparse form
   // Straight-walk state: bit i of pending_ is set while the walk still has
-  // to flip i. The sparse form mirrors it in walk_tree_, a MinTree whose
-  // settled leaves hold +∞, so the root is the next walk bit.
+  // to flip i.
   std::vector<std::uint64_t> pending_;
   BitIndex pending_count_ = 0;
-  MinTree walk_tree_;  // sparse form only; built by the first walk
   Energy energy_ = 0;
   std::uint64_t flips_ = 0;
   std::uint64_t matrix_reads_ = 0;
   KernelForm form_ = KernelForm::kDenseSimd;
   const detail::DenseSweep* sweep_;  // the dense form's build
+
+  // Sparse form only; a dense state leaves these empty. Chunk c is the 64
+  // entries of Δ that pending_[c] covers, [64c, 64c + 64) cut at n. Per
+  // chunk: the leftmost minimum of Δ (chunk_min_, chunk_at_), and the
+  // leftmost minimum of its pending bits (walk_min_, walk_at_; +∞ and n
+  // when none is pending). A repair that lowers an entry below its chunk's
+  // minimum takes it in O(1); one that raises the chunk's argmin sets the
+  // chunk's bit in chunk_dirty_ or walk_dirty_, and the chunk is rescanned
+  // once after the row. The values sit in their own int32 arrays, so the
+  // scans over them vectorize.
+  std::vector<std::int32_t> chunk_min_;
+  std::vector<BitIndex> chunk_at_;
+  std::vector<std::int32_t> walk_min_;
+  std::vector<BitIndex> walk_at_;
+  std::vector<std::uint64_t> chunk_dirty_;
+  std::vector<std::uint64_t> walk_dirty_;
+  // The leftmost minimum of all of Δ, which a flip's best neighbour reads:
+  // each new chunk minimum is offered to it in O(1), and the chunk minima
+  // are scanned again only when the entry holding it rises.
+  std::int32_t best_min_ = 0;
+  BitIndex best_at_ = 0;
 };
 
 }  // namespace absq

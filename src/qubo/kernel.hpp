@@ -3,10 +3,11 @@
 // The Δ-update of Eq. (16) is the hot loop of the whole system, and the
 // cheapest correct implementation depends on the instance:
 //
-//   * kSparse    — CSR rows, O(degree) matrix reads per flip plus an
-//                  O(degree·log n) tournament-tree repair that keeps the
-//                  fused best-neighbour argmin exact. Wins whenever the
-//                  matrix is sparse (G-set-style graphs).
+//   * kSparse    — CSR rows, O(degree) matrix reads per flip, with the
+//                  leftmost minimum of each 64-entry chunk of Δ kept in
+//                  O(1) per repaired entry, so the best-neighbour argmin
+//                  reads the chunk minima. Wins whenever the matrix is
+//                  sparse (G-set-style graphs).
 //   * kDenseSimd — contiguous dense row, repaired and reduced to the
 //                  argmin in one sweep, compiled per ISA (AVX-512, AVX2, or
 //                  the portable two-pass loop) and picked once per process
@@ -42,7 +43,7 @@ struct DenseSweep;
 /// Implementation form of the Δ-repair loop.
 enum class KernelForm : std::uint8_t {
   kDenseSimd = 0,  ///< dense rows, one repair + argmin sweep per flip
-  kSparse = 1,     ///< CSR rows + tournament tree for the argmin
+  kSparse = 1,     ///< CSR rows + per-chunk Δ minima for the argmin
 };
 
 /// Storage width of the Δ vector. Every plan stores int32; kWide64 names

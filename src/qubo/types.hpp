@@ -58,7 +58,7 @@ constexpr Energy max_row_delta(BitIndex n, Weight w) {
 
 // The int32 Δ proof. Every Weight value is in range, BitVector rejects
 // n > kMaxBits, and the bound stays strictly below INT32_MAX, which the
-// tournament trees reserve as +∞ for settled and padding leaves.
+// sparse form's chunk minima reserve as +∞ for a chunk with no pending bit.
 static_assert(kMinWeight == std::numeric_limits<Weight>::min() &&
               kMaxWeight == std::numeric_limits<Weight>::max());
 static_assert(max_row_delta(kMaxBits, kMinWeight) <

@@ -53,9 +53,10 @@ class WeightMatrix {
   /// fused x86 sweeps. docs/kernels.md records the measured crossovers.
   [[nodiscard]] static double sparse_density_threshold();
 
-  /// Matrices smaller than this stay dense whatever their density — for
-  /// tiny instances the tournament tree costs more than the dense row it
-  /// replaces.
+  /// Matrices smaller than this stay dense whatever their density: their
+  /// sparse state would be less than one 64-entry chunk of Δ, and every
+  /// rise of its minimum would rescan all of it — the dense row's scan
+  /// without its vector sweep.
   static constexpr BitIndex kSparseMinBits = 64;
 
   /// The most entries (both triangles, the diagonal once) an n-bit matrix

@@ -16,9 +16,9 @@
 //
 //   * dense form — O(d) word-mask scan for the selection beside the O(n)
 //     Δ repair that dominates it;
-//   * sparse form — O(degree · log n): the repair also updates a tournament
-//     tree over the pending bits, whose root is the next step, and the best
-//     neighbour is read off the Δ tree's root.
+//   * sparse form — O(degree + n/64): the repair also keeps each 64-bit
+//     chunk's minimum over its pending bits, the next step is the leftmost
+//     of those chunk minima, and the flipped bit's chunk is rescanned.
 #pragma once
 
 #include <atomic>

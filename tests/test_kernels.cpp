@@ -135,8 +135,8 @@ TEST(QuboKernel, AutoKeepsDenseInstancesOnSimd) {
 }
 
 TEST(QuboKernel, AutoKeepsTinyInstancesDense) {
-  // Sparse but below kSparseMinBits: the tournament tree would cost more
-  // than the dense row it replaces.
+  // Sparse but below kSparseMinBits: the whole state would be one chunk of
+  // Δ, whose rescans repeat the dense row's scan.
   const WeightMatrix w = random_sparse(32, 0.05, 33);
   ASSERT_EQ(w.csr(), nullptr);
   const QuboKernel kernel(w);
@@ -487,10 +487,10 @@ TEST(KernelLockstep, SaturatedWeightExtremes) { run_saturated_extremes(); }
 // ---------------------------------------------------------------------------
 // Straight-search lockstep: Algorithm 5 selects the leftmost minimum-Δ
 // pending bit in every form — a word-mask scan in the dense form, the
-// pending tree's root in the sparse one. Chained walks to random targets,
-// interleaved with window local search, are held to the oracle step by
-// step; a whole straight_search call is held to the oracle's end state, and
-// its statistics and tracker to the dense-SIMD lane's.
+// leftmost of the chunks' walk minima in the sparse one. Chained walks to
+// random targets, interleaved with window local search, are held to the
+// oracle step by step; a whole straight_search call is held to the oracle's
+// end state, and its statistics and tracker to the dense-SIMD lane's.
 // ---------------------------------------------------------------------------
 
 void run_walk_lockstep(const WeightMatrix& w, Storage storage,
@@ -608,8 +608,12 @@ TEST(WalkLockstep, DenseInstance) {
 TEST(WalkLockstep, ZeroMatrixTiesResolveLeftmost) {
   // Every Δ is 0 forever, so each walk step is a pure tie among the
   // pending bits: the leftmost must win in every form.
-  // An empty 70-bit matrix is CSR-stored (0 entries, n ≥ kSparseMinBits).
-  run_walk_lockstep(WeightMatrix(70), Storage::kCsr, 934, 40);
+  // An empty matrix of n ≥ kSparseMinBits is CSR-stored (0 entries). At
+  // 130 bits the ties straddle two 64-bit chunk edges.
+  ASSERT_NO_FATAL_FAILURE(
+      run_walk_lockstep(WeightMatrix(70), Storage::kCsr, 934, 40));
+  ASSERT_NO_FATAL_FAILURE(
+      run_walk_lockstep(WeightMatrix(130), Storage::kCsr, 934, 40));
 }
 
 // ---------------------------------------------------------------------------
@@ -659,6 +663,36 @@ void run_size_one_flip_back() {
 
 TEST(KernelContract, SizeOneReportsFlipBackInEveryForm) {
   run_size_one_flip_back();
+}
+
+TEST(KernelContract, SparseWindowsMatchTheOracleAtEveryChunkEdge) {
+  // 130 bits are two whole 64-bit chunks and a 2-bit tail. Weights in
+  // [−1, 1] make equal Δ common, so after each flip every (offset, len)
+  // window — partial chunks at either end, whole ones between, the wrap —
+  // must resolve its ties as the oracle's wrapping strict-< scan does.
+  const BitIndex n = 130;
+  Rng rng(940);
+  const WeightMatrix w =
+      WeightMatrix::generate_symmetric(n, [&rng](BitIndex, BitIndex) {
+        return static_cast<Weight>(rng.range(-1, 1));
+      });
+  KernelOptions options;
+  options.form = KernelOptions::Form::kSparse;
+  const QuboKernel kernel(w, options);
+  DeltaState state(kernel);
+  Oracle oracle(w, BitVector(n));
+  for (int step = 0; step < 20; ++step) {
+    const auto k = static_cast<BitIndex>(rng.below(n));
+    oracle.flip(k);
+    ASSERT_EQ(state.flip_tracked(k).energy, oracle.energy) << "flip " << k;
+    for (BitIndex offset = 0; offset < n; ++offset) {
+      for (BitIndex len = 1; len <= n; ++len) {
+        ASSERT_EQ(state.argmin_window(offset, len),
+                  oracle.argmin_window(offset, len))
+            << "step " << step << " window (" << offset << ", " << len << ")";
+      }
+    }
+  }
 }
 
 TEST(KernelContract, MatrixReadsCountDenseRowsAndSparseDegrees) {

@@ -203,8 +203,9 @@ TEST(StraightSearch, RaisedStopAbandonsTheWalkConsistently) {
 }
 
 TEST(StraightSearch, RaisedStopAbandonsASparseWalkConsistently) {
-  // The CSR form also keeps a pending tree, which the abandoned walk
-  // leaves over bits it never flipped, for the next begin_walk to rebuild.
+  // The CSR form also keeps per-chunk walk minima, which the abandoned
+  // walk leaves over bits it never flipped, for the next begin_walk to
+  // rebuild.
   // About 0.1 % of the entries are set: CSR under every build's rule.
   Rng rng(20);
   const WeightMatrix w = WeightMatrix::generate_symmetric(

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -119,11 +120,14 @@ int run(int argc, char** argv) {
 
   std::vector<absq::lint::ProjectFile> files;
   files.reserve(paths.size());
+  std::set<fs::path> seen;
   for (const fs::path& file : paths) {
+    // A file named twice (`src src/obs`) is read, linted and counted once.
+    const fs::path canonical = fs::canonical(file);
+    if (!seen.insert(canonical).second) continue;
     // Rules key off repo-relative forward-slash paths (e.g. src/obs/…).
     files.push_back(absq::lint::ProjectFile{
-        fs::relative(fs::canonical(file), root).generic_string(),
-        read_file(file)});
+        fs::relative(canonical, root).generic_string(), read_file(file)});
   }
 
   if (graph_dump == "dot") {

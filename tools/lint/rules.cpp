@@ -125,7 +125,9 @@ const std::vector<HotPathRoot> kHotPathRoots = {
      {"flip", "flip_tracked", "flip_dense", "flip_sparse",
       "flip_tracked_dense_simd", "finish_dense_flip", "flip_tracked_sparse",
       "repair_sparse", "argmin_window", "begin_walk", "settle",
-      "argmin_pending"}},
+      "argmin_pending", "init_chunk_minima", "init_walk_minima",
+      "rescan_chunk", "rescan_walk_chunk", "rescan_dirty_chunks",
+      "leftmost_in", "argmin_window_sparse", "argmin_pending_sparse"}},
     // Every build of the dense sweep the flips above dispatch to.
     {"src/qubo/dense_sweep.cpp", "PortableSweep", {"repair", "repair_argmin"}},
     {"src/qubo/dense_sweep.cpp", "Avx2Sweep", {"repair", "repair_argmin"}},
